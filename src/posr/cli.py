@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Commands: gen-corpus, segment, retrieve, calibrate, posr, analyze, stats.
-Every command writes CSV reports plus a run manifest (config, seed,
-version) into the output directory; reruns with the same seed and
-cassette are byte-identical.
+Every command writes CSV reports plus a run manifest (config, seed where
+the command takes one, version) into the output directory; reruns with
+the same seed and cassette are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .analysis import AnalysisError, quartile_language_compare, talk_time
 from .corpus import (
-    Corpus,
     SyntheticSpec,
     corpus_stats,
     generate_synthetic,
@@ -27,9 +27,10 @@ from .corpus import (
     write_corpus,
 )
 from .llm import CassetteClient, HttpChatClient, LLMEndpointConfig, PromptKind, run_posr_llm
-from .metrics import TokenUsage, cost_per_100, evaluate
+from .metrics import EvalReport, TokenUsage, cost_per_100, evaluate
 from .model import labeling_to_spans
 from .retrieval import (
+    METHODS as RETRIEVAL_METHODS,
     RetrieverConfig,
     calibrate_threshold,
     retrieval_accuracy,
@@ -45,7 +46,14 @@ from .segmentation import (
 logger = logging.getLogger(__name__)
 
 SEG_METHODS = ("top10", "top20", "texttiling")
-RETRIEVAL_METHODS = ("jaccard", "tfidf", "bm25")
+LLM_METHODS = {
+    "joint-llm": PromptKind.JOINT_POSR,
+    "independent-llm": PromptKind.INDEPENDENT_RETRIEVAL,
+    "segment-llm": PromptKind.INDEPENDENT_SEGMENTATION,
+}
+POSR_COLUMNS = ["transcript_id", *(f.name for f in fields(EvalReport))]
+SEGMENT_COLUMNS = ["transcript_id", "pk_line", "pk_time", "wd_line", "wd_time",
+                   "seg_count_diff"]
 
 
 def _write_run_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
@@ -116,15 +124,11 @@ def cmd_segment(args: argparse.Namespace) -> int:
             json.dumps(spans, indent=2) + "\n", encoding="utf-8"
         )
         if entry.gold is not None:
-            report = evaluate(pred, entry.gold, entry.transcript)
-            rows.append({"transcript_id": entry.transcript.id,
-                         "pk_line": report.pk_line, "pk_time": report.pk_time,
-                         "wd_line": report.wd_line, "wd_time": report.wd_time,
-                         "seg_count_diff": report.seg_count_diff})
+            row = {"transcript_id": entry.transcript.id,
+                   **evaluate(pred, entry.gold, entry.transcript).as_row()}
+            rows.append({col: row[col] for col in SEGMENT_COLUMNS})
     if rows:
-        _write_csv(out / "segmentation_metrics.csv",
-                   ["transcript_id", "pk_line", "pk_time", "wd_line", "wd_time",
-                    "seg_count_diff"], rows)
+        _write_csv(out / "segmentation_metrics.csv", SEGMENT_COLUMNS, rows)
     _write_run_manifest(out, "segment", args)
     print(f"segmented {len(corpus)} transcripts with {args.method}")
     return 0
@@ -149,8 +153,6 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                 "decision": span.ref.serialize() if span.ref else "null",
                 "gold": gold_ref.serialize(),
             })
-        acc = retrieval_accuracy(config, Corpus((entry,), corpus.split))
-        logger.info("%s: accuracy %.3f", entry.transcript.id, acc)
     overall = retrieval_accuracy(config, corpus)
     _write_csv(out / "retrieval_decisions.csv",
                ["transcript_id", "start_line", "end_line", "decision", "gold"], rows)
@@ -206,7 +208,7 @@ def cmd_posr(args: argparse.Namespace) -> int:
     corpus = load_corpus(load_manifest(args.manifest))
     prices = _load_prices(args.prices)
     rows = []
-    llm_mode = args.method in ("joint-llm", "independent-llm", "segment-llm")
+    llm_mode = args.method in LLM_METHODS
     client = _make_client(args) if llm_mode else None
     model = None
     if args.method.startswith("top"):
@@ -220,14 +222,9 @@ def cmd_posr(args: argparse.Namespace) -> int:
     failed: list[str] = []
     for entry in corpus.entries:
         if llm_mode:
-            kind = {
-                "joint-llm": PromptKind.JOINT_POSR,
-                "independent-llm": PromptKind.INDEPENDENT_RETRIEVAL,
-                "segment-llm": PromptKind.INDEPENDENT_SEGMENTATION,
-            }[args.method]
             try:
                 result = run_posr_llm(client, args.model, entry.transcript,
-                                      entry.worksheet, kind)
+                                      entry.worksheet, LLM_METHODS[args.method])
             except Exception as exc:  # noqa: BLE001 - keep the batch going
                 logger.error("%s: LLM run failed: %s", entry.transcript.id, exc)
                 failed.append(entry.transcript.id)
@@ -257,10 +254,7 @@ def cmd_posr(args: argparse.Namespace) -> int:
         for row in rows:
             row["cost_usd_per_100"] = cost
     if rows:
-        _write_csv(out / "posr_metrics.csv",
-                   ["transcript_id", "pk_line", "pk_time", "wd_line", "wd_time",
-                    "srs_line", "srs_time", "seg_count_diff", "cost_usd_per_100"],
-                   rows)
+        _write_csv(out / "posr_metrics.csv", POSR_COLUMNS, rows)
     if failed:
         (out / "failed_transcripts.json").write_text(
             json.dumps(failed, indent=2) + "\n", encoding="utf-8"
@@ -333,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-manifest")
     p.add_argument("--method", required=True, choices=SEG_METHODS)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("retrieve", help="retrieval over ground-truth segments")
@@ -341,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=RETRIEVAL_METHODS)
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("calibrate", help="cross-validated threshold search")
@@ -356,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--train-manifest")
     p.add_argument("--method", required=True,
-                   choices=SEG_METHODS + ("joint-llm", "independent-llm", "segment-llm"))
+                   choices=SEG_METHODS + tuple(LLM_METHODS))
     p.add_argument("--retrieval", default="jaccard", choices=RETRIEVAL_METHODS)
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--model", default="default-model")
@@ -364,14 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cassette")
     p.add_argument("--prices")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_posr)
 
     p = sub.add_parser("analyze", help="talk time + log-odds analyses")
     p.add_argument("--manifest", required=True)
     p.add_argument("--problem", help="problem id for quartile language comparison")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("stats", help="corpus summary statistics")

@@ -16,7 +16,8 @@ and delta = k*d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import asdict, dataclass
 
 from .model import Labeling, Transcript, boundaries, labeling_to_spans
 
@@ -64,63 +65,51 @@ def _check_pair(pred: Labeling, ref: Labeling, k: int) -> int:
     return n
 
 
-def _count_in_line_window(bounds: set[int], j: int, k: int) -> int:
-    return sum(1 for i in bounds if j < i <= j + k)
+def _window_errors(
+    pred_at: list[int], ref_at: list[int], windows: list[tuple[int, int]]
+) -> tuple[float, float]:
+    """(Pk, WindowDiff) over open windows (lo, hi), given each labeling's
+    sorted boundary positions on the windows' axis (line index or ms)."""
+    pk = wd = 0
+    for lo, hi in windows:
+        cp = bisect_left(pred_at, hi) - bisect_right(pred_at, lo)
+        cr = bisect_left(ref_at, hi) - bisect_right(ref_at, lo)
+        pk += (cp > 0) != (cr > 0)
+        wd += cp != cr
+    return pk / len(windows), wd / len(windows)
+
+
+def _line_errors(pred: Labeling, ref: Labeling, k: int) -> tuple[float, float]:
+    n = _check_pair(pred, ref, k)
+    windows = [(j, j + k + 1) for j in range(n - k)]
+    return _window_errors(sorted(boundaries(pred)), sorted(boundaries(ref)), windows)
+
+
+def _time_errors(
+    pred: Labeling, ref: Labeling, transcript: Transcript, delta_ms: int, k: int | None
+) -> tuple[float, float]:
+    if k is None:
+        k = derive_window_config(ref, transcript).k_lines
+    n = _check_pair(pred, ref, k)
+    if len(transcript) != n:
+        raise MetricError("transcript length mismatch")
+    lines = transcript.lines
+    # boundary timestamp = onset of the first line after the boundary;
+    # start_ms never decreases, so these lists come out sorted
+    pred_at = [lines[i].start_ms for i in sorted(boundaries(pred))]
+    ref_at = [lines[i].start_ms for i in sorted(boundaries(ref))]
+    windows = [(lines[j].start_ms, lines[j].end_ms + delta_ms) for j in range(n - k)]
+    return _window_errors(pred_at, ref_at, windows)
 
 
 def window_diff(pred: Labeling, ref: Labeling, k: int) -> float:
     """Fraction of length-k windows whose boundary counts differ."""
-    n = _check_pair(pred, ref, k)
-    bp, br = boundaries(pred), boundaries(ref)
-    errors = 0
-    for j in range(n - k):
-        if _count_in_line_window(bp, j, k) != _count_in_line_window(br, j, k):
-            errors += 1
-    return errors / (n - k)
+    return _line_errors(pred, ref, k)[1]
 
 
 def p_k(pred: Labeling, ref: Labeling, k: int) -> float:
     """Fraction of length-k windows where exactly one labeling has a boundary."""
-    n = _check_pair(pred, ref, k)
-    bp, br = boundaries(pred), boundaries(ref)
-    errors = 0
-    for j in range(n - k):
-        if (_count_in_line_window(bp, j, k) > 0) != (_count_in_line_window(br, j, k) > 0):
-            errors += 1
-    return errors / (n - k)
-
-
-def _boundary_times(labeling: Labeling, transcript: Transcript) -> list[int]:
-    # boundary timestamp = onset of the first line after the boundary
-    return [transcript.lines[i].start_ms for i in sorted(boundaries(labeling))]
-
-
-def _count_in_time_window(times: list[int], start: int, end: int) -> int:
-    return sum(1 for t in times if start < t < end)
-
-
-def _time_metric(
-    pred: Labeling,
-    ref: Labeling,
-    transcript: Transcript,
-    delta_ms: int,
-    k: int,
-    presence_only: bool,
-) -> float:
-    n = _check_pair(pred, ref, k)
-    if len(transcript) != n:
-        raise MetricError("transcript length mismatch")
-    tp = _boundary_times(pred, transcript)
-    tr = _boundary_times(ref, transcript)
-    errors = 0
-    for j in range(n - k):
-        start = transcript.lines[j].start_ms
-        end = transcript.lines[j].end_ms + delta_ms
-        cp = _count_in_time_window(tp, start, end)
-        cr = _count_in_time_window(tr, start, end)
-        mismatch = (cp > 0) != (cr > 0) if presence_only else cp != cr
-        errors += mismatch
-    return errors / (n - k)
+    return _line_errors(pred, ref, k)[0]
 
 
 def time_window_diff(
@@ -132,9 +121,7 @@ def time_window_diff(
 ) -> float:
     """Duration-windowed WindowDiff; k (defaulting to the reference-derived
     value) fixes the summation count N-k."""
-    if k is None:
-        k = derive_window_config(ref, transcript).k_lines
-    return _time_metric(pred, ref, transcript, delta_ms, k, presence_only=False)
+    return _time_errors(pred, ref, transcript, delta_ms, k)[1]
 
 
 def time_p_k(
@@ -145,9 +132,7 @@ def time_p_k(
     k: int | None = None,
 ) -> float:
     """Duration-windowed Pk."""
-    if k is None:
-        k = derive_window_config(ref, transcript).k_lines
-    return _time_metric(pred, ref, transcript, delta_ms, k, presence_only=True)
+    return _time_errors(pred, ref, transcript, delta_ms, k)[0]
 
 
 def srs(pred: Labeling, ref: Labeling, transcript: Transcript, weighting: str = "line") -> float:
@@ -226,16 +211,7 @@ class EvalReport:
     cost_usd_per_100: float | None = None
 
     def as_row(self) -> dict[str, float | int | None]:
-        return {
-            "pk_line": self.pk_line,
-            "pk_time": self.pk_time,
-            "wd_line": self.wd_line,
-            "wd_time": self.wd_time,
-            "srs_line": self.srs_line,
-            "srs_time": self.srs_time,
-            "seg_count_diff": self.seg_count_diff,
-            "cost_usd_per_100": self.cost_usd_per_100,
-        }
+        return asdict(self)
 
 
 def evaluate(
@@ -246,11 +222,13 @@ def evaluate(
 ) -> EvalReport:
     """All metrics for one (pred, ref) pair, windows derived from ref."""
     cfg = derive_window_config(ref, transcript)
+    pk_line, wd_line = _line_errors(pred, ref, cfg.k_lines)
+    pk_time, wd_time = _time_errors(pred, ref, transcript, cfg.delta_ms, cfg.k_lines)
     return EvalReport(
-        pk_line=p_k(pred, ref, cfg.k_lines),
-        pk_time=time_p_k(pred, ref, transcript, cfg.delta_ms, cfg.k_lines),
-        wd_line=window_diff(pred, ref, cfg.k_lines),
-        wd_time=time_window_diff(pred, ref, transcript, cfg.delta_ms, cfg.k_lines),
+        pk_line=pk_line,
+        pk_time=pk_time,
+        wd_line=wd_line,
+        wd_time=wd_time,
         srs_line=srs(pred, ref, transcript, "line"),
         srs_time=srs(pred, ref, transcript, "time"),
         seg_count_diff=segment_count_diff(pred, ref),

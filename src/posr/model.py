@@ -240,31 +240,25 @@ def spans_to_labeling(
 
     per_line: list[tuple[int, RefLabel]] = []
     next_seg = 0
-    prev_key: object = object()  # sentinel unequal to anything
+    # a new segment starts wherever the owner changes; every gap line has
+    # owner None, which is safe because two gaps are never adjacent
+    prev_owner: object = object()  # sentinel unequal to anything
     for i in range(n_lines):
         if owner[i] is None:
             if gap_policy is GapPolicy.EXTEND_PREVIOUS and per_line:
                 per_line.append(per_line[-1])
                 continue
-            key: object = ("gap", _gap_start(owner, i))
             ref = REF_NONE
         else:
-            key = ("span", owner[i])
             ref = refs[owner[i]]  # type: ignore[index]
-        if key != prev_key:
+        if owner[i] != prev_owner:
             seg = next_seg
             next_seg += 1
-            prev_key = key
+            prev_owner = owner[i]
         else:
             seg = per_line[-1][0]
         per_line.append((seg, ref))
     return Labeling(tuple(per_line))
-
-
-def _gap_start(owner: list[int | None], i: int) -> int:
-    while i > 0 and owner[i - 1] is None:
-        i -= 1
-    return i
 
 
 def labeling_to_spans(labeling: Labeling) -> list[SegmentSpan]:

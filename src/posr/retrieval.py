@@ -1,11 +1,9 @@
 """Segment-as-query retrieval over a worksheet.
 
 Scorers: Jaccard token overlap, TF-IDF cosine fitted on the worksheet's
-own problems, Okapi BM25 with the worksheet as the collection, and an
-"external" pass-through for pre-computed score files (e.g. neural
-retrievers run out of process). Unbounded scorers are min-max normalized
-within each query's top 10 candidates so one threshold applies across
-queries.
+own problems, and Okapi BM25 with the worksheet as the collection. BM25
+is unbounded, so its scores are min-max normalized within each query's
+top 10 candidates so one threshold applies across queries.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .corpus import Corpus
 from .model import (
@@ -26,10 +24,11 @@ from .model import (
 )
 from .tokens import tokenize
 
-METHODS = ("jaccard", "tfidf", "bm25", "external")
+METHODS = ("jaccard", "tfidf", "bm25")
 
-# unbounded scorers require cross-query normalization
-_NEEDS_NORMALIZATION = {"bm25", "external"}
+# Okapi BM25 term-frequency saturation and length normalization
+BM25_K1 = 1.5
+BM25_B = 0.75
 
 
 class RetrievalError(ValueError):
@@ -40,9 +39,6 @@ class RetrievalError(ValueError):
 class RetrieverConfig:
     method: str = "jaccard"
     threshold: float = 0.0
-    normalize_top10: bool | None = None  # None -> method default
-    k1: float = 1.5
-    b: float = 0.75
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -52,9 +48,8 @@ class RetrieverConfig:
 
     @property
     def normalized(self) -> bool:
-        if self.normalize_top10 is None:
-            return self.method in _NEEDS_NORMALIZATION
-        return self.normalize_top10
+        # bm25 is the one unbounded scorer
+        return self.method == "bm25"
 
 
 @dataclass(frozen=True)
@@ -135,23 +130,22 @@ class WorksheetScorer:
                 pid: sum(w * vec.get(t, 0.0) for t, w in qvec.items())
                 for pid, vec in self._tfidf_vecs.items()
             }
-        if method == "bm25":
-            k1, b = self.config.k1, self.config.b
-            qcounts = Counter(q)
-            scores: dict[str, float] = {}
-            for pid, toks in self._problem_tokens.items():
-                tf = Counter(toks)
-                dl = len(toks)
-                score = 0.0
-                for term in qcounts:
-                    f = tf.get(term, 0)
-                    if f == 0:
-                        continue
-                    denom = f + k1 * (1 - b + b * dl / self._avgdl)
-                    score += self._bm25_idf[term] * f * (k1 + 1) / denom
-                scores[pid] = score
-            return scores
-        raise RetrievalError(f"method {method!r} needs externally supplied scores")
+        # bm25
+        k1, b = BM25_K1, BM25_B
+        qcounts = Counter(q)
+        scores: dict[str, float] = {}
+        for pid, toks in self._problem_tokens.items():
+            tf = Counter(toks)
+            dl = len(toks)
+            score = 0.0
+            for term in qcounts:
+                f = tf.get(term, 0)
+                if f == 0:
+                    continue
+                denom = f + k1 * (1 - b + b * dl / self._avgdl)
+                score += self._bm25_idf[term] * f * (k1 + 1) / denom
+            scores[pid] = score
+        return scores
 
 
 def score_segment(
@@ -167,7 +161,7 @@ def score_segment(
 def candidates_from_raw(
     config: RetrieverConfig, raw: dict[str, float], worksheet: Worksheet
 ) -> ScoredCandidates:
-    """Wrap raw per-problem scores (including external ones) for decision."""
+    """Wrap raw per-problem scores for decision."""
     order = tuple(worksheet.problem_ids())
     missing = set(order) - set(raw)
     if missing:
@@ -176,11 +170,9 @@ def candidates_from_raw(
     return ScoredCandidates(raw=raw, normalized=normalized, order=order)
 
 
-def decide(config: RetrieverConfig, candidates: ScoredCandidates) -> RefLabel:
-    """Argmax problem if its effective score clears the threshold, else no ref.
-
-    Ties break toward the earlier worksheet problem.
-    """
+def _best(candidates: ScoredCandidates) -> tuple[str | None, float]:
+    """(argmax problem id, its effective score); ties break toward the
+    earlier worksheet problem."""
     scores = candidates.effective()
     best_pid = None
     best = -1.0
@@ -188,6 +180,15 @@ def decide(config: RetrieverConfig, candidates: ScoredCandidates) -> RefLabel:
         s = scores.get(pid, 0.0)
         if s > best:
             best, best_pid = s, pid
+    return best_pid, best
+
+
+def decide(config: RetrieverConfig, candidates: ScoredCandidates) -> RefLabel:
+    """Argmax problem if its effective score clears the threshold, else no ref.
+
+    Ties break toward the earlier worksheet problem.
+    """
+    best_pid, best = _best(candidates)
     if best_pid is not None and best >= config.threshold:
         return RefLabel.problem(best_pid)
     return REF_NONE
@@ -239,11 +240,7 @@ def _segment_best_scores(
                 for i in range(span.start_line, span.end_line + 1)
             )
             cands = candidates_from_raw(config, scorer.raw_scores(text), entry.worksheet)
-            scores = cands.effective()
-            best_pid, best = None, -1.0
-            for pid in cands.order:
-                if scores.get(pid, 0.0) > best:
-                    best, best_pid = scores[pid], pid
+            best_pid, best = _best(cands)
             gold = span.ref.problem_id if span.ref and span.ref.kind == "problem" else None
             rows.append((gold, best_pid, best))
     return rows
@@ -262,7 +259,6 @@ def calibrate_threshold(
     train: Corpus,
     folds: int = 5,
     seed: int = 0,
-    config: RetrieverConfig | None = None,
 ) -> float:
     """Cross-validated grid search for the decision threshold.
 
@@ -276,8 +272,7 @@ def calibrate_threshold(
         raise RetrievalError("calibration needs annotated transcripts")
     if folds > len(annotated.entries):
         folds = len(annotated.entries)
-    base = config or RetrieverConfig(method=method)
-    base = replace(base, method=method)
+    base = RetrieverConfig(method=method)
 
     indices = list(range(len(annotated.entries)))
     random.Random(seed).shuffle(indices)

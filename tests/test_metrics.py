@@ -13,7 +13,7 @@ from posr.metrics import (
     time_window_diff,
     window_diff,
 )
-from posr.model import Labeling, REF_NONE, RefLabel
+from posr.model import Labeling, Line, REF_NONE, RefLabel, Transcript
 
 from conftest import (
     make_transcript,
@@ -98,6 +98,69 @@ def test_time_metrics_match_oracle(rng):
             oracle_time_metric(seg_ids(pred), seg_ids(ref), starts, ends, delta, k, True),
             abs=1e-12,
         )
+
+
+def tied_transcript(n, rng):
+    """Onsets drawn from a coarse grid, so many repeat; durations may be zero
+    and lines may run past the next onset. Window edges then land exactly on
+    boundary times."""
+    starts = sorted(rng.randrange(0, 20) * 500 for _ in range(n))
+    return Transcript(id="tied", lines=tuple(
+        Line(index=i, speaker="[TUTOR]", utterance="w", start_ms=s,
+             end_ms=s + rng.choice([0, 0, 500, 1000, 2500]))
+        for i, s in enumerate(starts)
+    ))
+
+
+def test_time_metrics_match_oracle_on_ties(rng):
+    for _ in range(300):
+        n = rng.randint(3, 40)
+        t = tied_transcript(n, rng)
+        pred = random_labeling(n, rng, max_seg_len=4)
+        ref = random_labeling(n, rng, max_seg_len=4)
+        k = rng.randint(1, n - 1)
+        delta = rng.choice([500, 1000, 1500, 2500])
+        starts = [l.start_ms for l in t.lines]
+        ends = [l.end_ms for l in t.lines]
+        assert time_window_diff(pred, ref, t, delta, k) == oracle_time_metric(
+            seg_ids(pred), seg_ids(ref), starts, ends, delta, k, False)
+        assert time_p_k(pred, ref, t, delta, k) == oracle_time_metric(
+            seg_ids(pred), seg_ids(ref), starts, ends, delta, k, True)
+
+
+def test_evaluate_matches_oracles_on_ties(rng):
+    for _ in range(100):
+        n = rng.randint(6, 40)
+        t = tied_transcript(n, rng)
+        pred = random_labeling(n, rng, max_seg_len=4)
+        ref = random_labeling(n, rng, max_seg_len=4)
+        cfg = derive_window_config(ref, t)
+        if cfg.k_lines >= n:
+            continue
+        report = evaluate(pred, ref, t)
+        starts = [l.start_ms for l in t.lines]
+        ends = [l.end_ms for l in t.lines]
+        for presence_only, line_value, time_value in (
+            (True, report.pk_line, report.pk_time),
+            (False, report.wd_line, report.wd_time),
+        ):
+            assert line_value == oracle_line_metric(
+                seg_ids(pred), seg_ids(ref), cfg.k_lines, presence_only)
+            assert time_value == oracle_time_metric(
+                seg_ids(pred), seg_ids(ref), starts, ends, cfg.delta_ms, cfg.k_lines,
+                presence_only)
+
+
+def test_window_metrics_match_oracle_dense(rng):
+    # about 500 lines with a boundary on most of them
+    n = 500
+    pred = random_labeling(n, rng, max_seg_len=2)
+    ref = random_labeling(n, rng, max_seg_len=2)
+    for k in (1, 2, 7, 60, n - 1):
+        assert window_diff(pred, ref, k) == oracle_line_metric(
+            seg_ids(pred), seg_ids(ref), k, False)
+        assert p_k(pred, ref, k) == oracle_line_metric(
+            seg_ids(pred), seg_ids(ref), k, True)
 
 
 def test_uniform_duration_reduction(rng):

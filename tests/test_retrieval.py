@@ -98,7 +98,7 @@ def test_decide_tie_breaks_by_worksheet_order():
 def test_decide_scale_invariant_after_normalization():
     ws = Worksheet(id="w", problems=tuple(Problem(f"P{i}", f"t{i}") for i in range(12)))
     raw = {f"P{i}": float(i) for i in range(12)}
-    config = RetrieverConfig("external", threshold=0.3)
+    config = RetrieverConfig("bm25", threshold=0.3)
     base = decide(config, candidates_from_raw(config, raw, ws))
     scaled = decide(config, candidates_from_raw(
         config, {k: 7.5 * v for k, v in raw.items()}, ws))
