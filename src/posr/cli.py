@@ -26,14 +26,21 @@ from .corpus import (
     load_manifest,
     write_corpus,
 )
-from .llm import CassetteClient, HttpChatClient, LLMEndpointConfig, PromptKind, run_posr_llm
+from .llm import (
+    CassetteClient,
+    HttpChatClient,
+    LLMConfigError,
+    LLMEndpointConfig,
+    PromptKind,
+    run_posr_llm,
+)
 from .metrics import EvalReport, TokenUsage, cost_per_100, evaluate
 from .model import labeling_to_spans
 from .retrieval import (
     METHODS as RETRIEVAL_METHODS,
     RetrieverConfig,
     calibrate_threshold,
-    retrieval_accuracy,
+    clear_indexes,
     retrieve_labeling,
 )
 from .segmentation import (
@@ -142,18 +149,21 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         return 2
     config = RetrieverConfig(method=args.method, threshold=args.threshold)
     rows = []
+    correct = 0
     for entry in corpus.entries:
         pred = retrieve_labeling(config, entry.transcript, entry.gold, entry.worksheet)
         for span in labeling_to_spans(pred):
             gold_ref = entry.gold.per_line[span.start_line][1]
+            # no-ref agreement counts as correct, as in retrieval_accuracy
+            correct += span.ref.problem_id == gold_ref.problem_id
             rows.append({
                 "transcript_id": entry.transcript.id,
                 "start_line": span.start_line,
                 "end_line": span.end_line,
-                "decision": span.ref.serialize() if span.ref else "null",
+                "decision": span.ref.serialize(),
                 "gold": gold_ref.serialize(),
             })
-    overall = retrieval_accuracy(config, corpus)
+    overall = correct / len(rows) if rows else 0.0
     _write_csv(out / "retrieval_decisions.csv",
                ["transcript_id", "start_line", "end_line", "decision", "gold"], rows)
     (out / "retrieval_accuracy.json").write_text(
@@ -194,7 +204,11 @@ def _load_prices(path: str | None) -> dict:
 def _make_client(args: argparse.Namespace):
     inner = None
     if args.llm_config:
-        inner = HttpChatClient(LLMEndpointConfig.from_file(args.llm_config))
+        try:
+            inner = HttpChatClient(LLMEndpointConfig.from_file(args.llm_config))
+        except LLMConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(2) from exc
     if args.cassette:
         return CassetteClient(args.cassette, inner=inner)
     if inner is None:
@@ -210,6 +224,8 @@ def cmd_posr(args: argparse.Namespace) -> int:
     rows = []
     llm_mode = args.method in LLM_METHODS
     client = _make_client(args) if llm_mode else None
+    rconf = None if llm_mode else RetrieverConfig(method=args.retrieval,
+                                                   threshold=args.threshold)
     model = None
     if args.method.startswith("top"):
         if args.train_manifest is None:
@@ -235,7 +251,6 @@ def cmd_posr(args: argparse.Namespace) -> int:
                 failed.append(entry.transcript.id)
         else:
             seg = _segment_one(args.method, entry, model, TextTilingParams())
-            rconf = RetrieverConfig(method=args.retrieval, threshold=args.threshold)
             pred = retrieve_labeling(rconf, entry.transcript, seg, entry.worksheet)
         (out / f"{entry.transcript.id}.pred.jsonl").write_text(
             "\n".join(
@@ -375,7 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
-    return args.func(args)
+    # worksheet indexes are fitted once per command and never outlive it
+    clear_indexes()
+    try:
+        return args.func(args)
+    finally:
+        clear_indexes()
 
 
 if __name__ == "__main__":

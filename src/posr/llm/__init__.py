@@ -4,6 +4,7 @@ from .client import (
     ChatRequest,
     ChatResponse,
     HttpChatClient,
+    LLMConfigError,
     LLMEndpointConfig,
     ScriptedClient,
     TransportError,
@@ -18,6 +19,7 @@ __all__ = [
     "ChatRequest",
     "ChatResponse",
     "HttpChatClient",
+    "LLMConfigError",
     "LLMEndpointConfig",
     "LLMRunResult",
     "ParseFailure",

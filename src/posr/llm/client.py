@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +23,10 @@ logger = logging.getLogger(__name__)
 
 class TransportError(RuntimeError):
     """Endpoint unreachable or returned a non-success status."""
+
+
+class LLMConfigError(ValueError):
+    """An endpoint config file that cannot be used as written."""
 
 
 @dataclass(frozen=True)
@@ -57,20 +62,48 @@ class ChatClient(Protocol):
     def complete(self, request: ChatRequest) -> ChatResponse: ...
 
 
+CONFIG_KEYS = ("url", "api_key_env", "headers", "timeout_s", "max_attempts", "backoff_s")
+
+
 @dataclass
 class LLMEndpointConfig:
     url: str
     api_key: str | None = None
+    headers: dict[str, str] = field(default_factory=dict)
     timeout_s: float = 120.0
     max_attempts: int = 3
     backoff_s: float = 1.0
 
     @staticmethod
     def from_file(path: str | Path) -> "LLMEndpointConfig":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Read a JSON object with the keys in ``CONFIG_KEYS``; only ``url``
+        is required. ``api_key_env`` names the environment variable that
+        holds the bearer key, and ``headers`` adds string-valued headers to
+        every request. Unknown keys and an unset key variable are errors."""
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise LLMConfigError(f"{path}: not JSON: {exc}") from exc
+        if not isinstance(doc, dict) or "url" not in doc:
+            raise LLMConfigError(f"{path}: expected a JSON object with a 'url'")
+        unknown = sorted(set(doc) - set(CONFIG_KEYS))
+        if unknown:
+            raise LLMConfigError(f"{path}: unknown keys {unknown}; accepted: {list(CONFIG_KEYS)}")
+        api_key = None
+        if "api_key_env" in doc:
+            env = doc["api_key_env"]
+            api_key = os.environ.get(env) if isinstance(env, str) else None
+            if not api_key:
+                raise LLMConfigError(f"{path}: api_key_env {env!r} names no set variable")
+        headers = doc.get("headers", {})
+        if not isinstance(headers, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in headers.items()
+        ):
+            raise LLMConfigError(f"{path}: headers must map strings to strings")
         return LLMEndpointConfig(
             url=doc["url"],
-            api_key=doc.get("api_key"),
+            api_key=api_key,
+            headers=dict(headers),
             timeout_s=float(doc.get("timeout_s", 120.0)),
             max_attempts=int(doc.get("max_attempts", 3)),
             backoff_s=float(doc.get("backoff_s", 1.0)),
@@ -78,13 +111,19 @@ class LLMEndpointConfig:
 
 
 class HttpChatClient:
-    """Live client with retry and exponential backoff."""
+    """Live client with exponential backoff.
+
+    Only transient failures are retried: connection errors, timeouts, 429
+    and 5xx. Any other 4xx, or a reply that is not a chat completion,
+    raises ``TransportError`` at once.
+    """
 
     def __init__(self, config: LLMEndpointConfig, session=None):
         import requests
 
         self.config = config
         self._session = session or requests.Session()
+        self._transient = (requests.ConnectionError, requests.Timeout)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         body = {
@@ -96,7 +135,7 @@ class HttpChatClient:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", **self.config.headers}
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
         last_error: Exception | None = None
@@ -108,23 +147,30 @@ class HttpChatClient:
                     self.config.url, json=body, headers=headers,
                     timeout=self.config.timeout_s,
                 )
-                if resp.status_code >= 400:
-                    raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                return _parse_response(resp.json())
-            except Exception as exc:  # noqa: BLE001 - retried, re-raised below
-                logger.warning("request attempt %d failed: %s", attempt + 1, exc)
+            except self._transient as exc:
                 last_error = exc
+            else:
+                if resp.status_code < 400:
+                    try:
+                        doc = resp.json()
+                    except ValueError as exc:
+                        raise TransportError(f"reply is not JSON: {resp.text[:200]}") from exc
+                    return _parse_response(doc)
+                last_error = TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+                if resp.status_code != 429 and resp.status_code < 500:
+                    raise last_error
+            logger.warning("request attempt %d failed: %s", attempt + 1, last_error)
         raise TransportError(f"all {self.config.max_attempts} attempts failed") from last_error
 
 
 def _parse_response(doc: dict) -> ChatResponse:
-    if "text" in doc:
-        return ChatResponse(
-            text=str(doc["text"]),
-            input_tokens=int(doc.get("input_tokens", 0)),
-            output_tokens=int(doc.get("output_tokens", 0)),
-        )
     try:
+        if "text" in doc:
+            return ChatResponse(
+                text=str(doc["text"]),
+                input_tokens=int(doc.get("input_tokens", 0)),
+                output_tokens=int(doc.get("output_tokens", 0)),
+            )
         text = doc["choices"][0]["message"]["content"]
         usage = doc.get("usage", {})
         return ChatResponse(
@@ -132,7 +178,7 @@ def _parse_response(doc: dict) -> ChatResponse:
             input_tokens=int(usage.get("prompt_tokens", 0)),
             output_tokens=int(usage.get("completion_tokens", 0)),
         )
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise TransportError(f"unrecognized response shape: {doc!r}") from exc
 
 
@@ -191,5 +237,12 @@ class CassetteClient:
         return response
 
     def save(self) -> None:
+        """Write to a temporary file beside the cassette, then swap it in, so
+        a write that fails part-way leaves the previous recording intact."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(self._cache, indent=2), encoding="utf-8")
+        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(self._cache, indent=2), encoding="utf-8")
+            os.replace(tmp, self.path)
+        finally:
+            tmp.unlink(missing_ok=True)

@@ -4,20 +4,28 @@ Scorers: Jaccard token overlap, TF-IDF cosine fitted on the worksheet's
 own problems, and Okapi BM25 with the worksheet as the collection. BM25
 is unbounded, so its scores are min-max normalized within each query's
 top 10 candidates so one threshold applies across queries.
+
+All three read one postings index per worksheet (``WorksheetIndex``), so
+a query touches only the problems that share one of its terms; every
+other problem scores 0 under every method. ``worksheet_index`` fits each
+distinct worksheet once; ``posr.cli.main`` clears those fits around every
+command.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import Corpus
+from .corpus import Corpus, CorpusEntry
 from .model import (
     REF_NONE,
     Labeling,
     RefLabel,
+    SegmentSpan,
     Transcript,
     Worksheet,
     labeling_to_spans,
@@ -84,77 +92,112 @@ def normalize_top10(raw: dict[str, float]) -> dict[str, float]:
     return out
 
 
-class WorksheetScorer:
-    """Per-worksheet fitted lexical scorer; stateless after fitting."""
+_NO_POSTINGS: tuple[float, tuple] = (0.0, ())
 
-    def __init__(self, config: RetrieverConfig, worksheet: Worksheet):
-        self.config = config
-        self.worksheet = worksheet
-        self._problem_tokens = {p.id: tokenize(p.text) for p in worksheet.problems}
-        self._problem_sets = {pid: set(toks) for pid, toks in self._problem_tokens.items()}
-        n_docs = len(worksheet.problems)
-        df: Counter[str] = Counter()
-        for toks in self._problem_sets.values():
-            df.update(toks)
+
+class WorksheetIndex:
+    """Postings over one worksheet's problems, shared by every method.
+
+    ``postings[term]`` is ``(tfidf idf, [(problem index, bm25 weight,
+    tfidf weight), ...])``. The weights are the per-pair terms of the dense
+    formulas, and a query adds them up in the dense formulas' term order,
+    so each score is the same float the dense sum gives.
+    """
+
+    __slots__ = ("ids", "sizes", "postings")
+
+    def __init__(self, worksheet: Worksheet):
+        tokens = [tokenize(p.text) for p in worksheet.problems]
+        n_docs = len(tokens)
+        self.ids = tuple(worksheet.problem_ids())
+        self.sizes = [len(set(toks)) for toks in tokens]  # jaccard denominators
+        df = Counter(t for toks in tokens for t in set(toks))
         # smooth idf, sklearn convention
-        self._idf = {t: math.log((1 + n_docs) / (1 + d)) + 1 for t, d in df.items()}
+        idf = {t: math.log((1 + n_docs) / (1 + d)) + 1 for t, d in df.items()}
         # Okapi idf (never negative with the +1 inside the log)
-        self._bm25_idf = {
-            t: math.log((n_docs - d + 0.5) / (d + 0.5) + 1) for t, d in df.items()
-        }
-        self._avgdl = sum(len(toks) for toks in self._problem_tokens.values()) / n_docs
-        self._tfidf_vecs = {
-            pid: self._tfidf_vector(toks) for pid, toks in self._problem_tokens.items()
-        }
-
-    def _tfidf_vector(self, toks: list[str]) -> dict[str, float]:
-        tf = Counter(toks)
-        vec = {t: c * self._idf.get(t, 0.0) for t, c in tf.items() if t in self._idf}
-        norm = math.sqrt(sum(v * v for v in vec.values()))
-        if norm > 0:
-            vec = {t: v / norm for t, v in vec.items()}
-        return vec
-
-    def raw_scores(self, segment_text: str) -> dict[str, float]:
-        method = self.config.method
-        q = tokenize(segment_text)
-        if method == "jaccard":
-            qs = set(q)
-            return {
-                pid: (len(qs & ps) / len(qs | ps) if qs | ps else 0.0)
-                for pid, ps in self._problem_sets.items()
-            }
-        if method == "tfidf":
-            qvec = self._tfidf_vector(q)
-            return {
-                pid: sum(w * vec.get(t, 0.0) for t, w in qvec.items())
-                for pid, vec in self._tfidf_vecs.items()
-            }
-        # bm25
+        bm25_idf = {t: math.log((n_docs - d + 0.5) / (d + 0.5) + 1) for t, d in df.items()}
+        avgdl = sum(len(toks) for toks in tokens) / n_docs
         k1, b = BM25_K1, BM25_B
-        qcounts = Counter(q)
-        scores: dict[str, float] = {}
-        for pid, toks in self._problem_tokens.items():
+        self.postings: dict[str, tuple[float, list[tuple[int, float, float]]]] = {
+            t: (w, []) for t, w in idf.items()
+        }
+        for i, toks in enumerate(tokens):
             tf = Counter(toks)
             dl = len(toks)
-            score = 0.0
-            for term in qcounts:
-                f = tf.get(term, 0)
-                if f == 0:
-                    continue
-                denom = f + k1 * (1 - b + b * dl / self._avgdl)
-                score += self._bm25_idf[term] * f * (k1 + 1) / denom
-            scores[pid] = score
-        return scores
+            vec = {t: c * idf[t] for t, c in tf.items()}
+            norm = math.sqrt(sum(v * v for v in vec.values()))
+            for t, f in tf.items():
+                denom = f + k1 * (1 - b + b * dl / avgdl)
+                self.postings[t][1].append(
+                    (i, bm25_idf[t] * f * (k1 + 1) / denom, vec[t] / norm)
+                )
+
+    def scores(self, method: str, text: str) -> dict[int, float]:
+        """Raw scores of the problems sharing a term with ``text``, keyed by
+        worksheet index. Every other problem scores 0."""
+        q = tokenize(text)
+        postings = self.postings
+        if method == "jaccard":
+            qs = set(q)
+            shared: Counter[int] = Counter()
+            for t in qs:
+                for i, _, _ in postings.get(t, _NO_POSTINGS)[1]:
+                    shared[i] += 1
+            # |q & p| / |q | p|, with the union counted as |q| + |p| - |q & p|
+            return {i: n / (len(qs) + self.sizes[i] - n) for i, n in shared.items()}
+        if method == "tfidf":
+            qvec = {t: c * postings[t][0] for t, c in Counter(q).items() if t in postings}
+            norm = math.sqrt(sum(v * v for v in qvec.values()))
+            # summed per problem with sum(), as the dense formula is: from
+            # Python 3.12 sum() compensates rounding, unlike a running +=
+            products: dict[int, list[float]] = {}
+            for t, v in qvec.items():
+                w = v / norm
+                for i, _, pw in postings[t][1]:
+                    products.setdefault(i, []).append(w * pw)
+            return {i: sum(ps) for i, ps in products.items()}
+        # bm25
+        bm25: dict[int, float] = {}
+        for t in Counter(q):
+            for i, bw, _ in postings.get(t, _NO_POSTINGS)[1]:
+                bm25[i] = bm25.get(i, 0.0) + bw
+        return bm25
+
+    def candidates(self, config: RetrieverConfig, text: str) -> ScoredCandidates:
+        """The problems sharing a term with ``text`` plus the first one that
+        does not, in worksheet order; deciding on these gives the decision
+        over the whole worksheet. The problems left out all score 0, as
+        does the one kept: it is the floor of the top 10 whenever fewer
+        than ten problems score, and the argmax (the first problem) when
+        none does."""
+        scores = self.scores(config.method, text)
+        kept = list(scores)
+        first_zero = next((i for i in range(len(self.ids)) if i not in scores), None)
+        if first_zero is not None:
+            kept.append(first_zero)
+        raw = {self.ids[i]: scores.get(i, 0.0) for i in sorted(kept)}
+        normalized = normalize_top10(raw) if config.normalized else None
+        return ScoredCandidates(raw=raw, normalized=normalized, order=tuple(raw))
+
+
+# bounded so that callers outside the CLI, which never clear it, cannot
+# accumulate fits; a command clears it on entry and exit
+@functools.lru_cache(maxsize=16)
+def worksheet_index(worksheet: Worksheet) -> WorksheetIndex:
+    """The fitted index of ``worksheet``, fitted once until ``clear_indexes``."""
+    return WorksheetIndex(worksheet)
+
+
+clear_indexes = worksheet_index.cache_clear
 
 
 def score_segment(
     config: RetrieverConfig, segment_text: str, worksheet: Worksheet
 ) -> ScoredCandidates:
-    if not worksheet.problems:
-        raise RetrievalError("empty worksheet")
-    scorer = WorksheetScorer(config, worksheet)
-    raw = scorer.raw_scores(segment_text)
+    """Scores for every worksheet problem."""
+    index = worksheet_index(worksheet)
+    scores = index.scores(config.method, segment_text)
+    raw = {pid: scores.get(i, 0.0) for i, pid in enumerate(index.ids)}
     return candidates_from_raw(config, raw, worksheet)
 
 
@@ -183,15 +226,31 @@ def _best(candidates: ScoredCandidates) -> tuple[str | None, float]:
     return best_pid, best
 
 
+def _decision(best_pid: str | None, best: float, threshold: float) -> str | None:
+    """The argmax problem if its score clears the threshold, else None."""
+    return best_pid if best >= threshold else None
+
+
 def decide(config: RetrieverConfig, candidates: ScoredCandidates) -> RefLabel:
     """Argmax problem if its effective score clears the threshold, else no ref.
 
     Ties break toward the earlier worksheet problem.
     """
-    best_pid, best = _best(candidates)
-    if best_pid is not None and best >= config.threshold:
-        return RefLabel.problem(best_pid)
-    return REF_NONE
+    pid = _decision(*_best(candidates), config.threshold)
+    return REF_NONE if pid is None else RefLabel.problem(pid)
+
+
+def _segment_best(
+    index: WorksheetIndex, config: RetrieverConfig, transcript: Transcript, span: SegmentSpan
+) -> tuple[str | None, float]:
+    """(argmax problem id, its effective score) for one segment's
+    concatenated utterances; an empty segment is (None, 0.0), never a problem."""
+    text = " ".join(
+        transcript.lines[i].utterance for i in range(span.start_line, span.end_line + 1)
+    )
+    if not text.strip():
+        return None, 0.0
+    return _best(index.candidates(config, text))
 
 
 def retrieve_labeling(
@@ -203,17 +262,11 @@ def retrieve_labeling(
     """Fill each segment's ref by scoring its concatenated utterances."""
     if len(segmentation) != len(transcript):
         raise RetrievalError("segmentation does not cover the transcript")
-    scorer = WorksheetScorer(config, worksheet)
+    index = worksheet_index(worksheet)
     per_line: list[tuple[int, RefLabel]] = [None] * len(transcript)  # type: ignore[list-item]
     for span in labeling_to_spans(segmentation):
-        text = " ".join(
-            transcript.lines[i].utterance for i in range(span.start_line, span.end_line + 1)
-        )
-        if text.strip():
-            cands = candidates_from_raw(config, scorer.raw_scores(text), worksheet)
-            ref = decide(config, cands)
-        else:
-            ref = REF_NONE
+        pid = _decision(*_segment_best(index, config, transcript, span), config.threshold)
+        ref = REF_NONE if pid is None else RefLabel.problem(pid)
         seg_id = segmentation.per_line[span.start_line][0]
         for i in range(span.start_line, span.end_line + 1):
             per_line[i] = (seg_id, ref)
@@ -226,31 +279,31 @@ def retrieve_labeling(
 GRID = [round(i * 0.01, 2) for i in range(101)]
 
 
+def _entry_best_scores(
+    config: RetrieverConfig, entry: CorpusEntry
+) -> list[tuple[str | None, str | None, float]]:
+    """Per ground-truth segment of one annotated entry: (gold problem id or
+    None, argmax problem id, argmax effective score). Warm-up/off-worksheet
+    golds count as None."""
+    index = worksheet_index(entry.worksheet)
+    return [
+        (span.ref.problem_id, *_segment_best(index, config, entry.transcript, span))
+        for span in labeling_to_spans(entry.gold)  # type: ignore[arg-type]
+    ]
+
+
 def _segment_best_scores(
     config: RetrieverConfig, corpus: Corpus
 ) -> list[tuple[str | None, str | None, float]]:
-    """Per ground-truth segment: (gold problem id or None, argmax problem id,
-    argmax effective score). Warm-up/off-worksheet golds count as None."""
-    rows: list[tuple[str | None, str | None, float]] = []
-    for entry in corpus.annotated().entries:
-        scorer = WorksheetScorer(config, entry.worksheet)
-        for span in labeling_to_spans(entry.gold):  # type: ignore[arg-type]
-            text = " ".join(
-                entry.transcript.lines[i].utterance
-                for i in range(span.start_line, span.end_line + 1)
-            )
-            cands = candidates_from_raw(config, scorer.raw_scores(text), entry.worksheet)
-            best_pid, best = _best(cands)
-            gold = span.ref.problem_id if span.ref and span.ref.kind == "problem" else None
-            rows.append((gold, best_pid, best))
-    return rows
+    """``_entry_best_scores`` over every annotated entry, in corpus order."""
+    return [row for entry in corpus.annotated().entries
+            for row in _entry_best_scores(config, entry)]
 
 
 def _accuracy_at(rows: list[tuple[str | None, str | None, float]], threshold: float) -> float:
     correct = 0
     for gold, best_pid, best in rows:
-        pred = best_pid if best >= threshold else None
-        correct += pred == gold
+        correct += _decision(best_pid, best, threshold) == gold
     return correct / len(rows) if rows else 0.0
 
 
@@ -278,10 +331,7 @@ def calibrate_threshold(
     random.Random(seed).shuffle(indices)
     fold_of = {idx: i % folds for i, idx in enumerate(indices)}
 
-    per_entry_rows = [
-        _segment_best_scores(base, Corpus((entry,), annotated.split))
-        for entry in annotated.entries
-    ]
+    per_entry_rows = [_entry_best_scores(base, entry) for entry in annotated.entries]
     best_thresholds: list[float] = []
     for fold in range(folds):
         held_out: list[tuple[str | None, str | None, float]] = []

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from posr.cli import main
-from posr.corpus import load_corpus, load_manifest
+from posr.corpus import Corpus, CorpusEntry, load_corpus, load_manifest, write_corpus
+from posr.model import REF_NONE, Labeling, Line, Problem, RefLabel, Transcript, Worksheet
 
 
 @pytest.fixture
@@ -65,6 +66,31 @@ def test_retrieve_perfect_on_zero_overlap(synthetic_dir, tmp_path):
     assert rc == 0
     doc = json.loads((out / "retrieval_accuracy.json").read_text())
     assert doc["accuracy"] == 1.0
+
+
+def test_retrieve_accuracy_agrees_with_decisions_on_empty_segment(tmp_path):
+    ws = Worksheet(id="w", problems=(Problem("P1", "a b c"),))
+    lines = (Line(0, "[TUTOR]", "", 0, 1000), Line(1, "[STUDENT]", "a b c", 1000, 2000))
+    gold = Labeling(((0, REF_NONE), (1, RefLabel.problem("P1"))))
+    manifest = write_corpus(Corpus((CorpusEntry(Transcript("t", lines), ws, gold),)),
+                            tmp_path / "corpus")
+    out = tmp_path / "ret"
+    assert main(["retrieve", "--manifest", str(manifest), "--method", "jaccard",
+                 "--threshold", "0.0", "--out", str(out)]) == 0
+    decisions = (out / "retrieval_decisions.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3:] for row in decisions] == [["null", "null"], ["P1", "P1"]]
+    assert json.loads((out / "retrieval_accuracy.json").read_text())["accuracy"] == 1.0
+
+
+def test_posr_bad_llm_config_is_a_usage_error(synthetic_dir, tmp_path, capsys):
+    config = tmp_path / "llm.json"
+    config.write_text(json.dumps({"url": "http://localhost:9", "api_key": "inline"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["posr", "--manifest", str(synthetic_dir / "manifest.json"),
+              "--method", "joint-llm", "--llm-config", str(config),
+              "--out", str(tmp_path / "p")])
+    assert exc.value.code == 2
+    assert "unknown keys ['api_key']" in capsys.readouterr().err
 
 
 def test_calibrate_writes_thresholds(synthetic_dir, tmp_path):

@@ -1,10 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
+import requests
 
 from posr.llm import (
     CassetteClient,
     ChatRequest,
+    HttpChatClient,
+    LLMConfigError,
+    LLMEndpointConfig,
     ParseFailure,
     PromptKind,
     ScriptedClient,
@@ -254,3 +259,133 @@ def test_cassette_round_trip_full_run(tmp_path):
     offline = CassetteClient(path)
     second = run_posr_llm(offline, "m", t, WS, PromptKind.JOINT_POSR)
     assert first.labeling == second.labeling
+
+
+def test_cassette_failed_save_keeps_previous_recording(tmp_path, monkeypatch):
+    path = tmp_path / "cassette.json"
+    first_req = ChatRequest(model="m", system="s", user="first")
+    first = CassetteClient(path, inner=ScriptedClient(lambda req: "one")).complete(first_req)
+
+    write_text = Path.write_text
+
+    def torn_write(self, data, *args, **kwargs):
+        write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    recorder = CassetteClient(path, inner=ScriptedClient(lambda req: "two"))
+    with pytest.raises(OSError):
+        recorder.complete(ChatRequest(model="m", system="s", user="second"))
+    monkeypatch.undo()
+
+    assert CassetteClient(path).complete(first_req) == first
+    assert [p.name for p in tmp_path.iterdir()] == ["cassette.json"]  # no temp file left
+
+
+# --- HTTP client
+
+
+class FakeResponse:
+    def __init__(self, status_code, doc=None):
+        self.status_code = status_code
+        self.doc = doc
+        self.text = json.dumps(doc) if doc is not None else "error"
+
+    def json(self):
+        if self.doc is None:
+            raise ValueError("not json")
+        return self.doc
+
+
+class FakeSession:
+    """Plays back replies (a FakeResponse or an exception to raise) and
+    records the headers of every post."""
+
+    def __init__(self, *replies):
+        self.replies = list(replies)
+        self.posts = []
+
+    def post(self, url, json, headers, timeout):
+        self.posts.append(headers)
+        reply = self.replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+
+OK_REPLY = {"text": "null", "input_tokens": 3, "output_tokens": 1}
+
+
+def http_client(session, attempts=3):
+    config = LLMEndpointConfig(url="http://endpoint", max_attempts=attempts, backoff_s=0.0)
+    return HttpChatClient(config, session=session)
+
+
+@pytest.mark.parametrize("reply", [
+    FakeResponse(503), FakeResponse(500), FakeResponse(429),
+    requests.ConnectionError("refused"), requests.Timeout("slow"),
+])
+def test_http_retries_transient_failures(reply):
+    session = FakeSession(reply, FakeResponse(200, OK_REPLY))
+    response = http_client(session).complete(ChatRequest(model="m", system="s", user="u"))
+    assert response.text == "null" and len(session.posts) == 2
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+def test_http_permanent_errors_fail_at_once(status):
+    session = FakeSession(FakeResponse(status), FakeResponse(200, OK_REPLY))
+    with pytest.raises(TransportError, match=f"HTTP {status}"):
+        http_client(session).complete(ChatRequest(model="m", system="s", user="u"))
+    assert len(session.posts) == 1
+
+
+def test_http_non_json_reply_fails_at_once():
+    session = FakeSession(FakeResponse(200), FakeResponse(200, OK_REPLY))
+    with pytest.raises(TransportError):
+        http_client(session).complete(ChatRequest(model="m", system="s", user="u"))
+    assert len(session.posts) == 1
+
+
+def test_http_gives_up_after_max_attempts():
+    session = FakeSession(*[FakeResponse(503)] * 3)
+    with pytest.raises(TransportError, match="all 3 attempts failed"):
+        http_client(session).complete(ChatRequest(model="m", system="s", user="u"))
+    assert len(session.posts) == 3
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "llm.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_endpoint_config_readme_shape(tmp_path, monkeypatch):
+    monkeypatch.setenv("POSR_TEST_KEY", "secret")
+    config = LLMEndpointConfig.from_file(write_config(tmp_path, {
+        "url": "http://endpoint", "api_key_env": "POSR_TEST_KEY",
+        "headers": {"X-Org": "lab"}, "timeout_s": 5, "max_attempts": 1, "backoff_s": 0,
+    }))
+    session = FakeSession(FakeResponse(200, OK_REPLY))
+    HttpChatClient(config, session=session).complete(ChatRequest(model="m", system="s", user="u"))
+    headers = session.posts[0]
+    assert headers["Authorization"] == "Bearer secret"
+    assert headers["X-Org"] == "lab"
+
+
+def test_endpoint_config_unset_key_variable_is_an_error(tmp_path, monkeypatch):
+    monkeypatch.delenv("POSR_TEST_KEY", raising=False)
+    path = write_config(tmp_path, {"url": "http://endpoint", "api_key_env": "POSR_TEST_KEY"})
+    with pytest.raises(LLMConfigError, match="POSR_TEST_KEY"):
+        LLMEndpointConfig.from_file(path)
+
+
+@pytest.mark.parametrize("doc", [
+    {"url": "http://endpoint", "api_key": "inline"},
+    {"url": "http://endpoint", "header": {"X-Org": "lab"}},
+    {"url": "http://endpoint", "headers": {"X-Retries": 3}},
+    {"api_key_env": "HOME"},
+    {"url": "http://endpoint", "api_key_env": 7},
+])
+def test_endpoint_config_rejects_bad_keys(tmp_path, doc):
+    with pytest.raises(LLMConfigError):
+        LLMEndpointConfig.from_file(write_config(tmp_path, doc))

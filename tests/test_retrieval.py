@@ -1,6 +1,19 @@
+import math
+import random
+from collections import Counter
+
 import pytest
 
-from posr.corpus import Corpus, CorpusEntry, SyntheticSpec, generate_synthetic
+from posr import retrieval
+from posr.cli import main
+from posr.corpus import (
+    Corpus,
+    CorpusEntry,
+    SyntheticSpec,
+    generate_synthetic,
+    load_corpus,
+    load_manifest,
+)
 from posr.model import (
     Labeling,
     Line,
@@ -11,6 +24,8 @@ from posr.model import (
     Worksheet,
 )
 from posr.retrieval import (
+    BM25_B,
+    BM25_K1,
     RetrievalError,
     RetrieverConfig,
     ScoredCandidates,
@@ -21,7 +36,9 @@ from posr.retrieval import (
     retrieval_accuracy,
     retrieve_labeling,
     score_segment,
+    worksheet_index,
 )
+from posr.tokens import tokenize
 
 WS = Worksheet(id="w", problems=(
     Problem("P1", "a b c"),
@@ -199,3 +216,120 @@ def test_oversegmentation_does_not_beat_ground_truth():
 def test_unknown_method_rejected():
     with pytest.raises(RetrievalError):
         RetrieverConfig(method="colbert")
+
+
+def test_empty_segment_is_never_a_problem():
+    # at threshold 0 an all-zero row would pick the first problem; an empty
+    # segment must instead count as no ref, as retrieve_labeling decides it
+    ws = Worksheet(id="w", problems=(Problem("P1", "a b c"),))
+    entry = make_entry([("", REF_NONE), ("a b c", RefLabel.problem("P1"))], ws)
+    config = RetrieverConfig("jaccard", threshold=0.0)
+    pred = retrieve_labeling(config, entry.transcript, entry.gold, ws)
+    assert pred.refs == entry.gold.refs
+    assert retrieval_accuracy(config, Corpus((entry,))) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the postings index against the dense formulas
+
+
+def dense_scores(method, text, worksheet):
+    """Brute-force reference: every problem scored on every query term."""
+    problem_tokens = {p.id: tokenize(p.text) for p in worksheet.problems}
+    n_docs = len(problem_tokens)
+    df = Counter()
+    for toks in problem_tokens.values():
+        df.update(set(toks))
+    idf = {t: math.log((1 + n_docs) / (1 + d)) + 1 for t, d in df.items()}
+    bm25_idf = {t: math.log((n_docs - d + 0.5) / (d + 0.5) + 1) for t, d in df.items()}
+    avgdl = sum(len(toks) for toks in problem_tokens.values()) / n_docs
+
+    def tfidf_vector(toks):
+        vec = {t: c * idf.get(t, 0.0) for t, c in Counter(toks).items() if t in idf}
+        norm = math.sqrt(sum(v * v for v in vec.values()))
+        return {t: v / norm for t, v in vec.items()} if norm > 0 else vec
+
+    q = tokenize(text)
+    if method == "jaccard":
+        qs = set(q)
+        return {pid: (len(qs & set(toks)) / len(qs | set(toks)) if qs | set(toks) else 0.0)
+                for pid, toks in problem_tokens.items()}
+    if method == "tfidf":
+        qvec = tfidf_vector(q)
+        return {pid: sum(w * tfidf_vector(toks).get(t, 0.0) for t, w in qvec.items())
+                for pid, toks in problem_tokens.items()}
+    scores = {}
+    for pid, toks in problem_tokens.items():
+        tf = Counter(toks)
+        score = 0.0
+        for term in Counter(q):
+            f = tf.get(term, 0)
+            if f:
+                denom = f + BM25_K1 * (1 - BM25_B + BM25_B * len(toks) / avgdl)
+                score += bm25_idf[term] * f * (BM25_K1 + 1) / denom
+        scores[pid] = score
+    return scores
+
+
+def random_worksheets(seed, count):
+    """Worksheets with repeated tokens, one-problem sheets, problems that
+    share every term, and a token-free problem, each with queries that
+    include terms absent from the worksheet and the empty query."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        vocab = [f"w{i}" for i in range(rng.randint(1, 30))]
+        n = rng.choice([1, 2, 3, 9, 10, 11, 25])
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 12))) for _ in range(n)]
+        if n > 2 and rng.random() < 0.3:
+            texts[1] = texts[0]  # identical problems share every term
+        if rng.random() < 0.1:
+            texts[-1] = "?!"  # no tokens at all
+        ws = Worksheet(id="w", problems=tuple(Problem(f"P{i}", t) for i, t in enumerate(texts)))
+        queries = [""] + [" ".join(rng.choices(vocab + ["absent", "zz"], k=rng.randint(1, 20)))
+                          for _ in range(4)]
+        yield ws, queries
+
+
+@pytest.mark.parametrize("method", retrieval.METHODS)
+def test_index_scores_equal_dense_formulas(method):
+    for ws, queries in random_worksheets(seed=retrieval.METHODS.index(method), count=300):
+        for q in queries:
+            assert score_segment(RetrieverConfig(method), q, ws).raw == dense_scores(method, q, ws)
+
+
+@pytest.mark.parametrize("method", retrieval.METHODS)
+def test_index_decisions_equal_dense_decisions(method):
+    rng = random.Random(5)
+    for ws, queries in random_worksheets(seed=7, count=300):
+        config = RetrieverConfig(method, threshold=rng.choice([0.0, 0.01, 0.3, 1.0]))
+        for q in queries:
+            dense = candidates_from_raw(config, dense_scores(method, q, ws), ws)
+            sparse = worksheet_index(ws).candidates(config, q)
+            assert retrieval._best(sparse) == retrieval._best(dense)
+            assert decide(config, sparse) == decide(config, dense)
+
+
+def test_one_fit_per_worksheet_per_command(tmp_path, monkeypatch):
+    fits = []
+
+    class CountingIndex(retrieval.WorksheetIndex):
+        def __init__(self, worksheet):
+            fits.append(worksheet.id)
+            super().__init__(worksheet)
+
+    monkeypatch.setattr(retrieval, "WorksheetIndex", CountingIndex)
+    corpus_dir = tmp_path / "corpus"
+    main(["gen-corpus", "--out", str(corpus_dir), "--seed", "3", "--n-transcripts", "4"])
+    manifest = str(corpus_dir / "manifest.json")
+    # a fit made outside a command is not reused by the next one
+    worksheet_index(load_corpus(load_manifest(manifest)).entries[0].worksheet)
+    assert fits == ["synthetic-ws"]
+    # three methods over four transcripts that share one worksheet
+    assert main(["calibrate", "--manifest", manifest, "--out", str(tmp_path / "c")]) == 0
+    assert fits == ["synthetic-ws"] * 2
+    assert main(["retrieve", "--manifest", manifest, "--method", "bm25",
+                 "--out", str(tmp_path / "r")]) == 0
+    assert main(["posr", "--manifest", manifest, "--method", "texttiling",
+                 "--retrieval", "tfidf", "--out", str(tmp_path / "p")]) == 0
+    assert fits == ["synthetic-ws"] * 4  # a fresh fit for every command
+    assert worksheet_index.cache_info().currsize == 0  # no fit outlives its command
