@@ -7,8 +7,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from scipy.stats import chi2
-
 from .corpus import Corpus
 from .model import Labeling, labeling_to_spans
 from .tokens import bigrams
@@ -99,6 +97,10 @@ def cochran_q(boundary_matrix: list[list[bool]]) -> tuple[float, float]:
     if denom == 0:
         return 0.0, 1.0
     q = (m - 1) * (m * sum(a * a for a in annotator_totals) - total * total) / denom
+    # imported here: scipy.stats takes about a second to import, and no
+    # other posr code needs it
+    from scipy.stats import chi2
+
     p = float(chi2.sf(q, m - 1))
     return q, p
 

@@ -32,7 +32,8 @@ from .llm import (
     LLMConfigError,
     LLMEndpointConfig,
     PromptKind,
-    run_posr_llm,
+    fallback_labeling,
+    run_posr_llm_batch,
 )
 from .metrics import EvalReport, TokenUsage, cost_per_100, evaluate
 from .model import labeling_to_spans
@@ -236,22 +237,31 @@ def cmd_posr(args: argparse.Namespace) -> int:
 
     usages: list[TokenUsage] = []
     failed: list[str] = []
-    for entry in corpus.entries:
-        if llm_mode:
-            try:
-                result = run_posr_llm(client, args.model, entry.transcript,
-                                      entry.worksheet, LLM_METHODS[args.method])
-            except Exception as exc:  # noqa: BLE001 - keep the batch going
-                logger.error("%s: LLM run failed: %s", entry.transcript.id, exc)
+    if llm_mode:
+        preds = []
+        outcomes = run_posr_llm_batch(
+            client, args.model, [(e.transcript, e.worksheet) for e in corpus.entries],
+            LLM_METHODS[args.method])
+        for entry, outcome in zip(corpus.entries, outcomes):
+            if isinstance(outcome, Exception):
+                # scored with the fallback, like a parse failure, so the
+                # averages never cover only the transcripts that succeeded
+                logger.error("%s: LLM run failed: %s", entry.transcript.id, outcome,
+                             exc_info=outcome)
+                preds.append(fallback_labeling(len(entry.transcript)))
                 failed.append(entry.transcript.id)
                 continue
-            pred = result.labeling
-            usages.append(result.usage)
-            if result.parse_failed:
+            preds.append(outcome.labeling)
+            usages.append(outcome.usage)
+            if outcome.parse_failed:
                 failed.append(entry.transcript.id)
-        else:
-            seg = _segment_one(args.method, entry, model, TextTilingParams())
-            pred = retrieve_labeling(rconf, entry.transcript, seg, entry.worksheet)
+    else:
+        # CPU-bound under the interpreter lock: threads would not help here
+        preds = (retrieve_labeling(rconf, e.transcript,
+                                   _segment_one(args.method, e, model, TextTilingParams()),
+                                   e.worksheet)
+                 for e in corpus.entries)
+    for entry, pred in zip(corpus.entries, preds):
         (out / f"{entry.transcript.id}.pred.jsonl").write_text(
             "\n".join(
                 json.dumps({"line_index": i, "segment_id": seg_id, "ref": ref.serialize()})

@@ -11,7 +11,13 @@ from .client import (
 )
 from .parsing import ParseFailure, parse_joint, parse_retrieval, parse_segmentation
 from .prompts import PromptKind, build_prompt
-from .runner import LLMRunResult, run_posr_llm
+from .runner import (
+    LLM_CONCURRENCY,
+    LLMRunResult,
+    fallback_labeling,
+    run_posr_llm,
+    run_posr_llm_batch,
+)
 
 __all__ = [
     "CassetteClient",
@@ -20,6 +26,7 @@ __all__ = [
     "ChatResponse",
     "HttpChatClient",
     "LLMConfigError",
+    "LLM_CONCURRENCY",
     "LLMEndpointConfig",
     "LLMRunResult",
     "ParseFailure",
@@ -27,8 +34,10 @@ __all__ = [
     "ScriptedClient",
     "TransportError",
     "build_prompt",
+    "fallback_labeling",
     "parse_joint",
     "parse_retrieval",
     "parse_segmentation",
     "run_posr_llm",
+    "run_posr_llm_batch",
 ]

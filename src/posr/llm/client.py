@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,8 +115,10 @@ class HttpChatClient:
     """Live client with exponential backoff.
 
     Only transient failures are retried: connection errors, timeouts, 429
-    and 5xx. Any other 4xx, or a reply that is not a chat completion,
-    raises ``TransportError`` at once.
+    and 5xx. A 429 or 503 that carries a delta-seconds ``Retry-After`` waits
+    for the larger of it and the backoff. Any other 4xx, or a reply that is
+    not a chat completion, raises ``TransportError`` at once. One client may
+    serve several threads; they share its ``requests.Session``.
     """
 
     def __init__(self, config: LLMEndpointConfig, session=None):
@@ -139,9 +142,11 @@ class HttpChatClient:
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
         last_error: Exception | None = None
+        retry_after = 0.0
         for attempt in range(self.config.max_attempts):
             if attempt:
-                time.sleep(self.config.backoff_s * 2 ** (attempt - 1))
+                time.sleep(max(retry_after, self.config.backoff_s * 2 ** (attempt - 1)))
+                retry_after = 0.0
             try:
                 resp = self._session.post(
                     self.config.url, json=body, headers=headers,
@@ -159,8 +164,17 @@ class HttpChatClient:
                 last_error = TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
                 if resp.status_code != 429 and resp.status_code < 500:
                     raise last_error
+                if resp.status_code in (429, 503):
+                    retry_after = _retry_after_s(resp.headers.get("Retry-After", ""))
             logger.warning("request attempt %d failed: %s", attempt + 1, last_error)
         raise TransportError(f"all {self.config.max_attempts} attempts failed") from last_error
+
+
+def _retry_after_s(value: str) -> float:
+    """Seconds named by a delta-seconds ``Retry-After``; 0 for anything else,
+    an HTTP-date included, so the caller falls back to its backoff."""
+    value = value.strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
 def _parse_response(doc: dict) -> ChatResponse:
@@ -206,43 +220,54 @@ class CassetteClient:
     """Record/replay keyed by request hash so LLM runs are testable offline.
 
     With no inner client, a cache miss is a TransportError; with one, the
-    miss is forwarded and the response recorded.
+    miss is forwarded and the response recorded. Safe to share between
+    threads: the cache and the file are guarded by one lock, which is not
+    held while the inner client works.
     """
 
     def __init__(self, path: str | Path, inner: ChatClient | None = None):
         self.path = Path(path)
         self.inner = inner
         self._cache: dict[str, dict] = {}
+        self._lock = threading.RLock()
         if self.path.exists():
             self._cache = json.loads(self.path.read_text(encoding="utf-8"))
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         key = request.key()
-        if key in self._cache:
-            rec = self._cache[key]
-            return ChatResponse(
-                text=rec["text"],
-                input_tokens=int(rec.get("input_tokens", 0)),
-                output_tokens=int(rec.get("output_tokens", 0)),
-            )
-        if self.inner is None:
-            raise TransportError(f"no cassette entry for request {key[:12]} and no live client")
-        response = self.inner.complete(request)
-        self._cache[key] = {
-            "text": response.text,
-            "input_tokens": response.input_tokens,
-            "output_tokens": response.output_tokens,
-        }
-        self.save()
-        return response
+        with self._lock:
+            rec = self._cache.get(key)
+        if rec is None:
+            if self.inner is None:
+                raise TransportError(
+                    f"no cassette entry for request {key[:12]} and no live client")
+            response = self.inner.complete(request)
+            with self._lock:
+                # two threads that missed the same key both answer with the
+                # first recording, as the replay will
+                rec = self._cache.setdefault(key, {
+                    "text": response.text,
+                    "input_tokens": response.input_tokens,
+                    "output_tokens": response.output_tokens,
+                })
+                self.save()
+        return ChatResponse(
+            text=rec["text"],
+            input_tokens=int(rec.get("input_tokens", 0)),
+            output_tokens=int(rec.get("output_tokens", 0)),
+        )
 
     def save(self) -> None:
         """Write to a temporary file beside the cassette, then swap it in, so
-        a write that fails part-way leaves the previous recording intact."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(self._cache, indent=2), encoding="utf-8")
-            os.replace(tmp, self.path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        a write that fails part-way leaves the previous recording intact.
+        Keys are sorted, so the file does not depend on the order in which
+        concurrent misses were recorded."""
+        with self._lock:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+            try:
+                tmp.write_text(json.dumps(self._cache, indent=2, sort_keys=True),
+                               encoding="utf-8")
+                os.replace(tmp, self.path)
+            finally:
+                tmp.unlink(missing_ok=True)

@@ -35,41 +35,58 @@ def _strip_fences(text: str) -> str:
     return _FENCE.sub("", text)
 
 
+def _closing_brackets(text: str) -> list[int]:
+    """``closes[p]``: where a scan that enters ``text[p:]`` outside a string
+    at bracket depth 0 first reads an unmatched ``]``, or -1 if it never does.
+
+    A scan that starts on the ``[`` at ``s`` therefore returns to depth 0 at
+    ``closes[s + 1]``. Every ``[`` starts its own scan outside a string, even
+    one that an earlier scan reads as inside a string, so one forward pass
+    with a single string state would miss candidates. Filled in one pass
+    from right to left, so linear in ``len(text)``.
+    """
+    n = len(text)
+    closes = [-1] * (n + 1)  # entering p outside a string
+    in_str = [-1] * (n + 2)  # entering p inside a string
+    for p in range(n - 1, -1, -1):
+        ch = text[p]
+        if ch == "\\":
+            in_str[p] = in_str[p + 2]  # the next character is escaped
+        elif ch == '"':
+            in_str[p] = closes[p + 1]
+        else:
+            in_str[p] = in_str[p + 1]
+        if ch == "]":
+            closes[p] = p
+        elif ch == "[":
+            inner = closes[p + 1]  # the ] that matches this [
+            closes[p] = -1 if inner < 0 else closes[inner + 1]
+        elif ch == '"':
+            closes[p] = in_str[p + 1]
+        else:
+            closes[p] = closes[p + 1]
+    return closes
+
+
 def _extract_json_array(text: str) -> list:
-    """First balanced top-level [...] that parses as JSON, prose tolerated."""
+    """First balanced top-level [...] that parses as JSON, prose tolerated.
+
+    Tries each ``[`` in order whose scan closes. ``raw_decode`` from that
+    ``[`` succeeds exactly when the balanced region parses as a whole: a
+    valid JSON array ends at the ``]`` that balances it, and the decoder
+    stops at or before that ``]`` when the region is not valid.
+    """
     text = _strip_fences(text)
-    for start in range(len(text)):
-        if text[start] != "[":
-            continue
-        depth = 0
-        in_str = False
-        escape = False
-        for end in range(start, len(text)):
-            ch = text[end]
-            if in_str:
-                if escape:
-                    escape = False
-                elif ch == "\\":
-                    escape = True
-                elif ch == '"':
-                    in_str = False
-                continue
-            if ch == '"':
-                in_str = True
-            elif ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-                if depth == 0:
-                    candidate = text[start : end + 1]
-                    try:
-                        value = json.loads(candidate)
-                    except json.JSONDecodeError:
-                        break  # try the next opening bracket
-                    if isinstance(value, list):
-                        return value
-                    break
-        # fall through to the next '['
+    closes = _closing_brackets(text)
+    decode = json.JSONDecoder().raw_decode
+    start = text.find("[")
+    while start >= 0:
+        if closes[start + 1] >= 0:
+            try:
+                return decode(text, start)[0]  # a list: it starts with [
+            except json.JSONDecodeError:
+                pass
+        start = text.find("[", start + 1)
     raise ParseFailure("no parseable JSON array found", text)
 
 

@@ -3,13 +3,16 @@
 Three modes mirror the prompt kinds: joint (one request yielding spans
 with refs), segmentation-only (one request, refs left unset), and the
 independent pipeline (one segmentation request followed by one retrieval
-request per predicted segment).
+request per predicted segment). ``run_posr_llm_batch`` overlaps the
+requests of different transcripts on a small thread pool.
 """
 
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..metrics import TokenUsage
 from ..model import (
@@ -27,6 +30,10 @@ from .prompts import PromptKind, build_prompt
 
 logger = logging.getLogger(__name__)
 
+# Transcripts in flight at once. Below requests' default pool of 10
+# connections per host, so a shared HttpChatClient never drops a connection.
+LLM_CONCURRENCY = 8
+
 
 @dataclass(frozen=True)
 class LLMRunResult:
@@ -35,7 +42,8 @@ class LLMRunResult:
     parse_failed: bool = False
 
 
-def _fallback(n_lines: int) -> Labeling:
+def fallback_labeling(n_lines: int) -> Labeling:
+    """The flagged fallback: one segment with no ref over every line."""
     return Labeling(tuple((0, REF_NONE) for _ in range(n_lines)))
 
 
@@ -76,7 +84,7 @@ def run_posr_llm(
             spans = parse_joint(response.text, n, worksheet)
         except ParseFailure as exc:
             logger.warning("%s: joint parse failure: %s", transcript.id, exc)
-            return LLMRunResult(_fallback(n), usage, parse_failed=True)
+            return LLMRunResult(fallback_labeling(n), usage, parse_failed=True)
         return LLMRunResult(spans_to_labeling(spans, n, gap_policy), usage)
 
     # both independent modes start with a segmentation request
@@ -87,7 +95,7 @@ def run_posr_llm(
         spans = parse_segmentation(response.text, n)
     except ParseFailure as exc:
         logger.warning("%s: segmentation parse failure: %s", transcript.id, exc)
-        return LLMRunResult(_fallback(n), usage, parse_failed=True)
+        return LLMRunResult(fallback_labeling(n), usage, parse_failed=True)
 
     if kind is PromptKind.INDEPENDENT_SEGMENTATION:
         return LLMRunResult(spans_to_labeling(spans, n, gap_policy), usage)
@@ -113,3 +121,32 @@ def run_posr_llm(
             ref = REF_NONE
         labeled.append(SegmentSpan(span.start_line, span.end_line, ref))
     return LLMRunResult(spans_to_labeling(labeled, n, gap_policy), usage)
+
+
+def run_posr_llm_batch(
+    client: ChatClient,
+    model: str,
+    items: Sequence[tuple[Transcript, Worksheet]],
+    kind: PromptKind,
+) -> list[LLMRunResult | Exception]:
+    """``run_posr_llm`` over (transcript, worksheet) pairs, up to
+    ``LLM_CONCURRENCY`` transcripts at a time, on one shared client.
+
+    Returns one outcome per pair, in input order: the result, or the
+    exception its run raised. The requests of one transcript still go out
+    one after another.
+    """
+    pool = ThreadPoolExecutor(max_workers=LLM_CONCURRENCY)
+    try:
+        futures = [pool.submit(run_posr_llm, client, model, transcript, worksheet, kind)
+                   for transcript, worksheet in items]
+        outcomes: list[LLMRunResult | Exception] = []
+        for future in futures:
+            try:
+                outcomes.append(future.result())
+            except Exception as exc:  # noqa: BLE001 - the caller flags this transcript
+                outcomes.append(exc)
+        return outcomes
+    finally:
+        # an interrupted wait drops the transcripts not yet started
+        pool.shutdown(cancel_futures=True)

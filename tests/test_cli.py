@@ -1,9 +1,18 @@
+import csv
+import io
 import json
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from posr.cli import main
+import posr
+from posr.cli import LLM_METHODS, POSR_COLUMNS, main
 from posr.corpus import Corpus, CorpusEntry, load_corpus, load_manifest, write_corpus
+from posr.llm import CassetteClient, ChatRequest, ScriptedClient, run_posr_llm
+from posr.metrics import cost_per_100, evaluate
 from posr.model import REF_NONE, Labeling, Line, Problem, RefLabel, Transcript, Worksheet
 
 
@@ -146,3 +155,119 @@ def test_unknown_method_usage_error(synthetic_dir, tmp_path):
     with pytest.raises(SystemExit):
         main(["segment", "--manifest", str(synthetic_dir / "manifest.json"),
               "--method", "nope", "--out", str(tmp_path / "x")])
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(posr.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import posr.cli; "
+         "print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert probe.stdout.strip() == "False"
+
+
+# --- LLM methods through the CLI, replayed from a cassette
+
+LLM_PRICES = {"m": {"input_usd_per_1k": 0.5, "output_usd_per_1k": 1.5}}
+_INDEXED_LINE = re.compile(r"^\d+ \S+: ", re.M)
+_PROBLEM_ID = re.compile(r"^Problem ID (\S+): ", re.M)
+
+
+def llm_responder(req: ChatRequest) -> str:
+    """Deterministic replies for every prompt kind. Segments are 4 lines
+    long; a transcript of 40-something lines gets a prose reply, which the
+    runner flags; retrieval names a problem picked from the prompt."""
+    ids = _PROBLEM_ID.findall(req.user)
+    if "Segment:\n" in req.user:
+        return ids[len(req.user) % len(ids)]
+    n = len(_INDEXED_LINE.findall(req.user))
+    if 40 <= n < 50:
+        return "The segments are hard to tell apart."
+    spans = [(s, min(s + 4, n) - 1) for s in range(0, n, 4)]
+    if "list of lists" in req.system:
+        return json.dumps([list(span) for span in spans])
+    return json.dumps([{"start_line_idx": a, "end_line_idx": b,
+                        "problem_id": ids[(a // 4) % len(ids)]} for a, b in spans])
+
+
+@pytest.fixture
+def llm_corpus(tmp_path):
+    out = tmp_path / "llm_corpus"
+    assert main(["gen-corpus", "--out", str(out), "--seed", "3",
+                 "--n-transcripts", "12"]) == 0
+    prices = tmp_path / "prices.json"
+    prices.write_text(json.dumps(LLM_PRICES), encoding="utf-8")
+    return out / "manifest.json", prices
+
+
+def sequential_reports(manifest, cassette, method) -> dict[str, bytes]:
+    """The CLI's reports, built from one run_posr_llm call per transcript,
+    in order, each recorded into the cassette as it goes."""
+    corpus = load_corpus(load_manifest(manifest))
+    client = CassetteClient(cassette, inner=ScriptedClient(llm_responder))
+    results = [run_posr_llm(client, "m", e.transcript, e.worksheet, LLM_METHODS[method])
+               for e in corpus.entries]
+    reports = {}
+    rows = []
+    cost = cost_per_100([r.usage for r in results], "m", LLM_PRICES)
+    for entry, result in zip(corpus.entries, results):
+        reports[f"{entry.transcript.id}.pred.jsonl"] = "".join(
+            json.dumps({"line_index": i, "segment_id": seg, "ref": ref.serialize()}) + "\n"
+            for i, (seg, ref) in enumerate(result.labeling.per_line)).encode()
+        report = evaluate(result.labeling, entry.gold, entry.transcript)
+        rows.append({"transcript_id": entry.transcript.id, **report.as_row(),
+                     "cost_usd_per_100": cost})
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=POSR_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    reports["posr_metrics.csv"] = buf.getvalue().encode()
+    failed = [e.transcript.id for e, r in zip(corpus.entries, results) if r.parse_failed]
+    if failed:
+        reports["failed_transcripts.json"] = (json.dumps(failed, indent=2) + "\n").encode()
+    return reports
+
+
+@pytest.mark.parametrize("method", list(LLM_METHODS))
+def test_posr_llm_reports_match_a_sequential_loop(llm_corpus, tmp_path, method):
+    manifest, prices = llm_corpus
+    cassette = tmp_path / "cassette.json"
+    expected = sequential_reports(manifest, cassette, method)
+    out = tmp_path / "posr"
+    assert main(["posr", "--manifest", str(manifest), "--method", method, "--model", "m",
+                 "--cassette", str(cassette), "--prices", str(prices),
+                 "--out", str(out)]) == 0
+    written = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"}
+    assert written == expected
+    assert "failed_transcripts.json" in expected  # the prose reply is covered
+
+
+def test_posr_llm_transport_failure_is_scored_and_flagged(llm_corpus, tmp_path):
+    manifest, prices = llm_corpus
+    corpus = load_corpus(load_manifest(manifest))
+    cassette = tmp_path / "cassette.json"
+    recorder = CassetteClient(cassette, inner=ScriptedClient(llm_responder))
+    missing = corpus.entries[1]
+    for entry in corpus.entries:
+        if entry is not missing:
+            run_posr_llm(recorder, "m", entry.transcript, entry.worksheet,
+                         LLM_METHODS["independent-llm"])
+    out = tmp_path / "posr"
+    # replay only: the missing transcript's first request raises TransportError
+    assert main(["posr", "--manifest", str(manifest), "--method", "independent-llm",
+                 "--model", "m", "--cassette", str(cassette), "--prices", str(prices),
+                 "--out", str(out)]) == 0
+    tid = missing.transcript.id
+    with open(out / "posr_metrics.csv", newline="", encoding="utf-8") as fh:
+        rows = {row["transcript_id"]: row for row in csv.DictReader(fh)}
+    assert list(rows) == [e.transcript.id for e in corpus.entries]
+    n = len(missing.transcript)
+    fallback = Labeling(tuple((0, REF_NONE) for _ in range(n)))
+    report = evaluate(fallback, missing.gold, missing.transcript).as_row()
+    del report["cost_usd_per_100"]  # the run's cost, shared by every row
+    assert {k: rows[tid][k] for k in report} == {k: str(v) for k, v in report.items()}
+    pred = [json.loads(line) for line in (out / f"{tid}.pred.jsonl").read_text().splitlines()]
+    assert pred == [{"line_index": i, "segment_id": 0, "ref": "null"} for i in range(n)]
+    assert tid in json.loads((out / "failed_transcripts.json").read_text())

@@ -1,10 +1,18 @@
 import json
+import random
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posr.llm import (
+    LLM_CONCURRENCY,
     CassetteClient,
     ChatRequest,
     HttpChatClient,
@@ -19,7 +27,10 @@ from posr.llm import (
     parse_retrieval,
     parse_segmentation,
     run_posr_llm,
+    run_posr_llm_batch,
 )
+from posr.llm import client as client_module
+from posr.llm.parsing import _extract_json_array, _strip_fences
 from posr.metrics import srs
 from posr.model import (
     Labeling,
@@ -127,6 +138,88 @@ def test_parsers_total_on_garbage():
                 fn(garbage)
             except ParseFailure:
                 pass  # a typed failure is the only acceptable non-value
+
+
+def extract_json_array_oracle(text: str) -> list:
+    """The quadratic scan the parser used to run, kept as the reference:
+    from every '[', scan to the first return to depth 0 and try that region."""
+    text = _strip_fences(text)
+    for start in range(len(text)):
+        if text[start] != "[":
+            continue
+        depth = 0
+        in_str = False
+        escape = False
+        for end in range(start, len(text)):
+            ch = text[end]
+            if in_str:
+                if escape:
+                    escape = False
+                elif ch == "\\":
+                    escape = True
+                elif ch == '"':
+                    in_str = False
+                continue
+            if ch == '"':
+                in_str = True
+            elif ch == "[":
+                depth += 1
+            elif ch == "]":
+                depth -= 1
+                if depth == 0:
+                    candidate = text[start : end + 1]
+                    try:
+                        value = json.loads(candidate)
+                    except json.JSONDecodeError:
+                        break
+                    if isinstance(value, list):
+                        return value
+                    break
+    raise ParseFailure("no parseable JSON array found", text)
+
+
+def extraction_outcome(fn, text):
+    try:
+        return ("value", fn(text))
+    except ParseFailure:
+        return ("failure",)
+
+
+BRACKET_SOUP = st.lists(
+    st.sampled_from(['[', ']', '"', '\\', ',', '1', '23', ' ', '{', '}', ':',
+                     'null', 'segments:', '```']),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(BRACKET_SOUP)
+def test_extract_json_array_matches_quadratic_oracle(text):
+    assert (extraction_outcome(_extract_json_array, text)
+            == extraction_outcome(extract_json_array_oracle, text))
+
+
+@pytest.mark.parametrize("text", [
+    '"[1]',            # a [ inside a string still starts its own scan
+    '["[", [2]]',
+    '[x, [1]] [3]',    # the outer region fails, the nested one parses
+    '["\\"]", [4]]',
+    '["\\""]',         # an escaped quote keeps the string open
+    '["\\\\"] [2]',    # an escaped backslash does not
+    '[1] [2]',
+    '[[1], 2',
+])
+def test_extract_json_array_hand_cases_match_oracle(text):
+    assert (extraction_outcome(_extract_json_array, text)
+            == extraction_outcome(extract_json_array_oracle, text))
+
+
+def test_extract_json_array_linear_on_unbalanced_brackets():
+    started = time.perf_counter()
+    with pytest.raises(ParseFailure):
+        _extract_json_array("[" * 200_000)
+    # the old per-bracket scan needed seconds for 8,000 brackets; this input is 25x longer
+    assert time.perf_counter() - started < 5.0
 
 
 # --- runner with scripted clients
@@ -282,14 +375,137 @@ def test_cassette_failed_save_keeps_previous_recording(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["cassette.json"]  # no temp file left
 
 
+# --- many transcripts at once
+
+
+def numbered_transcripts(k, n_lines=12):
+    return [Transcript(id=f"t{i}", lines=tuple(
+        Line(j, "[TUTOR]", f"transcript {i} line {j}", j * 1000, (j + 1) * 1000)
+        for j in range(n_lines)
+    )) for i in range(k)]
+
+
+def transcript_number(req: ChatRequest) -> int:
+    return int(req.user.split("transcript ", 1)[1].split(" ", 1)[0])
+
+
+def joint_reply_by_transcript(req: ChatRequest) -> str:
+    """A joint reply that depends on the transcript: t<i> ends its first
+    segment at line i % 10."""
+    i = transcript_number(req)
+    return json.dumps([
+        {"start_line_idx": 0, "end_line_idx": i % 10, "problem_id": 3},
+        {"start_line_idx": i % 10 + 1, "end_line_idx": 11, "problem_id": 7},
+    ])
+
+
+class OverlapProbe:
+    """Responder that sleeps and records how many calls overlap."""
+
+    def __init__(self, answer, sleep_s):
+        self.answer = answer
+        self.sleep_s = sleep_s
+        self.active = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, req):
+        with self._lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(self.sleep_s(req))
+            return self.answer(req)
+        finally:
+            with self._lock:
+                self.active -= 1
+
+
+def test_batch_overlaps_at_most_llm_concurrency_and_keeps_input_order():
+    transcripts = numbered_transcripts(3 * LLM_CONCURRENCY)
+    # earlier transcripts answer more slowly, so they finish out of order
+    probe = OverlapProbe(joint_reply_by_transcript,
+                         lambda req: 0.002 * (len(transcripts) - transcript_number(req)))
+    outcomes = run_posr_llm_batch(ScriptedClient(probe), "m",
+                                  [(t, WS) for t in transcripts], PromptKind.JOINT_POSR)
+    assert 1 < probe.peak <= LLM_CONCURRENCY
+    sequential = [run_posr_llm(ScriptedClient(joint_reply_by_transcript), "m", t, WS,
+                               PromptKind.JOINT_POSR) for t in transcripts]
+    assert outcomes == sequential
+
+
+def test_batch_returns_the_exception_in_place():
+    transcripts = numbered_transcripts(4)
+
+    def responder(req):
+        if "transcript 2 " in req.user:
+            raise TransportError("endpoint down")
+        return joint_reply_by_transcript(req)
+
+    outcomes = run_posr_llm_batch(ScriptedClient(responder), "m",
+                                  [(t, WS) for t in transcripts], PromptKind.JOINT_POSR)
+    assert [type(o).__name__ for o in outcomes] == [
+        "LLMRunResult", "LLMRunResult", "TransportError", "LLMRunResult"]
+
+
+def test_batch_interrupted_wait_starts_no_more_transcripts():
+    transcripts = numbered_transcripts(6 * LLM_CONCURRENCY)
+
+    def responder(req):
+        if transcript_number(req) == 0:
+            raise KeyboardInterrupt
+        time.sleep(0.05)
+        return joint_reply_by_transcript(req)
+
+    client = ScriptedClient(responder)
+    with pytest.raises(KeyboardInterrupt):
+        run_posr_llm_batch(client, "m", [(t, WS) for t in transcripts], PromptKind.JOINT_POSR)
+    assert len(client.calls) < len(transcripts)
+
+
+def test_concurrent_recordings_write_identical_cassettes(tmp_path):
+    transcripts = numbered_transcripts(2 * LLM_CONCURRENCY)
+    items = [(t, WS) for t in transcripts]
+    files = []
+    for run in range(2):
+        rng = random.Random(run)
+        jitter = [rng.random() * 0.01 for _ in transcripts]  # a new finishing order
+        probe = OverlapProbe(joint_reply_by_transcript,
+                             lambda req: jitter[transcript_number(req)])
+        path = tmp_path / f"cassette{run}.json"
+        run_posr_llm_batch(CassetteClient(path, inner=ScriptedClient(probe)), "m", items,
+                           PromptKind.JOINT_POSR)
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
+    assert len(json.loads(files[0])) == len(transcripts)
+
+
+def test_cassette_loses_no_recording_under_contention(tmp_path):
+    path = tmp_path / "cassette.json"
+    recorder = CassetteClient(path, inner=ScriptedClient(lambda req: req.user))
+    requests_ = [ChatRequest(model="m", system="s", user=f"u{i}") for i in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            answers = [r.text for r in pool.map(recorder.complete, requests_, timeout=60)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == [r.user for r in requests_]
+    replay = CassetteClient(path)
+    assert [replay.complete(r).text for r in requests_] == [r.user for r in requests_]
+    assert [p.name for p in tmp_path.iterdir()] == ["cassette.json"]
+
+
 # --- HTTP client
 
 
 class FakeResponse:
-    def __init__(self, status_code, doc=None):
+    def __init__(self, status_code, doc=None, headers=None):
         self.status_code = status_code
         self.doc = doc
         self.text = json.dumps(doc) if doc is not None else "error"
+        self.headers = headers or {}
 
     def json(self):
         if self.doc is None:
@@ -316,8 +532,9 @@ class FakeSession:
 OK_REPLY = {"text": "null", "input_tokens": 3, "output_tokens": 1}
 
 
-def http_client(session, attempts=3):
-    config = LLMEndpointConfig(url="http://endpoint", max_attempts=attempts, backoff_s=0.0)
+def http_client(session, attempts=3, backoff_s=0.0):
+    config = LLMEndpointConfig(url="http://endpoint", max_attempts=attempts,
+                               backoff_s=backoff_s)
     return HttpChatClient(config, session=session)
 
 
@@ -351,6 +568,35 @@ def test_http_gives_up_after_max_attempts():
     with pytest.raises(TransportError, match="all 3 attempts failed"):
         http_client(session).complete(ChatRequest(model="m", system="s", user="u"))
     assert len(session.posts) == 3
+
+
+@pytest.mark.parametrize("status, retry_after, backoff_s, slept", [
+    (503, "5", 0.5, 5.0),      # Retry-After longer than the backoff wins
+    (429, " 2 ", 0.5, 2.0),
+    (429, "1", 3.0, 3.0),      # the backoff wins when it is longer
+    (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5, 0.5),  # HTTP-date: backoff
+    (503, "-4", 0.5, 0.5),
+    (500, "5", 0.5, 0.5),      # only 429 and 503 carry a usable Retry-After
+])
+def test_http_honours_retry_after(monkeypatch, status, retry_after, backoff_s, slept):
+    sleeps = []
+    monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+    session = FakeSession(FakeResponse(status, headers={"Retry-After": retry_after}),
+                          FakeResponse(200, OK_REPLY))
+    response = http_client(session, backoff_s=backoff_s).complete(
+        ChatRequest(model="m", system="s", user="u"))
+    assert response.text == "null"
+    assert sleeps == [slept]
+
+
+def test_http_retry_after_applies_to_the_next_attempt_only(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+    session = FakeSession(FakeResponse(503, headers={"Retry-After": "7"}),
+                          requests.ConnectionError("refused"),
+                          FakeResponse(200, OK_REPLY))
+    http_client(session, backoff_s=1.0).complete(ChatRequest(model="m", system="s", user="u"))
+    assert sleeps == [7.0, 2.0]
 
 
 def write_config(tmp_path, doc):
