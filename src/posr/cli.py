@@ -244,11 +244,13 @@ def cmd_posr(args: argparse.Namespace) -> int:
             LLM_METHODS[args.method])
         for entry, outcome in zip(corpus.entries, outcomes):
             if isinstance(outcome, Exception):
-                # scored with the fallback, like a parse failure, so the
-                # averages never cover only the transcripts that succeeded
+                # scored with the fallback, like a parse failure, and priced
+                # with the tokens spent before it raised, so the averages
+                # never cover only the transcripts that succeeded
                 logger.error("%s: LLM run failed: %s", entry.transcript.id, outcome,
                              exc_info=outcome)
                 preds.append(fallback_labeling(len(entry.transcript)))
+                usages.append(getattr(outcome, "usage", TokenUsage()))
                 failed.append(entry.transcript.id)
                 continue
             preds.append(outcome.labeling)

@@ -94,6 +94,9 @@ def load_transcript(path: str | Path) -> Transcript:
             raise CorpusError(f"{path}:{lineno}: missing field {exc.args[0]}") from exc
         except ModelError as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            # a record that is not an object, or a field of the wrong type
+            raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
     try:
         return Transcript(id=path.stem, lines=tuple(lines))
     except ModelError as exc:
@@ -150,12 +153,13 @@ def load_annotation(path: str | Path, n_lines: int) -> Labeling:
             continue
         try:
             rec = json.loads(raw)
-            records[int(rec["line_index"])] = (
-                int(rec["segment_id"]),
-                RefLabel.deserialize(str(rec["ref"])),
-            )
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            line_index = int(rec["line_index"])
+            label = (int(rec["segment_id"]), RefLabel.deserialize(str(rec["ref"])))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        if line_index in records:
+            raise CorpusError(f"{path}:{lineno}: duplicate line_index {line_index}")
+        records[line_index] = label
     if sorted(records) != list(range(n_lines)):
         raise CorpusError(f"{path}: annotation does not cover lines 0..{n_lines - 1}")
     try:
@@ -175,15 +179,29 @@ def save_annotation(labeling: Labeling, path: str | Path) -> None:
 
 def load_manifest(path: str | Path) -> CorpusManifest:
     path = Path(path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CorpusError(f"{path}: a manifest is a JSON object")
     annotations = doc.get("annotations")
-    manifest = CorpusManifest(
-        transcripts=tuple(doc["transcripts"]),
-        worksheets=dict(doc["worksheets"]),
-        annotations=dict(annotations) if annotations is not None else None,
-        split=doc.get("split", "test"),
-        root=path.parent,
-    )
+    try:
+        manifest = CorpusManifest(
+            transcripts=tuple(doc["transcripts"]),
+            worksheets=dict(doc["worksheets"]),
+            annotations=dict(annotations) if annotations is not None else None,
+            split=doc.get("split", "test"),
+            root=path.parent,
+        )
+    except KeyError as exc:
+        raise CorpusError(f"{path}: missing field {exc.args[0]}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CorpusError(f"{path}: malformed manifest: {exc}") from exc
+    files = [*manifest.transcripts, *manifest.worksheets.values(),
+             *(manifest.annotations or {}).values()]
+    if not all(isinstance(f, str) for f in files):
+        raise CorpusError(f"{path}: file paths must be strings")
     ids = {Path(p).stem for p in manifest.transcripts}
     if manifest.annotations:
         missing = set(manifest.annotations) - ids

@@ -47,14 +47,23 @@ def fallback_labeling(n_lines: int) -> Labeling:
     return Labeling(tuple((0, REF_NONE) for _ in range(n_lines)))
 
 
-def _call(client: ChatClient, model: str, system: str, user: str,
-          max_tokens: int, temperature: float) -> tuple[ChatResponse, TokenUsage]:
-    response = client.complete(
-        ChatRequest(model=model, system=system, user=user,
-                    max_tokens=max_tokens, temperature=temperature)
-    )
-    usage = TokenUsage(response.input_tokens, response.output_tokens, 1)
-    return response, usage
+def _call(client: ChatClient, model: str, system: str, user: str, max_tokens: int,
+          temperature: float, usage: TokenUsage) -> tuple[ChatResponse, TokenUsage]:
+    """One request; returns the response and ``usage`` plus its tokens.
+
+    A request that raises carries ``usage``, the tokens spent before it, as
+    the exception's ``usage`` attribute, so a transcript that fails part-way
+    is still priced.
+    """
+    try:
+        response = client.complete(
+            ChatRequest(model=model, system=system, user=user,
+                        max_tokens=max_tokens, temperature=temperature)
+        )
+    except Exception as exc:
+        exc.usage = usage  # type: ignore[attr-defined]
+        raise
+    return response, usage + TokenUsage(response.input_tokens, response.output_tokens, 1)
 
 
 def run_posr_llm(
@@ -71,15 +80,16 @@ def run_posr_llm(
 
     An unparseable top-level response falls back to a single no-ref
     segment and is flagged; per-segment retrieval parse failures degrade
-    that segment to no ref without failing the transcript.
+    that segment to no ref without failing the transcript. An exception
+    raised by a request carries the usage of the requests answered before
+    it as its ``usage`` attribute.
     """
     n = len(transcript)
     usage = TokenUsage()
 
     if kind is PromptKind.JOINT_POSR:
         system, user = build_prompt(kind, transcript, worksheet)
-        response, u = _call(client, model, system, user, max_tokens, temperature)
-        usage += u
+        response, usage = _call(client, model, system, user, max_tokens, temperature, usage)
         try:
             spans = parse_joint(response.text, n, worksheet)
         except ParseFailure as exc:
@@ -89,8 +99,7 @@ def run_posr_llm(
 
     # both independent modes start with a segmentation request
     system, user = build_prompt(PromptKind.INDEPENDENT_SEGMENTATION, transcript)
-    response, u = _call(client, model, system, user, max_tokens, temperature)
-    usage += u
+    response, usage = _call(client, model, system, user, max_tokens, temperature, usage)
     try:
         spans = parse_segmentation(response.text, n)
     except ParseFailure as exc:
@@ -109,8 +118,7 @@ def run_posr_llm(
             worksheet,
             segment=(span.start_line, span.end_line),
         )
-        response, u = _call(client, model, system, user, max_tokens, temperature)
-        usage += u
+        response, usage = _call(client, model, system, user, max_tokens, temperature, usage)
         try:
             ref = parse_retrieval(response.text, worksheet)
         except ParseFailure as exc:

@@ -71,13 +71,20 @@ class TextTilingParams:
 
 
 def segment_texttiling(params: TextTilingParams, transcript: Transcript) -> Labeling:
-    """Depth-score lexical-cohesion segmentation.
+    """Depth-score lexical-cohesion segmentation, linear in the token count.
 
     Token stream -> fixed-size pseudo-sentences -> adjacent-block cosine
     similarity over term counts -> mean-smoothed gap scores -> depth score
     per gap -> boundaries where depth exceeds mean - stddev/2, mapped back
     to the line holding the last token before the gap. Degenerate inputs
     (shorter than two blocks) collapse to a single segment.
+
+    The two blocks slide: at each gap one pseudo-sentence moves from the
+    right block to the left, one leaves the left block and one enters the
+    right, and the dot product and squared norms are kept as integer
+    running sums. The peaks around every gap come from one pass each way.
+    Both give exactly the floats of rebuilding the blocks and walking to
+    the peaks at every gap, so the boundaries are unchanged.
     """
     n = len(transcript)
     if n == 0:
@@ -86,34 +93,16 @@ def segment_texttiling(params: TextTilingParams, transcript: Transcript) -> Labe
     stream: list[str] = []
     token_line: list[int] = []
     for line in transcript.lines:
-        for tok in tokenize(line.utterance):
-            stream.append(tok)
-            token_line.append(line.index)
+        toks = tokenize(line.utterance)
+        stream += toks
+        token_line += [line.index] * len(toks)
 
     w = params.pseudo_sentence_size
-    single = Labeling(tuple((0, REF_NONE) for _ in range(n)))
     if len(stream) < 2 * params.block_size * w:
-        return single
+        return Labeling(tuple((0, REF_NONE) for _ in range(n)))
 
-    n_ps = len(stream) // w  # trailing partial pseudo-sentence dropped
-    pseudo = [Counter(stream[i * w : (i + 1) * w]) for i in range(n_ps)]
-    if n_ps < 2:
-        return single
-
-    gap_scores: list[float] = []
-    for gap in range(1, n_ps):
-        lo = max(0, gap - params.block_size)
-        hi = min(n_ps, gap + params.block_size)
-        left: Counter[str] = Counter()
-        right: Counter[str] = Counter()
-        for c in pseudo[lo:gap]:
-            left.update(c)
-        for c in pseudo[gap:hi]:
-            right.update(c)
-        gap_scores.append(_cosine(left, right))
-
-    smoothed = _smooth(gap_scores, params.smoothing_width)
-    depths = [_depth(smoothed, i) for i in range(len(smoothed))]
+    smoothed = _smooth(_gap_scores(stream, w, params.block_size), params.smoothing_width)
+    depths = _depths(smoothed)
     mean = sum(depths) / len(depths)
     std = math.sqrt(sum((d - mean) ** 2 for d in depths) / len(depths))
     cutoff = mean - std / 2
@@ -136,13 +125,51 @@ def segment_texttiling(params: TextTilingParams, transcript: Transcript) -> Labe
     return Labeling(tuple(per_line))
 
 
-def _cosine(a: Counter[str], b: Counter[str]) -> float:
-    dot = sum(cnt * b[tok] for tok, cnt in a.items())
-    na = math.sqrt(sum(c * c for c in a.values()))
-    nb = math.sqrt(sum(c * c for c in b.values()))
-    if na == 0 or nb == 0:
-        return 0.0
-    return dot / (na * nb)
+def _gap_scores(stream: list[str], w: int, block_size: int) -> list[float]:
+    """Cosine of the term counts of the blocks of up to ``block_size``
+    pseudo-sentences (``w`` tokens each) on each side of every gap.
+
+    Moving one token changes one count by 1, so the dot product and the
+    squared norms change by an integer that needs only that token's counts.
+    """
+    n_ps = len(stream) // w  # trailing partial pseudo-sentence dropped
+    left: dict[str, int] = {}
+    right: dict[str, int] = {}
+    lget, rget = left.get, right.get
+    dot = sq_left = sq_right = 0
+    for tok in stream[: min(n_ps, block_size) * w]:
+        r = rget(tok, 0)
+        sq_right += 2 * r + 1
+        right[tok] = r + 1
+    scores: list[float] = []
+    for gap in range(1, n_ps):
+        # the blocks move from [gap-1-B, gap-1) | [gap-1, gap-1+B)
+        #                   to [gap-B, gap)     | [gap, gap+B)
+        for tok in stream[(gap - 1) * w : gap * w]:
+            r = right[tok] - 1
+            l = lget(tok, 0)
+            dot += r - l
+            sq_right -= 2 * r + 1
+            sq_left += 2 * l + 1
+            right[tok] = r
+            left[tok] = l + 1
+        if gap > block_size:
+            for tok in stream[(gap - 1 - block_size) * w : (gap - block_size) * w]:
+                l = left[tok] - 1
+                dot -= rget(tok, 0)
+                sq_left -= 2 * l + 1
+                left[tok] = l
+        if gap - 1 + block_size < n_ps:
+            for tok in stream[(gap - 1 + block_size) * w : (gap + block_size) * w]:
+                r = rget(tok, 0)
+                dot += lget(tok, 0)
+                sq_right += 2 * r + 1
+                right[tok] = r + 1
+        if sq_left == 0 or sq_right == 0:
+            scores.append(0.0)
+        else:
+            scores.append(dot / (math.sqrt(sq_left) * math.sqrt(sq_right)))
+    return scores
 
 
 def _smooth(values: list[float], width: int) -> list[float]:
@@ -154,18 +181,20 @@ def _smooth(values: list[float], width: int) -> list[float]:
     return out
 
 
-def _depth(scores: list[float], i: int) -> float:
-    """Rise to the nearest peak on each side of valley i."""
-    left = scores[i]
-    for j in range(i, -1, -1):
-        if scores[j] >= left:
-            left = scores[j]
-        else:
-            break
-    right = scores[i]
-    for j in range(i, len(scores)):
-        if scores[j] >= right:
-            right = scores[j]
-        else:
-            break
-    return (left - scores[i]) + (right - scores[i])
+def _depths(scores: list[float]) -> list[float]:
+    """Rise to the nearest peak on each side of every gap.
+
+    Walking left from i while the scores do not fall reaches the same peak
+    as walking from i-1 when ``scores[i-1] >= scores[i]``, so one pass each
+    way finds every peak.
+    """
+    n = len(scores)
+    left = scores[:]
+    for i in range(1, n):
+        if scores[i - 1] >= scores[i]:
+            left[i] = left[i - 1]
+    right = scores[:]
+    for i in range(n - 2, -1, -1):
+        if scores[i + 1] >= scores[i]:
+            right[i] = right[i + 1]
+    return [(lp - s) + (rp - s) for lp, s, rp in zip(left, scores, right)]

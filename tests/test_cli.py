@@ -11,8 +11,8 @@ import pytest
 import posr
 from posr.cli import LLM_METHODS, POSR_COLUMNS, main
 from posr.corpus import Corpus, CorpusEntry, load_corpus, load_manifest, write_corpus
-from posr.llm import CassetteClient, ChatRequest, ScriptedClient, run_posr_llm
-from posr.metrics import cost_per_100, evaluate
+from posr.llm import CassetteClient, ChatRequest, ScriptedClient, TransportError, run_posr_llm
+from posr.metrics import TokenUsage, cost_per_100, evaluate
 from posr.model import REF_NONE, Labeling, Line, Problem, RefLabel, Transcript, Worksheet
 
 
@@ -271,3 +271,42 @@ def test_posr_llm_transport_failure_is_scored_and_flagged(llm_corpus, tmp_path):
     pred = [json.loads(line) for line in (out / f"{tid}.pred.jsonl").read_text().splitlines()]
     assert pred == [{"line_index": i, "segment_id": 0, "ref": "null"} for i in range(n)]
     assert tid in json.loads((out / "failed_transcripts.json").read_text())
+
+
+def test_posr_llm_prices_the_tokens_of_a_partly_failed_transcript(llm_corpus, tmp_path):
+    manifest, prices = llm_corpus
+    corpus = load_corpus(load_manifest(manifest))
+    cassette = tmp_path / "cassette.json"
+    kind = LLM_METHODS["independent-llm"]
+    # the first transcript whose segmentation reply parses
+    partial = next(e for e in corpus.entries if not 40 <= len(e.transcript) < 50)
+    recorder = CassetteClient(cassette, inner=ScriptedClient(llm_responder))
+    usages = {e.transcript.id: run_posr_llm(recorder, "m", e.transcript, e.worksheet, kind).usage
+              for e in corpus.entries if e is not partial}
+
+    def segmentation_only(req):
+        if "Segment:\n" in req.user:
+            raise TransportError("endpoint down")
+        return llm_responder(req)
+
+    scripted = ScriptedClient(segmentation_only)
+    with pytest.raises(TransportError):
+        run_posr_llm(CassetteClient(cassette, inner=scripted), "m",
+                     partial.transcript, partial.worksheet, kind)
+    segmentation, retrieval = scripted.calls
+    assert "Segment:\n" in retrieval.user
+    # ScriptedClient counts whitespace-separated words as tokens
+    usages[partial.transcript.id] = TokenUsage(
+        len(segmentation.system.split()) + len(segmentation.user.split()),
+        len(llm_responder(segmentation).split()), 1)
+
+    out = tmp_path / "posr"
+    # replay only: the partial transcript's retrieval request misses and raises
+    assert main(["posr", "--manifest", str(manifest), "--method", "independent-llm",
+                 "--model", "m", "--cassette", str(cassette), "--prices", str(prices),
+                 "--out", str(out)]) == 0
+    assert partial.transcript.id in json.loads((out / "failed_transcripts.json").read_text())
+    expected = cost_per_100([usages[e.transcript.id] for e in corpus.entries], "m", LLM_PRICES)
+    with open(out / "posr_metrics.csv", newline="", encoding="utf-8") as fh:
+        costs = {row["cost_usd_per_100"] for row in csv.DictReader(fh)}
+    assert costs == {str(expected)}

@@ -1,6 +1,9 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posr.corpus import (
     CorpusError,
@@ -78,6 +81,165 @@ def test_annotation_requires_full_cover(tmp_path):
     write_lines(path, [{"line_index": 0, "segment_id": 0, "ref": "null"}])
     with pytest.raises(CorpusError):
         load_annotation(path, 2)
+
+
+
+def at(path, lineno=None):
+    """Pattern for an error message that names the file (and line)."""
+    return "^" + re.escape(f"{path}:{lineno}" if lineno else f"{path}:")
+
+
+GOOD_LINE = {"index": 0, "speaker": "s", "utterance": "u", "start_ms": 0, "end_ms": 1000}
+
+
+@pytest.mark.parametrize("bad", [
+    {**GOOD_LINE, "index": "x"},
+    {**GOOD_LINE, "start_ms": None},
+    {**GOOD_LINE, "end_ms": [1000]},
+    {**GOOD_LINE, "end_ms": float("inf")},
+    [0, "s", "u", 0, 1000],
+    5,
+    "index",
+])
+def test_load_transcript_mistyped_record_names_file_and_line(tmp_path, bad):
+    path = tmp_path / "t.jsonl"
+    write_lines(path, [GOOD_LINE, bad])
+    with pytest.raises(CorpusError, match=at(path, 2)):
+        load_transcript(path)
+
+
+@pytest.mark.parametrize("text", [
+    '{"worksheets": {}, "split": "test"}',
+    '{"transcripts": ["a.jsonl"]}',
+    '{"transcripts": ["a.jsonl"], "worksheets": {}, "annotations": 3}',
+    '{"transcripts": 5, "worksheets": {}}',
+    '{"transcripts": [5], "worksheets": {}}',
+    '{"transcripts": ["a.jsonl"], "worksheets": {"a": 5}}',
+    '{"transcripts": ["a.jsonl"], "worksheets": {"a": "w.json"}, "annotations": {"a": null}}',
+    '["a.jsonl"]',
+    '{"transcripts": ["a.jsonl"], ',
+    "",
+])
+def test_load_manifest_malformed_names_file(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    with pytest.raises(CorpusError, match=at(path)):
+        load_manifest(path)
+
+
+def test_load_annotation_duplicate_line_names_file_and_line(tmp_path):
+    path = tmp_path / "a.jsonl"
+    write_lines(path, [
+        {"line_index": 0, "segment_id": 0, "ref": "null"},
+        {"line_index": 1, "segment_id": 0, "ref": "null"},
+        {"line_index": 0, "segment_id": 1, "ref": "null"},
+    ])
+    with pytest.raises(CorpusError, match=at(path, 3) + ".*duplicate"):
+        load_annotation(path, 2)
+
+
+@pytest.mark.parametrize("bad", [
+    {"line_index": "one", "segment_id": 0, "ref": "null"},
+    {"line_index": 1, "segment_id": None, "ref": "null"},
+    {"line_index": float("inf"), "segment_id": 0, "ref": "null"},
+    [1, 0, "null"],
+    7,
+])
+def test_load_annotation_mistyped_record_names_file_and_line(tmp_path, bad):
+    path = tmp_path / "a.jsonl"
+    write_lines(path, [{"line_index": 0, "segment_id": 0, "ref": "null"}, bad])
+    with pytest.raises(CorpusError, match=at(path, 2)):
+        load_annotation(path, 2)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def damaged_records(draw, records):
+    """``records`` with one record damaged: a field retyped, a field
+    dropped, the record replaced by another JSON value, or its text cut."""
+    records = [dict(r) for r in records]
+    i = draw(st.integers(0, len(records) - 1))
+    lines = [json.dumps(r) for r in records]
+    how = draw(st.sampled_from(["retype", "drop", "replace", "truncate", "duplicate"]))
+    key = draw(st.sampled_from(sorted(records[i])))
+    if how == "retype":
+        records[i][key] = draw(JSON_VALUES)
+        lines[i] = json.dumps(records[i])
+    elif how == "drop":
+        del records[i][key]
+        lines[i] = json.dumps(records[i])
+    elif how == "replace":
+        lines[i] = json.dumps(draw(JSON_VALUES))
+    elif how == "truncate":
+        lines[i] = lines[i][: draw(st.integers(1, len(lines[i]) - 1))]
+    else:
+        lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+TRANSCRIPT_RECORDS = [
+    {"index": i, "speaker": "[TUTOR]", "utterance": f"line {i}",
+     "start_ms": 1000 * i, "end_ms": 1000 * i + 900}
+    for i in range(3)
+]
+ANNOTATION_RECORDS = [
+    {"line_index": i, "segment_id": i // 2, "ref": ["P1", "-1", "null"][i]} for i in range(3)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_records(TRANSCRIPT_RECORDS))
+def test_load_transcript_raises_only_corpus_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("t") / "t.jsonl"
+    path.write_text(text)
+    try:
+        load_transcript(path)
+    except CorpusError as exc:
+        assert str(exc).startswith(f"{path}:")
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_records(ANNOTATION_RECORDS))
+def test_load_annotation_raises_only_corpus_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("a") / "a.jsonl"
+    path.write_text(text)
+    try:
+        load_annotation(path, 3)
+    except CorpusError as exc:
+        assert str(exc).startswith(f"{path}:")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([None, 0, 1]), st.sampled_from(["id", "text", "problems"]), JSON_VALUES)
+def test_load_worksheet_raises_only_corpus_error(tmp_path_factory, problem, key, value):
+    doc = {"id": "w", "problems": [{"id": "P1", "text": "a"}, {"id": "P2", "text": "b"}]}
+    target = doc if problem is None else doc["problems"][problem]
+    target[key] = value
+    path = tmp_path_factory.mktemp("w") / "w.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_worksheet(path)
+    except CorpusError as exc:
+        assert str(exc).startswith(f"{path}:")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["transcripts", "worksheets", "annotations", "split"]), JSON_VALUES)
+def test_load_manifest_raises_only_corpus_error(tmp_path_factory, key, value):
+    doc = {"transcripts": ["a.jsonl"], "worksheets": {"a": "w.json"},
+           "annotations": {"a": "a.labels.jsonl"}, "split": "test", key: value}
+    path = tmp_path_factory.mktemp("m") / "manifest.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_manifest(path)
+    except CorpusError as exc:
+        assert str(exc).startswith(f"{path}:")
 
 
 def test_generate_synthetic_deterministic():

@@ -31,7 +31,7 @@ from posr.llm import (
 )
 from posr.llm import client as client_module
 from posr.llm.parsing import _extract_json_array, _strip_fences
-from posr.metrics import srs
+from posr.metrics import TokenUsage, srs
 from posr.model import (
     Labeling,
     Line,
@@ -321,6 +321,26 @@ def test_usage_accumulates_monotonically():
     assert result.usage.n_requests == 4
     assert result.usage.input_tokens > 0
     assert result.usage.output_tokens > 0
+
+
+def test_exception_carries_the_usage_spent_before_it():
+    gold = gold_labeling()
+    reply = encode_segmentation(gold)
+
+    def responder(req):
+        if "list of lists" in req.system:
+            return reply
+        raise TransportError("endpoint down")
+
+    client = ScriptedClient(responder)
+    with pytest.raises(TransportError) as info:
+        run_posr_llm(client, "m", gold_transcript(), WS, PromptKind.INDEPENDENT_RETRIEVAL)
+    segmentation, retrieval = client.calls
+    assert "Segment:\n" in retrieval.user
+    # ScriptedClient counts whitespace-separated words as tokens
+    assert info.value.usage == TokenUsage(
+        len(segmentation.system.split()) + len(segmentation.user.split()),
+        len(reply.split()), 1)
 
 
 # --- cassette

@@ -1,6 +1,11 @@
+import math
 import random
+import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posr.corpus import Corpus, CorpusEntry, SyntheticSpec, generate_synthetic
 from posr.model import Labeling, Line, Problem, REF_NONE, Transcript, Worksheet, boundaries
@@ -8,10 +13,13 @@ from posr.segmentation import (
     BoundaryWordModel,
     SegmentationError,
     TextTilingParams,
+    _depths,
+    _gap_scores,
     fit_boundary_words,
     segment_boundary_words,
     segment_texttiling,
 )
+from posr.tokens import tokenize
 
 from conftest import make_transcript
 
@@ -161,3 +169,185 @@ def test_segmenters_output_valid_labelings():
         ):
             assert len(lab) == len(entry.transcript)
             assert all(ref == REF_NONE for ref in lab.refs)
+
+
+# ---------------------------------------------------------------------------
+# oracle: TextTiling as it was before the sliding blocks and the peak passes,
+# rebuilding both blocks at every gap and walking to the peaks from every gap
+
+
+def _oracle_texttiling(params, transcript):
+    n = len(transcript)
+    if n == 0:
+        return Labeling(())
+    stream = []
+    token_line = []
+    for line in transcript.lines:
+        for tok in tokenize(line.utterance):
+            stream.append(tok)
+            token_line.append(line.index)
+
+    w = params.pseudo_sentence_size
+    single = Labeling(tuple((0, REF_NONE) for _ in range(n)))
+    if len(stream) < 2 * params.block_size * w:
+        return single
+
+    n_ps = len(stream) // w
+    if n_ps < 2:
+        return single
+
+    gap_scores = _oracle_gap_scores(stream, w, params.block_size)
+    smoothed = _oracle_smooth(gap_scores, params.smoothing_width)
+    depths = [_oracle_depth(smoothed, i) for i in range(len(smoothed))]
+    mean = sum(depths) / len(depths)
+    std = math.sqrt(sum((d - mean) ** 2 for d in depths) / len(depths))
+    cutoff = mean - std / 2
+
+    boundary_lines = set()
+    for i, depth in enumerate(depths):
+        if depth > cutoff and depth > 0:
+            gap = i + 1
+            last_tok = gap * w - 1
+            line = token_line[last_tok]
+            if line + 1 < n:
+                boundary_lines.add(line + 1)
+
+    per_line = []
+    seg = 0
+    for i in range(n):
+        if i in boundary_lines and i > 0:
+            seg += 1
+        per_line.append((seg, REF_NONE))
+    return Labeling(tuple(per_line))
+
+
+def _oracle_gap_scores(stream, w, block_size):
+    n_ps = len(stream) // w
+    pseudo = [Counter(stream[i * w : (i + 1) * w]) for i in range(n_ps)]
+    gap_scores = []
+    for gap in range(1, n_ps):
+        lo = max(0, gap - block_size)
+        hi = min(n_ps, gap + block_size)
+        left = Counter()
+        right = Counter()
+        for c in pseudo[lo:gap]:
+            left.update(c)
+        for c in pseudo[gap:hi]:
+            right.update(c)
+        gap_scores.append(_oracle_cosine(left, right))
+    return gap_scores
+
+
+def _oracle_cosine(a, b):
+    dot = sum(cnt * b[tok] for tok, cnt in a.items())
+    na = math.sqrt(sum(c * c for c in a.values()))
+    nb = math.sqrt(sum(c * c for c in b.values()))
+    if na == 0 or nb == 0:
+        return 0.0
+    return dot / (na * nb)
+
+
+def _oracle_smooth(values, width):
+    out = []
+    for i in range(len(values)):
+        lo = max(0, i - width)
+        hi = min(len(values), i + width + 1)
+        out.append(sum(values[lo:hi]) / (hi - lo))
+    return out
+
+
+def _oracle_depth(scores, i):
+    left = scores[i]
+    for j in range(i, -1, -1):
+        if scores[j] >= left:
+            left = scores[j]
+        else:
+            break
+    right = scores[i]
+    for j in range(i, len(scores)):
+        if scores[j] >= right:
+            right = scores[j]
+        else:
+            break
+    return (left - scores[i]) + (right - scores[i])
+
+
+def _lines_transcript(utterances, tid="t"):
+    return Transcript(id=tid, lines=tuple(
+        Line(i, "[TUTOR]", u, i * 1000, (i + 1) * 1000) for i, u in enumerate(utterances)
+    ))
+
+
+@st.composite
+def tiling_cases(draw):
+    params = TextTilingParams(
+        pseudo_sentence_size=draw(st.integers(1, 8)),
+        block_size=draw(st.integers(1, 6)),
+        smoothing_width=draw(st.integers(1, 4)),
+    )
+    # tiny vocabularies make ties, plateaus and all-equal blocks common
+    vocab = [f"w{i}" for i in range(draw(st.integers(1, 12)))]
+    cutoff = 2 * params.block_size * params.pseudo_sentence_size
+    n_tokens = draw(st.one_of(
+        st.integers(0, 3 * cutoff),
+        st.integers(max(0, cutoff - params.pseudo_sentence_size - 1),
+                    cutoff + params.pseudo_sentence_size + 1),
+    ))
+    tokens = draw(st.lists(st.sampled_from(vocab), min_size=n_tokens, max_size=n_tokens))
+    # tokens per line; 0 is an empty or punctuation-only utterance, and the
+    # last line takes whatever is left
+    sizes = draw(st.lists(st.integers(0, 6), max_size=60))
+    utterances = []
+    for k in sizes:
+        utterances.append(" ".join(tokens[:k]) if k else draw(st.sampled_from(["", "?!"])))
+        tokens = tokens[k:]
+    utterances.append(" ".join(tokens))
+    return params, _lines_transcript(utterances)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(tiling_cases())
+def test_texttiling_equals_oracle(case):
+    params, transcript = case
+    assert segment_texttiling(params, transcript) == _oracle_texttiling(params, transcript)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 6),
+       st.lists(st.integers(0, 9).map(str), max_size=300))
+def test_gap_scores_equal_oracle(w, block_size, stream):
+    # the same floats, not only the same boundaries
+    assert _gap_scores(stream, w, block_size) == _oracle_gap_scores(stream, w, block_size)
+
+
+def test_texttiling_equals_oracle_on_synthetic_corpora():
+    # long segments, shared vocabulary and chatter, as in the benchmark corpora
+    spec = SyntheticSpec(seed=5, n_transcripts=2, n_problems=20, vocab_overlap=0.3,
+                         informal_prob=0.2, lines_per_segment=(30, 80),
+                         segments_per_transcript=(8, 15))
+    for entry in generate_synthetic(spec).entries:
+        for params in (TextTilingParams(), TextTilingParams(7, 3, 1), TextTilingParams(3, 25, 4)):
+            assert segment_texttiling(params, entry.transcript) == _oracle_texttiling(
+                params, entry.transcript)
+
+
+@pytest.mark.parametrize("scores", [
+    [0.5], [1.0, 1.0, 1.0], [0.0, 0.3, 0.3, 0.1, 0.1, 0.4, 0.2, 0.2, 0.9],
+    [3.0, 2.0, 1.0, 2.0, 2.0, 1.0, 0.0], [1.0, 2.0, 3.0, 4.0],
+])
+def test_depths_equal_walk_to_the_peaks(scores):
+    assert _depths(scores) == [_oracle_depth(scores, i) for i in range(len(scores))]
+
+
+def test_depths_linear_on_monotone_runs():
+    # walking to the peaks from every gap is quadratic on a monotone run:
+    # 5k elements already took about 0.4 s that way
+    n = 100_000
+    rising = [i / n for i in range(n)]
+    t0 = time.perf_counter()
+    up = _depths(rising)
+    down = _depths(rising[::-1])
+    elapsed = time.perf_counter() - t0
+    assert up == [(rising[-1] - s) for s in rising]
+    assert down == up[::-1]
+    assert elapsed < 2.0
