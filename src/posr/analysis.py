@@ -97,12 +97,29 @@ def cochran_q(boundary_matrix: list[list[bool]]) -> tuple[float, float]:
     if denom == 0:
         return 0.0, 1.0
     q = (m - 1) * (m * sum(a * a for a in annotator_totals) - total * total) / denom
-    # imported here: scipy.stats takes about a second to import, and no
-    # other posr code needs it
-    from scipy.stats import chi2
+    return q, _chi2_sf(q, m - 1)
 
-    p = float(chi2.sf(q, m - 1))
-    return q, p
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Upper tail P(X > x) of chi-square with integer ``df`` >= 1, x >= 0.
+
+    Closed forms (Abramowitz & Stegun 26.4.4-26.4.5): for even df a finite
+    Poisson sum, for odd df ``erfc`` plus a finite series. Every term is
+    positive, so nothing cancels.
+    """
+    half = x / 2
+    if df % 2 == 0:
+        term = total = 1.0
+        for i in range(1, df // 2):
+            term *= half / i
+            total += term
+        return math.exp(-half) * total
+    term = math.sqrt(2 * x / math.pi) * math.exp(-half)
+    total = 0.0
+    for r in range(1, (df + 1) // 2):
+        total += term
+        term *= x / (2 * r + 1)
+    return math.erfc(math.sqrt(half)) + total
 
 
 def boundary_vector(labeling: Labeling) -> list[bool]:

@@ -19,6 +19,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import AnalysisError, quartile_language_compare, talk_time
 from .corpus import (
+    CorpusError,
     SyntheticSpec,
     corpus_stats,
     generate_synthetic,
@@ -60,6 +61,7 @@ LLM_METHODS = {
     "segment-llm": PromptKind.INDEPENDENT_SEGMENTATION,
 }
 POSR_COLUMNS = ["transcript_id", *(f.name for f in fields(EvalReport))]
+PRICE_KEYS = ("input_usd_per_1k", "output_usd_per_1k")
 SEGMENT_COLUMNS = ["transcript_id", "pk_line", "pk_time", "wd_line", "wd_time",
                    "seg_count_diff"]
 
@@ -197,9 +199,20 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _load_prices(path: str | None) -> dict:
+    """The ``--prices`` table: {model: {input_usd_per_1k, output_usd_per_1k}}."""
     if path is None:
         return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        prices = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise LLMConfigError(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(prices, dict):
+        raise LLMConfigError(f"{path}: expected a JSON object mapping models to prices")
+    for model, entry in prices.items():
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(key), (int, float)) for key in PRICE_KEYS)):
+            raise LLMConfigError(f"{path}: {model!r} needs numeric {' and '.join(PRICE_KEYS)}")
+    return prices
 
 
 def _make_client(args: argparse.Namespace):
@@ -406,6 +419,10 @@ def main(argv: list[str] | None = None) -> int:
     clear_indexes()
     try:
         return args.func(args)
+    except (CorpusError, LLMConfigError) as exc:
+        # input that cannot be used as written: a usage error, not a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         clear_indexes()
 

@@ -27,7 +27,7 @@ class TransportError(RuntimeError):
 
 
 class LLMConfigError(ValueError):
-    """An endpoint config file that cannot be used as written."""
+    """An endpoint config or price table file that cannot be used as written."""
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,17 @@
 Three modes mirror the prompt kinds: joint (one request yielding spans
 with refs), segmentation-only (one request, refs left unset), and the
 independent pipeline (one segmentation request followed by one retrieval
-request per predicted segment). ``run_posr_llm_batch`` overlaps the
-requests of different transcripts on a small thread pool.
+request per predicted segment). ``run_posr_llm`` sends a transcript's
+requests one after another. ``run_posr_llm_batch`` runs the requests of
+many transcripts on one small thread pool, so the retrieval requests of
+one transcript overlap with each other and with other transcripts'
+requests.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +33,7 @@ from .prompts import PromptKind, build_prompt
 
 logger = logging.getLogger(__name__)
 
-# Transcripts in flight at once. Below requests' default pool of 10
+# Requests in flight at once. Below requests' default pool of 10
 # connections per host, so a shared HttpChatClient never drops a connection.
 LLM_CONCURRENCY = 8
 
@@ -66,6 +69,68 @@ def _call(client: ChatClient, model: str, system: str, user: str, max_tokens: in
     return response, usage + TokenUsage(response.input_tokens, response.output_tokens, 1)
 
 
+def _first_request(
+    client: ChatClient, model: str, transcript: Transcript, worksheet: Worksheet,
+    kind: PromptKind, max_tokens: int, temperature: float, gap_policy: GapPolicy,
+) -> LLMRunResult | tuple[list[SegmentSpan], TokenUsage]:
+    """A transcript's joint or segmentation request.
+
+    Returns the finished result, or, under independent retrieval with a
+    reply that parses, the predicted spans and the usage so far: each span
+    still needs its retrieval request.
+    """
+    n = len(transcript)
+    if kind is PromptKind.JOINT_POSR:
+        system, user = build_prompt(kind, transcript, worksheet)
+        response, usage = _call(client, model, system, user, max_tokens, temperature,
+                                TokenUsage())
+        try:
+            spans = parse_joint(response.text, n, worksheet)
+        except ParseFailure as exc:
+            logger.warning("%s: joint parse failure: %s", transcript.id, exc)
+            return LLMRunResult(fallback_labeling(n), usage, parse_failed=True)
+        return LLMRunResult(spans_to_labeling(spans, n, gap_policy), usage)
+
+    # both independent modes start with a segmentation request
+    system, user = build_prompt(PromptKind.INDEPENDENT_SEGMENTATION, transcript)
+    response, usage = _call(client, model, system, user, max_tokens, temperature,
+                            TokenUsage())
+    try:
+        spans = parse_segmentation(response.text, n)
+    except ParseFailure as exc:
+        logger.warning("%s: segmentation parse failure: %s", transcript.id, exc)
+        return LLMRunResult(fallback_labeling(n), usage, parse_failed=True)
+
+    if kind is PromptKind.INDEPENDENT_SEGMENTATION:
+        return LLMRunResult(spans_to_labeling(spans, n, gap_policy), usage)
+    return spans, usage
+
+
+def _retrieval_request(
+    client: ChatClient, model: str, transcript: Transcript, worksheet: Worksheet,
+    span: SegmentSpan, max_tokens: int, temperature: float, usage: TokenUsage,
+) -> tuple[SegmentSpan, TokenUsage]:
+    """One segment's retrieval request; returns the segment with its ref and
+    ``usage`` plus the reply's tokens. A reply that does not parse degrades
+    the segment to no ref without failing the transcript."""
+    system, user = build_prompt(
+        PromptKind.INDEPENDENT_RETRIEVAL,
+        transcript,
+        worksheet,
+        segment=(span.start_line, span.end_line),
+    )
+    response, usage = _call(client, model, system, user, max_tokens, temperature, usage)
+    try:
+        ref = parse_retrieval(response.text, worksheet)
+    except ParseFailure as exc:
+        logger.warning(
+            "%s: retrieval parse failure on segment (%d, %d): %s",
+            transcript.id, span.start_line, span.end_line, exc,
+        )
+        ref = REF_NONE
+    return SegmentSpan(span.start_line, span.end_line, ref), usage
+
+
 def run_posr_llm(
     client: ChatClient,
     model: str,
@@ -80,55 +145,22 @@ def run_posr_llm(
 
     An unparseable top-level response falls back to a single no-ref
     segment and is flagged; per-segment retrieval parse failures degrade
-    that segment to no ref without failing the transcript. An exception
-    raised by a request carries the usage of the requests answered before
-    it as its ``usage`` attribute.
+    that segment to no ref without failing the transcript. The requests go
+    out one after another, and the first one that raises ends the run: its
+    exception carries the usage of the requests answered before it as its
+    ``usage`` attribute.
     """
-    n = len(transcript)
-    usage = TokenUsage()
-
-    if kind is PromptKind.JOINT_POSR:
-        system, user = build_prompt(kind, transcript, worksheet)
-        response, usage = _call(client, model, system, user, max_tokens, temperature, usage)
-        try:
-            spans = parse_joint(response.text, n, worksheet)
-        except ParseFailure as exc:
-            logger.warning("%s: joint parse failure: %s", transcript.id, exc)
-            return LLMRunResult(fallback_labeling(n), usage, parse_failed=True)
-        return LLMRunResult(spans_to_labeling(spans, n, gap_policy), usage)
-
-    # both independent modes start with a segmentation request
-    system, user = build_prompt(PromptKind.INDEPENDENT_SEGMENTATION, transcript)
-    response, usage = _call(client, model, system, user, max_tokens, temperature, usage)
-    try:
-        spans = parse_segmentation(response.text, n)
-    except ParseFailure as exc:
-        logger.warning("%s: segmentation parse failure: %s", transcript.id, exc)
-        return LLMRunResult(fallback_labeling(n), usage, parse_failed=True)
-
-    if kind is PromptKind.INDEPENDENT_SEGMENTATION:
-        return LLMRunResult(spans_to_labeling(spans, n, gap_policy), usage)
-
-    # independent retrieval: one request per predicted segment, in order
+    first = _first_request(client, model, transcript, worksheet, kind,
+                           max_tokens, temperature, gap_policy)
+    if isinstance(first, LLMRunResult):
+        return first
+    spans, usage = first
     labeled: list[SegmentSpan] = []
     for span in spans:
-        system, user = build_prompt(
-            PromptKind.INDEPENDENT_RETRIEVAL,
-            transcript,
-            worksheet,
-            segment=(span.start_line, span.end_line),
-        )
-        response, usage = _call(client, model, system, user, max_tokens, temperature, usage)
-        try:
-            ref = parse_retrieval(response.text, worksheet)
-        except ParseFailure as exc:
-            logger.warning(
-                "%s: retrieval parse failure on segment (%d, %d): %s",
-                transcript.id, span.start_line, span.end_line, exc,
-            )
-            ref = REF_NONE
-        labeled.append(SegmentSpan(span.start_line, span.end_line, ref))
-    return LLMRunResult(spans_to_labeling(labeled, n, gap_policy), usage)
+        segment, usage = _retrieval_request(client, model, transcript, worksheet, span,
+                                            max_tokens, temperature, usage)
+        labeled.append(segment)
+    return LLMRunResult(spans_to_labeling(labeled, len(transcript), gap_policy), usage)
 
 
 def run_posr_llm_batch(
@@ -137,24 +169,66 @@ def run_posr_llm_batch(
     items: Sequence[tuple[Transcript, Worksheet]],
     kind: PromptKind,
 ) -> list[LLMRunResult | Exception]:
-    """``run_posr_llm`` over (transcript, worksheet) pairs, up to
-    ``LLM_CONCURRENCY`` transcripts at a time, on one shared client.
+    """``run_posr_llm`` over (transcript, worksheet) pairs on one shared
+    client, with up to ``LLM_CONCURRENCY`` requests in flight.
+
+    Each request is one task on one pool. A transcript's first task sends
+    its joint or segmentation request; under independent retrieval it then
+    submits that transcript's retrieval requests to the same pool and
+    returns their futures. No task waits on another, so the pool cannot
+    deadlock.
 
     Returns one outcome per pair, in input order: the result, or the
-    exception its run raised. The requests of one transcript still go out
-    one after another.
+    exception its run raised. When retrieval requests raise, the outcome is
+    the exception of the first failing segment in segment order, and its
+    ``usage`` attribute counts the segmentation reply and every retrieval
+    reply that was answered.
     """
+    # run_posr_llm's defaults: the batch must give what a loop of it gives
+    max_tokens, temperature, gap_policy = 4096, 0.0, GapPolicy.OWN_SEGMENT
     pool = ThreadPoolExecutor(max_workers=LLM_CONCURRENCY)
+
+    def start(transcript: Transcript, worksheet: Worksheet):
+        first = _first_request(client, model, transcript, worksheet, kind,
+                               max_tokens, temperature, gap_policy)
+        if isinstance(first, LLMRunResult):
+            return first
+        spans, usage = first
+        return usage, [pool.submit(_retrieval_request, client, model, transcript, worksheet,
+                                   span, max_tokens, temperature, TokenUsage())
+                       for span in spans]
+
     try:
-        futures = [pool.submit(run_posr_llm, client, model, transcript, worksheet, kind)
-                   for transcript, worksheet in items]
-        outcomes: list[LLMRunResult | Exception] = []
-        for future in futures:
-            try:
-                outcomes.append(future.result())
-            except Exception as exc:  # noqa: BLE001 - the caller flags this transcript
-                outcomes.append(exc)
-        return outcomes
+        started = [pool.submit(start, transcript, worksheet) for transcript, worksheet in items]
+        return [_outcome(future, len(transcript), gap_policy)
+                for (transcript, _), future in zip(items, started)]
     finally:
-        # an interrupted wait drops the transcripts not yet started
+        # an interrupted wait drops the requests not yet started
         pool.shutdown(cancel_futures=True)
+
+
+def _outcome(started: Future, n_lines: int, gap_policy: GapPolicy) -> LLMRunResult | Exception:
+    """Wait for one transcript of the batch: its first request, then each of
+    its retrieval requests in segment order."""
+    try:
+        first = started.result()
+    except Exception as exc:  # noqa: BLE001 - the caller flags this transcript
+        return exc
+    if isinstance(first, LLMRunResult):
+        return first
+    usage, retrievals = first
+    labeled: list[SegmentSpan] = []
+    failure: Exception | None = None
+    for future in retrievals:
+        try:
+            segment, reply = future.result()
+        except Exception as exc:  # noqa: BLE001 - the caller flags this transcript
+            if failure is None:
+                failure = exc
+            continue
+        labeled.append(segment)
+        usage += reply
+    if failure is not None:
+        failure.usage = usage  # type: ignore[attr-defined]
+        return failure
+    return LLMRunResult(spans_to_labeling(labeled, n_lines, gap_policy), usage)

@@ -102,6 +102,29 @@ def test_posr_bad_llm_config_is_a_usage_error(synthetic_dir, tmp_path, capsys):
     assert "unknown keys ['api_key']" in capsys.readouterr().err
 
 
+def test_malformed_manifest_is_a_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"worksheets": {}}))
+    assert main(["stats", "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: missing field transcripts\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "not JSON"),
+    ("[]", "expected a JSON object"),
+    (json.dumps({"m": {"input_usd_per_1k": 0.5}}), "'m' needs numeric"),
+])
+def test_posr_bad_prices_file_is_a_usage_error(synthetic_dir, tmp_path, capsys, text, message):
+    prices = tmp_path / "prices.json"
+    prices.write_text(text)
+    rc = main(["posr", "--manifest", str(synthetic_dir / "manifest.json"),
+               "--method", "texttiling", "--prices", str(prices), "--out", str(tmp_path / "p")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prices}: ")
+    assert message in err
+
+
 def test_calibrate_writes_thresholds(synthetic_dir, tmp_path):
     out = tmp_path / "cal"
     rc = main(["calibrate", "--manifest", str(synthetic_dir / "manifest.json"),

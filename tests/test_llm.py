@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -515,6 +516,134 @@ def test_cassette_loses_no_recording_under_contention(tmp_path):
     replay = CassetteClient(path)
     assert [replay.complete(r).text for r in requests_] == [r.user for r in requests_]
     assert [p.name for p in tmp_path.iterdir()] == ["cassette.json"]
+
+
+# --- independent retrieval on one request queue
+
+
+def transcript_and_line(req: ChatRequest) -> tuple[int, int]:
+    """The first "transcript i line j" a prompt quotes: for a retrieval
+    prompt, the transcript and the first line of its segment."""
+    i, j = re.search(r"transcript (\d+) line (\d+)", req.user).groups()
+    return int(i), int(j)
+
+
+def is_segmentation(req: ChatRequest) -> bool:
+    return "list of lists" in req.system
+
+
+def segment_starts(i: int) -> range:
+    """t<i> splits into segments of i % 3 + 1 lines (12 one-line segments for t0)."""
+    return range(0, 12, i % 3 + 1)
+
+
+def independent_reply(req: ChatRequest) -> str:
+    """Segments t<i> by ``segment_starts``; a segment's ref depends on its
+    transcript and first line."""
+    i, j = transcript_and_line(req)
+    if is_segmentation(req):
+        return json.dumps([[s, min(s + i % 3 + 1, 12) - 1] for s in segment_starts(i)])
+    return ("3", "7", "null", "-1")[(i + j) % 4]
+
+
+def scripted_usage(req: ChatRequest, reply: str) -> TokenUsage:
+    """The tokens ScriptedClient counts for one answered request."""
+    return TokenUsage(len(req.system.split()) + len(req.user.split()), len(reply.split()), 1)
+
+
+def test_batch_overlaps_the_retrieval_requests_of_one_transcript():
+    transcript = numbered_transcripts(1)[0]
+    probe = OverlapProbe(independent_reply, lambda req: 0.0 if is_segmentation(req) else 0.01)
+    client = ScriptedClient(probe)
+    outcomes = run_posr_llm_batch(client, "m", [(transcript, WS)],
+                                  PromptKind.INDEPENDENT_RETRIEVAL)
+    assert len(client.calls) - 1 > LLM_CONCURRENCY  # retrieval requests
+    assert 1 < probe.peak <= LLM_CONCURRENCY
+    assert outcomes == [run_posr_llm(ScriptedClient(independent_reply), "m", transcript, WS,
+                                     PromptKind.INDEPENDENT_RETRIEVAL)]
+
+
+def test_batch_retrievals_finishing_out_of_order_match_a_sequential_loop():
+    transcripts = numbered_transcripts(2 * LLM_CONCURRENCY)
+    # later segments and earlier transcripts answer sooner
+    probe = OverlapProbe(independent_reply, lambda req: 0.0005 * (
+        len(transcripts) - transcript_and_line(req)[0] + 12 - transcript_and_line(req)[1]))
+    outcomes = run_posr_llm_batch(ScriptedClient(probe), "m", [(t, WS) for t in transcripts],
+                                  PromptKind.INDEPENDENT_RETRIEVAL)
+    sequential = [run_posr_llm(ScriptedClient(independent_reply), "m", t, WS,
+                               PromptKind.INDEPENDENT_RETRIEVAL) for t in transcripts]
+    assert outcomes == sequential
+    assert {r.labeling.refs[0] for r in sequential} == {
+        RefLabel.problem("3"), RefLabel.problem("7"), REF_NONE, REF_NOT_IN_CORPUS}
+
+
+def test_batch_returns_the_first_failing_segment_priced_with_every_answer():
+    transcript = numbered_transcripts(1)[0]
+    segmentation = json.dumps([[0, 1], [2, 4], [5, 6], [7, 9], [10, 11]])
+    answered = []
+    lock = threading.Lock()
+
+    def responder(req):
+        if is_segmentation(req):
+            reply = segmentation
+        else:
+            start = transcript_and_line(req)[1]
+            if start == 10:  # the last segment fails first
+                raise TransportError("segment 10")
+            time.sleep(0.05)
+            if start == 5:  # the middle segment
+                raise TransportError("segment 5")
+            reply = "3"
+        with lock:
+            answered.append(scripted_usage(req, reply))
+        return reply
+
+    client = ScriptedClient(responder)
+    [outcome] = run_posr_llm_batch(client, "m", [(transcript, WS)],
+                                   PromptKind.INDEPENDENT_RETRIEVAL)
+    assert isinstance(outcome, TransportError)
+    assert str(outcome) == "segment 5"
+    assert len(client.calls) == 1 + 5
+    # the segmentation reply and the retrievals of segments 0, 2 and 7
+    assert outcome.usage == sum(answered, TokenUsage())
+    assert outcome.usage.n_requests == 4
+
+
+def test_batch_interrupted_retrieval_wait_sends_no_more_requests():
+    transcripts = numbered_transcripts(6 * LLM_CONCURRENCY)
+
+    def responder(req):
+        if not is_segmentation(req):
+            if transcript_and_line(req)[0] == 0:
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+        return independent_reply(req)
+
+    client = ScriptedClient(responder)
+    with pytest.raises(KeyboardInterrupt):
+        run_posr_llm_batch(client, "m", [(t, WS) for t in transcripts],
+                           PromptKind.INDEPENDENT_RETRIEVAL)
+    sent = len(client.calls)
+    time.sleep(0.2)
+    assert len(client.calls) == sent
+    assert sent < sum(1 + len(segment_starts(i)) for i in range(len(transcripts)))
+
+
+def test_concurrent_independent_recordings_write_identical_cassettes(tmp_path):
+    transcripts = numbered_transcripts(LLM_CONCURRENCY)
+    items = [(t, WS) for t in transcripts]
+    files = []
+    for run in range(2):
+        rng = random.Random(run)
+        jitter = {(i, j): rng.random() * 0.005 for i in range(len(transcripts)) for j in range(12)}
+        probe = OverlapProbe(independent_reply, lambda req: jitter[transcript_and_line(req)])
+        path = tmp_path / f"cassette{run}.json"
+        run_posr_llm_batch(CassetteClient(path, inner=ScriptedClient(probe)), "m", items,
+                           PromptKind.INDEPENDENT_RETRIEVAL)
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
+    assert len(json.loads(files[0])) == sum(1 + len(segment_starts(i))
+                                            for i in range(len(transcripts)))
 
 
 # --- HTTP client
