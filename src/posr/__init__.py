@@ -3,7 +3,6 @@ conversation transcripts: baselines, LLM protocols, time-aware metrics,
 threshold calibration, and downstream lexical/time analyses."""
 
 from .model import (
-    GapPolicy,
     Labeling,
     Line,
     Problem,
@@ -21,7 +20,6 @@ from .model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GapPolicy",
     "Labeling",
     "Line",
     "Problem",

@@ -40,21 +40,16 @@ from .metrics import EvalReport, TokenUsage, cost_per_100, evaluate
 from .model import labeling_to_spans
 from .retrieval import (
     METHODS as RETRIEVAL_METHODS,
+    RetrievalError,
     RetrieverConfig,
     calibrate_threshold,
     clear_indexes,
     retrieve_labeling,
 )
-from .segmentation import (
-    TextTilingParams,
-    fit_boundary_words,
-    segment_boundary_words,
-    segment_texttiling,
-)
+from .segmentation import METHODS as SEGMENT_METHODS, SegmentationError, segmenter
 
 logger = logging.getLogger(__name__)
 
-SEG_METHODS = ("top10", "top20", "texttiling")
 LLM_METHODS = {
     "joint-llm": PromptKind.JOINT_POSR,
     "independent-llm": PromptKind.INDEPENDENT_RETRIEVAL,
@@ -90,12 +85,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _segment_one(method: str, entry, model, tt_params) -> "object":
-    if method in ("top10", "top20"):
-        return segment_boundary_words(model, entry.transcript)
-    return segment_texttiling(tt_params, entry.transcript)
-
-
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     spec = SyntheticSpec(
@@ -115,17 +104,11 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 def cmd_segment(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     corpus = load_corpus(load_manifest(args.manifest))
-    model = None
-    tt_params = TextTilingParams()
-    if args.method in ("top10", "top20"):
-        if args.train_manifest is None:
-            print("error: top10/top20 require --train-manifest with annotations", file=sys.stderr)
-            return 2
-        train = load_corpus(load_manifest(args.train_manifest))
-        model = fit_boundary_words(train, k=10 if args.method == "top10" else 20)
+    train = load_corpus(load_manifest(args.train_manifest)) if args.train_manifest else None
+    segment = segmenter(args.method, train)
     rows = []
     for entry in corpus.entries:
-        pred = _segment_one(args.method, entry, model, tt_params)
+        pred = segment(entry.transcript)
         spans = [
             {"start_line": s.start_line, "end_line": s.end_line}
             for s in labeling_to_spans(pred)
@@ -148,8 +131,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     corpus = load_corpus(load_manifest(args.manifest)).annotated()
     if not corpus.entries:
-        print("error: retrieval evaluation needs annotated transcripts", file=sys.stderr)
-        return 2
+        raise RetrievalError("retrieval evaluation needs annotated transcripts")
     config = RetrieverConfig(method=args.method, threshold=args.threshold)
     rows = []
     correct = 0
@@ -204,6 +186,8 @@ def _load_prices(path: str | None) -> dict:
         return {}
     try:
         prices = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LLMConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     except json.JSONDecodeError as exc:
         raise LLMConfigError(f"{path}: not JSON: {exc}") from exc
     if not isinstance(prices, dict):
@@ -218,16 +202,11 @@ def _load_prices(path: str | None) -> dict:
 def _make_client(args: argparse.Namespace):
     inner = None
     if args.llm_config:
-        try:
-            inner = HttpChatClient(LLMEndpointConfig.from_file(args.llm_config))
-        except LLMConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(2) from exc
+        inner = HttpChatClient(LLMEndpointConfig.from_file(args.llm_config))
     if args.cassette:
         return CassetteClient(args.cassette, inner=inner)
     if inner is None:
-        print("error: LLM methods need --llm-config and/or --cassette", file=sys.stderr)
-        raise SystemExit(2)
+        raise LLMConfigError("LLM methods need --llm-config and/or --cassette")
     return inner
 
 
@@ -238,16 +217,6 @@ def cmd_posr(args: argparse.Namespace) -> int:
     rows = []
     llm_mode = args.method in LLM_METHODS
     client = _make_client(args) if llm_mode else None
-    rconf = None if llm_mode else RetrieverConfig(method=args.retrieval,
-                                                   threshold=args.threshold)
-    model = None
-    if args.method.startswith("top"):
-        if args.train_manifest is None:
-            print("error: top10/top20 need --train-manifest", file=sys.stderr)
-            return 2
-        train = load_corpus(load_manifest(args.train_manifest))
-        model = fit_boundary_words(train, k=10 if args.method == "top10" else 20)
-
     usages: list[TokenUsage] = []
     failed: list[str] = []
     if llm_mode:
@@ -271,10 +240,11 @@ def cmd_posr(args: argparse.Namespace) -> int:
             if outcome.parse_failed:
                 failed.append(entry.transcript.id)
     else:
+        rconf = RetrieverConfig(method=args.retrieval, threshold=args.threshold)
+        train = load_corpus(load_manifest(args.train_manifest)) if args.train_manifest else None
+        segment = segmenter(args.method, train)
         # CPU-bound under the interpreter lock: threads would not help here
-        preds = (retrieve_labeling(rconf, e.transcript,
-                                   _segment_one(args.method, e, model, TextTilingParams()),
-                                   e.worksheet)
+        preds = (retrieve_labeling(rconf, e.transcript, segment(e.transcript), e.worksheet)
                  for e in corpus.entries)
     for entry, pred in zip(corpus.entries, preds):
         (out / f"{entry.transcript.id}.pred.jsonl").write_text(
@@ -310,8 +280,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     corpus = load_corpus(load_manifest(args.manifest)).annotated()
     if not corpus.entries:
-        print("error: analyze needs annotated transcripts", file=sys.stderr)
-        return 2
+        raise AnalysisError("analyze needs annotated transcripts")
     table = talk_time(corpus)
     _write_csv(out / "talk_time.csv",
                ["problem_id", "transcript_id", "seconds"],
@@ -321,11 +290,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                ["problem_id", "mean", "q1", "median", "q3"],
                [{"problem_id": pid, **stats} for pid, stats in sorted(table.summary.items())])
     if args.problem:
-        try:
-            ranked = quartile_language_compare(corpus, args.problem)
-        except AnalysisError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        ranked = quartile_language_compare(corpus, args.problem)
         _write_csv(out / f"logodds_{args.problem}.csv",
                    ["bigram", "z"],
                    [{"bigram": b, "z": z} for b, z in ranked])
@@ -365,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", help="run a segmentation baseline")
     p.add_argument("--manifest", required=True)
     p.add_argument("--train-manifest")
-    p.add_argument("--method", required=True, choices=SEG_METHODS)
+    p.add_argument("--method", required=True, choices=SEGMENT_METHODS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_segment)
 
@@ -388,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--train-manifest")
     p.add_argument("--method", required=True,
-                   choices=SEG_METHODS + tuple(LLM_METHODS))
+                   choices=SEGMENT_METHODS + tuple(LLM_METHODS))
     p.add_argument("--retrieval", default="jaccard", choices=RETRIEVAL_METHODS)
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--model", default="default-model")
@@ -419,7 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     clear_indexes()
     try:
         return args.func(args)
-    except (CorpusError, LLMConfigError) as exc:
+    except (CorpusError, LLMConfigError, SegmentationError, RetrievalError,
+            AnalysisError) as exc:
         # input that cannot be used as written: a usage error, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -70,10 +70,18 @@ class Corpus:
 # loading / saving
 
 
+def _read_text(path: Path) -> str:
+    """The text of a UTF-8 file; a missing or unreadable one is a CorpusError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def load_transcript(path: str | Path) -> Transcript:
     path = Path(path)
     lines: list[Line] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         if not raw.strip():
             continue
         try:
@@ -123,7 +131,7 @@ def save_transcript(transcript: Transcript, path: str | Path) -> None:
 def load_worksheet(path: str | Path) -> Worksheet:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
     try:
@@ -148,7 +156,7 @@ def save_worksheet(worksheet: Worksheet, path: str | Path) -> None:
 def load_annotation(path: str | Path, n_lines: int) -> Labeling:
     path = Path(path)
     records: dict[int, tuple[int, RefLabel]] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         if not raw.strip():
             continue
         try:
@@ -180,7 +188,7 @@ def save_annotation(labeling: Labeling, path: str | Path) -> None:
 def load_manifest(path: str | Path) -> CorpusManifest:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -83,6 +83,8 @@ class LLMEndpointConfig:
         every request. Unknown keys and an unset key variable are errors."""
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise LLMConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
         except json.JSONDecodeError as exc:
             raise LLMConfigError(f"{path}: not JSON: {exc}") from exc
         if not isinstance(doc, dict) or "url" not in doc:

@@ -1,7 +1,7 @@
 """Total parsers for model responses.
 
 Every parser either returns a value or raises ParseFailure carrying the
-raw text; callers decide the fallback (single no-ref segment, flagged).
+raw text; callers choose the fallback (single no-ref segment, flagged).
 """
 
 from __future__ import annotations

@@ -24,12 +24,8 @@ def _load_template(name: str) -> str:
     return ref.read_text(encoding="utf-8").rstrip("\n")
 
 
-def render_transcript_lines(transcript: Transcript, with_index: bool = True) -> str:
-    if with_index:
-        return "\n".join(
-            f"{l.index} {l.speaker}: {l.utterance}" for l in transcript.lines
-        )
-    return "\n".join(f"{l.speaker}: {l.utterance}" for l in transcript.lines)
+def render_transcript_lines(transcript: Transcript) -> str:
+    return "\n".join(f"{l.index} {l.speaker}: {l.utterance}" for l in transcript.lines)
 
 
 def render_segment_lines(transcript: Transcript, start: int, end: int) -> str:

@@ -20,7 +20,6 @@ from typing import Sequence
 from ..metrics import TokenUsage
 from ..model import (
     REF_NONE,
-    GapPolicy,
     Labeling,
     SegmentSpan,
     Transcript,
@@ -50,8 +49,8 @@ def fallback_labeling(n_lines: int) -> Labeling:
     return Labeling(tuple((0, REF_NONE) for _ in range(n_lines)))
 
 
-def _call(client: ChatClient, model: str, system: str, user: str, max_tokens: int,
-          temperature: float, usage: TokenUsage) -> tuple[ChatResponse, TokenUsage]:
+def _call(client: ChatClient, model: str, system: str, user: str,
+          usage: TokenUsage) -> tuple[ChatResponse, TokenUsage]:
     """One request; returns the response and ``usage`` plus its tokens.
 
     A request that raises carries ``usage``, the tokens spent before it, as
@@ -59,10 +58,7 @@ def _call(client: ChatClient, model: str, system: str, user: str, max_tokens: in
     is still priced.
     """
     try:
-        response = client.complete(
-            ChatRequest(model=model, system=system, user=user,
-                        max_tokens=max_tokens, temperature=temperature)
-        )
+        response = client.complete(ChatRequest(model=model, system=system, user=user))
     except Exception as exc:
         exc.usage = usage  # type: ignore[attr-defined]
         raise
@@ -71,7 +67,7 @@ def _call(client: ChatClient, model: str, system: str, user: str, max_tokens: in
 
 def _first_request(
     client: ChatClient, model: str, transcript: Transcript, worksheet: Worksheet,
-    kind: PromptKind, max_tokens: int, temperature: float, gap_policy: GapPolicy,
+    kind: PromptKind,
 ) -> LLMRunResult | tuple[list[SegmentSpan], TokenUsage]:
     """A transcript's joint or segmentation request.
 
@@ -82,19 +78,17 @@ def _first_request(
     n = len(transcript)
     if kind is PromptKind.JOINT_POSR:
         system, user = build_prompt(kind, transcript, worksheet)
-        response, usage = _call(client, model, system, user, max_tokens, temperature,
-                                TokenUsage())
+        response, usage = _call(client, model, system, user, TokenUsage())
         try:
             spans = parse_joint(response.text, n, worksheet)
         except ParseFailure as exc:
             logger.warning("%s: joint parse failure: %s", transcript.id, exc)
             return LLMRunResult(fallback_labeling(n), usage, parse_failed=True)
-        return LLMRunResult(spans_to_labeling(spans, n, gap_policy), usage)
+        return LLMRunResult(spans_to_labeling(spans, n), usage)
 
     # both independent modes start with a segmentation request
     system, user = build_prompt(PromptKind.INDEPENDENT_SEGMENTATION, transcript)
-    response, usage = _call(client, model, system, user, max_tokens, temperature,
-                            TokenUsage())
+    response, usage = _call(client, model, system, user, TokenUsage())
     try:
         spans = parse_segmentation(response.text, n)
     except ParseFailure as exc:
@@ -102,13 +96,13 @@ def _first_request(
         return LLMRunResult(fallback_labeling(n), usage, parse_failed=True)
 
     if kind is PromptKind.INDEPENDENT_SEGMENTATION:
-        return LLMRunResult(spans_to_labeling(spans, n, gap_policy), usage)
+        return LLMRunResult(spans_to_labeling(spans, n), usage)
     return spans, usage
 
 
 def _retrieval_request(
     client: ChatClient, model: str, transcript: Transcript, worksheet: Worksheet,
-    span: SegmentSpan, max_tokens: int, temperature: float, usage: TokenUsage,
+    span: SegmentSpan, usage: TokenUsage,
 ) -> tuple[SegmentSpan, TokenUsage]:
     """One segment's retrieval request; returns the segment with its ref and
     ``usage`` plus the reply's tokens. A reply that does not parse degrades
@@ -119,7 +113,7 @@ def _retrieval_request(
         worksheet,
         segment=(span.start_line, span.end_line),
     )
-    response, usage = _call(client, model, system, user, max_tokens, temperature, usage)
+    response, usage = _call(client, model, system, user, usage)
     try:
         ref = parse_retrieval(response.text, worksheet)
     except ParseFailure as exc:
@@ -137,30 +131,28 @@ def run_posr_llm(
     transcript: Transcript,
     worksheet: Worksheet,
     kind: PromptKind,
-    max_tokens: int = 4096,
-    temperature: float = 0.0,
-    gap_policy: GapPolicy = GapPolicy.OWN_SEGMENT,
 ) -> LLMRunResult:
     """Predict a Labeling for one transcript via the chosen prompt protocol.
 
-    An unparseable top-level response falls back to a single no-ref
-    segment and is flagged; per-segment retrieval parse failures degrade
-    that segment to no ref without failing the transcript. The requests go
-    out one after another, and the first one that raises ends the run: its
-    exception carries the usage of the requests answered before it as its
-    ``usage`` attribute.
+    Every request asks for up to 4096 tokens at temperature 0.0, the
+    ``ChatRequest`` defaults. Lines that no predicted span covers become
+    their own no-ref segments (``spans_to_labeling``). An unparseable
+    top-level response falls back to a single no-ref segment and is
+    flagged; per-segment retrieval parse failures degrade that segment to
+    no ref without failing the transcript. The requests go out one after
+    another, and the first one that raises ends the run: its exception
+    carries the usage of the requests answered before it as its ``usage``
+    attribute.
     """
-    first = _first_request(client, model, transcript, worksheet, kind,
-                           max_tokens, temperature, gap_policy)
+    first = _first_request(client, model, transcript, worksheet, kind)
     if isinstance(first, LLMRunResult):
         return first
     spans, usage = first
     labeled: list[SegmentSpan] = []
     for span in spans:
-        segment, usage = _retrieval_request(client, model, transcript, worksheet, span,
-                                            max_tokens, temperature, usage)
+        segment, usage = _retrieval_request(client, model, transcript, worksheet, span, usage)
         labeled.append(segment)
-    return LLMRunResult(spans_to_labeling(labeled, len(transcript), gap_policy), usage)
+    return LLMRunResult(spans_to_labeling(labeled, len(transcript)), usage)
 
 
 def run_posr_llm_batch(
@@ -184,30 +176,27 @@ def run_posr_llm_batch(
     ``usage`` attribute counts the segmentation reply and every retrieval
     reply that was answered.
     """
-    # run_posr_llm's defaults: the batch must give what a loop of it gives
-    max_tokens, temperature, gap_policy = 4096, 0.0, GapPolicy.OWN_SEGMENT
     pool = ThreadPoolExecutor(max_workers=LLM_CONCURRENCY)
 
     def start(transcript: Transcript, worksheet: Worksheet):
-        first = _first_request(client, model, transcript, worksheet, kind,
-                               max_tokens, temperature, gap_policy)
+        first = _first_request(client, model, transcript, worksheet, kind)
         if isinstance(first, LLMRunResult):
             return first
         spans, usage = first
         return usage, [pool.submit(_retrieval_request, client, model, transcript, worksheet,
-                                   span, max_tokens, temperature, TokenUsage())
+                                   span, TokenUsage())
                        for span in spans]
 
     try:
         started = [pool.submit(start, transcript, worksheet) for transcript, worksheet in items]
-        return [_outcome(future, len(transcript), gap_policy)
+        return [_outcome(future, len(transcript))
                 for (transcript, _), future in zip(items, started)]
     finally:
         # an interrupted wait drops the requests not yet started
         pool.shutdown(cancel_futures=True)
 
 
-def _outcome(started: Future, n_lines: int, gap_policy: GapPolicy) -> LLMRunResult | Exception:
+def _outcome(started: Future, n_lines: int) -> LLMRunResult | Exception:
     """Wait for one transcript of the batch: its first request, then each of
     its retrieval requests in segment order."""
     try:
@@ -231,4 +220,4 @@ def _outcome(started: Future, n_lines: int, gap_policy: GapPolicy) -> LLMRunResu
     if failure is not None:
         failure.usage = usage  # type: ignore[attr-defined]
         return failure
-    return LLMRunResult(spans_to_labeling(labeled, n_lines, gap_policy), usage)
+    return LLMRunResult(spans_to_labeling(labeled, n_lines), usage)

@@ -6,7 +6,6 @@ share instances freely.
 
 from __future__ import annotations
 
-import enum
 import logging
 from dataclasses import dataclass
 
@@ -89,12 +88,6 @@ class Worksheet:
 
     def problem_ids(self) -> list[str]:
         return [p.id for p in self.problems]
-
-    def get(self, problem_id: str) -> Problem:
-        for p in self.problems:
-            if p.id == problem_id:
-                return p
-        raise KeyError(problem_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,13 +172,6 @@ class Labeling:
         return len(boundaries(self)) + 1
 
 
-class GapPolicy(enum.Enum):
-    """How lines not covered by any span are labeled."""
-
-    OWN_SEGMENT = "own_segment"  # each maximal gap becomes its own segment, ref none
-    EXTEND_PREVIOUS = "extend_previous"  # gap joins the preceding segment (or own if first)
-
-
 @dataclass(frozen=True, slots=True)
 class SegmentSpan:
     """Inclusive line range, optionally carrying a ref.
@@ -203,17 +189,13 @@ class SegmentSpan:
             raise ModelError(f"span start {self.start_line} > end {self.end_line}")
 
 
-def spans_to_labeling(
-    spans: list[SegmentSpan],
-    n_lines: int,
-    gap_policy: GapPolicy = GapPolicy.OWN_SEGMENT,
-) -> Labeling:
+def spans_to_labeling(spans: list[SegmentSpan], n_lines: int) -> Labeling:
     """Normalize possibly gappy/overlapping spans into a total Labeling.
 
     Spans are sorted by start; overlaps resolve first-span-wins; spans
     reaching outside [0, n_lines) are clamped with a logged warning. Each
-    uncovered maximal gap is labeled per gap_policy. An empty span list
-    yields a single all-covering segment with no ref.
+    uncovered maximal gap becomes its own segment with no ref. An empty
+    span list yields a single all-covering segment with no ref.
     """
     if n_lines <= 0:
         return Labeling(())
@@ -244,13 +226,7 @@ def spans_to_labeling(
     # owner None, which is safe because two gaps are never adjacent
     prev_owner: object = object()  # sentinel unequal to anything
     for i in range(n_lines):
-        if owner[i] is None:
-            if gap_policy is GapPolicy.EXTEND_PREVIOUS and per_line:
-                per_line.append(per_line[-1])
-                continue
-            ref = REF_NONE
-        else:
-            ref = refs[owner[i]]  # type: ignore[index]
+        ref = REF_NONE if owner[i] is None else refs[owner[i]]  # type: ignore[index]
         if owner[i] != prev_owner:
             seg = next_seg
             next_seg += 1

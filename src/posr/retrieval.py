@@ -54,23 +54,6 @@ class RetrieverConfig:
         if not 0.0 <= self.threshold <= 1.0:
             raise RetrievalError("threshold must be in [0, 1]")
 
-    @property
-    def normalized(self) -> bool:
-        # bm25 is the one unbounded scorer
-        return self.method == "bm25"
-
-
-@dataclass(frozen=True)
-class ScoredCandidates:
-    """Raw and (optionally) normalized scores per problem id, worksheet order."""
-
-    raw: dict[str, float]
-    normalized: dict[str, float] | None
-    order: tuple[str, ...]  # worksheet problem order, for tie-breaking
-
-    def effective(self) -> dict[str, float]:
-        return self.normalized if self.normalized is not None else self.raw
-
 
 def normalize_top10(raw: dict[str, float]) -> dict[str, float]:
     """Min-max rescale within the 10 best scores; everything else -> 0.
@@ -163,21 +146,21 @@ class WorksheetIndex:
                 bm25[i] = bm25.get(i, 0.0) + bw
         return bm25
 
-    def candidates(self, config: RetrieverConfig, text: str) -> ScoredCandidates:
-        """The problems sharing a term with ``text`` plus the first one that
-        does not, in worksheet order; deciding on these gives the decision
-        over the whole worksheet. The problems left out all score 0, as
-        does the one kept: it is the floor of the top 10 whenever fewer
-        than ten problems score, and the argmax (the first problem) when
-        none does."""
+    def candidates(self, config: RetrieverConfig, text: str) -> dict[str, float]:
+        """Effective scores, in worksheet order, of the problems sharing a
+        term with ``text`` plus the first one that does not: the raw
+        scores, or for bm25 (the one unbounded scorer) their
+        ``normalize_top10``. Deciding on these gives the decision over the
+        whole worksheet. The problems left out all score 0, as does the one
+        kept: it is the floor of the top 10 whenever fewer than ten problems
+        score, and the argmax (the first problem) when none does."""
         scores = self.scores(config.method, text)
         kept = list(scores)
         first_zero = next((i for i in range(len(self.ids)) if i not in scores), None)
         if first_zero is not None:
             kept.append(first_zero)
         raw = {self.ids[i]: scores.get(i, 0.0) for i in sorted(kept)}
-        normalized = normalize_top10(raw) if config.normalized else None
-        return ScoredCandidates(raw=raw, normalized=normalized, order=tuple(raw))
+        return normalize_top10(raw) if config.method == "bm25" else raw
 
 
 # bounded so that callers outside the CLI, which never clear it, cannot
@@ -191,53 +174,19 @@ def worksheet_index(worksheet: Worksheet) -> WorksheetIndex:
 clear_indexes = worksheet_index.cache_clear
 
 
-def score_segment(
-    config: RetrieverConfig, segment_text: str, worksheet: Worksheet
-) -> ScoredCandidates:
-    """Scores for every worksheet problem."""
-    index = worksheet_index(worksheet)
-    scores = index.scores(config.method, segment_text)
-    raw = {pid: scores.get(i, 0.0) for i, pid in enumerate(index.ids)}
-    return candidates_from_raw(config, raw, worksheet)
-
-
-def candidates_from_raw(
-    config: RetrieverConfig, raw: dict[str, float], worksheet: Worksheet
-) -> ScoredCandidates:
-    """Wrap raw per-problem scores for decision."""
-    order = tuple(worksheet.problem_ids())
-    missing = set(order) - set(raw)
-    if missing:
-        raw = {**raw, **{pid: 0.0 for pid in missing}}
-    normalized = normalize_top10(raw) if config.normalized else None
-    return ScoredCandidates(raw=raw, normalized=normalized, order=order)
-
-
-def _best(candidates: ScoredCandidates) -> tuple[str | None, float]:
-    """(argmax problem id, its effective score); ties break toward the
-    earlier worksheet problem."""
-    scores = candidates.effective()
-    best_pid = None
-    best = -1.0
-    for pid in candidates.order:
-        s = scores.get(pid, 0.0)
+def _best(scores: dict[str, float]) -> tuple[str | None, float]:
+    """(argmax problem id, its score); ``scores`` is in worksheet order, so
+    ties break toward the earlier worksheet problem."""
+    best_pid, best = None, -1.0
+    for pid, s in scores.items():
         if s > best:
-            best, best_pid = s, pid
+            best_pid, best = pid, s
     return best_pid, best
 
 
 def _decision(best_pid: str | None, best: float, threshold: float) -> str | None:
     """The argmax problem if its score clears the threshold, else None."""
     return best_pid if best >= threshold else None
-
-
-def decide(config: RetrieverConfig, candidates: ScoredCandidates) -> RefLabel:
-    """Argmax problem if its effective score clears the threshold, else no ref.
-
-    Ties break toward the earlier worksheet problem.
-    """
-    pid = _decision(*_best(candidates), config.threshold)
-    return REF_NONE if pid is None else RefLabel.problem(pid)
 
 
 def _segment_best(

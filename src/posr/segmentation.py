@@ -6,8 +6,10 @@ Both produce a Labeling over the full transcript with every ref unset
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .corpus import Corpus
@@ -15,8 +17,25 @@ from .model import REF_NONE, Labeling, RefLabel, Transcript, labeling_to_spans
 from .tokens import tokenize
 
 
+METHODS = ("top10", "top20", "texttiling")
+
+
 class SegmentationError(ValueError):
     pass
+
+
+def segmenter(method: str, train: Corpus | None) -> Callable[[Transcript], Labeling]:
+    """The segmenter named ``method``, one of ``METHODS``. top10 and top20
+    keep the 10 or 20 boundary words of the annotated ``train`` corpus;
+    TextTiling ignores ``train``."""
+    if method == "texttiling":
+        return functools.partial(segment_texttiling, TextTilingParams())
+    if method not in METHODS:
+        raise SegmentationError(f"unknown method {method!r}")
+    if train is None:
+        raise SegmentationError(f"{method} needs an annotated train corpus (--train-manifest)")
+    return functools.partial(segment_boundary_words,
+                             fit_boundary_words(train, k=10 if method == "top10" else 20))
 
 
 @dataclass(frozen=True)

@@ -94,11 +94,9 @@ def test_retrieve_accuracy_agrees_with_decisions_on_empty_segment(tmp_path):
 def test_posr_bad_llm_config_is_a_usage_error(synthetic_dir, tmp_path, capsys):
     config = tmp_path / "llm.json"
     config.write_text(json.dumps({"url": "http://localhost:9", "api_key": "inline"}))
-    with pytest.raises(SystemExit) as exc:
-        main(["posr", "--manifest", str(synthetic_dir / "manifest.json"),
-              "--method", "joint-llm", "--llm-config", str(config),
-              "--out", str(tmp_path / "p")])
-    assert exc.value.code == 2
+    assert main(["posr", "--manifest", str(synthetic_dir / "manifest.json"),
+                 "--method", "joint-llm", "--llm-config", str(config),
+                 "--out", str(tmp_path / "p")]) == 2
     assert "unknown keys ['api_key']" in capsys.readouterr().err
 
 
@@ -107,6 +105,87 @@ def test_malformed_manifest_is_a_usage_error(tmp_path, capsys):
     manifest.write_text(json.dumps({"worksheets": {}}))
     assert main(["stats", "--manifest", str(manifest)]) == 2
     assert capsys.readouterr().err == f"error: {manifest}: missing field transcripts\n"
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("damage", ["missing", "not utf-8"])
+@pytest.mark.parametrize("kind", ["manifest", "transcript", "worksheet", "annotation"])
+def test_unreadable_corpus_file_is_a_usage_error(synthetic_dir, capsys, kind, damage):
+    manifest = synthetic_dir / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    path = {"manifest": manifest,
+            "transcript": synthetic_dir / doc["transcripts"][1],
+            "worksheet": synthetic_dir / next(iter(doc["worksheets"].values())),
+            "annotation": synthetic_dir / list(doc["annotations"].values())[1]}[kind]
+    if damage == "missing":
+        path.unlink()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    assert main(["stats", "--manifest", str(manifest)]) == 2
+    assert one_error_line(capsys).startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("flag", ["--llm-config", "--prices"])
+def test_missing_llm_config_or_prices_file_is_a_usage_error(synthetic_dir, tmp_path, capsys,
+                                                            flag):
+    missing = tmp_path / "nope.json"
+    assert main(["posr", "--manifest", str(synthetic_dir / "manifest.json"),
+                 "--method", "joint-llm", "--cassette", str(tmp_path / "c.json"),
+                 flag, str(missing), "--out", str(tmp_path / "p")]) == 2
+    assert one_error_line(capsys) == f"error: {missing}: No such file or directory\n"
+
+
+@pytest.fixture
+def unannotated_manifest(synthetic_dir):
+    doc = json.loads((synthetic_dir / "manifest.json").read_text())
+    del doc["annotations"]
+    path = synthetic_dir / "unannotated.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_segment_top10_on_unannotated_train_is_a_usage_error(
+        synthetic_dir, unannotated_manifest, tmp_path, capsys):
+    assert main(["segment", "--manifest", str(synthetic_dir / "manifest.json"),
+                 "--train-manifest", str(unannotated_manifest), "--method", "top10",
+                 "--out", str(tmp_path / "s")]) == 2
+    assert "no annotations" in one_error_line(capsys)
+
+
+def test_calibrate_on_unannotated_corpus_is_a_usage_error(unannotated_manifest, tmp_path, capsys):
+    assert main(["calibrate", "--manifest", str(unannotated_manifest),
+                 "--out", str(tmp_path / "c")]) == 2
+    assert "needs annotated transcripts" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["retrieve", "--manifest", "{unannotated}", "--method", "jaccard"], "needs annotated"),
+    (["analyze", "--manifest", "{unannotated}"], "needs annotated"),
+    (["analyze", "--manifest", "{annotated}", "--problem", "P1"], "at least 4"),
+    (["posr", "--manifest", "{annotated}", "--method", "joint-llm"], "--llm-config and/or"),
+])
+def test_usage_errors_print_one_line_and_exit_2(
+        synthetic_dir, unannotated_manifest, tmp_path, capsys, args, message):
+    paths = {"unannotated": unannotated_manifest, "annotated": synthetic_dir / "manifest.json"}
+    assert main([a.format(**paths) for a in args] + ["--out", str(tmp_path / "o")]) == 2
+    assert message in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("train", [None, "unannotated"])
+def test_segment_and_posr_give_the_same_top10_error(
+        synthetic_dir, unannotated_manifest, tmp_path, capsys, train):
+    extra = [] if train is None else ["--train-manifest", str(unannotated_manifest)]
+    errors = []
+    for command in ("segment", "posr"):
+        assert main([command, "--manifest", str(synthetic_dir / "manifest.json"),
+                     "--method", "top10", *extra, "--out", str(tmp_path / command)]) == 2
+        errors.append(one_error_line(capsys))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,7 +1,6 @@
 import pytest
 
 from posr.model import (
-    GapPolicy,
     Labeling,
     Line,
     ModelError,
@@ -87,12 +86,6 @@ def test_spans_to_labeling_empty_and_out_of_range():
 
     clamped = spans_to_labeling([SegmentSpan(-3, 20, A)], 4)
     assert clamped.refs == [A] * 4
-
-
-def test_spans_to_labeling_extend_previous_gap():
-    lab = spans_to_labeling([SegmentSpan(0, 1, A)], 4, GapPolicy.EXTEND_PREVIOUS)
-    assert lab.segment_ids == [0, 0, 0, 0]
-    assert lab.refs == [A] * 4
 
 
 def test_labeling_to_spans_basic():

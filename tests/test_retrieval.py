@@ -28,14 +28,12 @@ from posr.retrieval import (
     BM25_K1,
     RetrievalError,
     RetrieverConfig,
-    ScoredCandidates,
+    _best,
+    _decision,
     calibrate_threshold,
-    candidates_from_raw,
-    decide,
     normalize_top10,
     retrieval_accuracy,
     retrieve_labeling,
-    score_segment,
     worksheet_index,
 )
 from posr.tokens import tokenize
@@ -47,79 +45,70 @@ WS = Worksheet(id="w", problems=(
 ))
 
 
+def all_scores(method, text, ws=WS):
+    """Raw scores of every worksheet problem, keyed by problem id."""
+    index = worksheet_index(ws)
+    scores = index.scores(method, text)
+    return {pid: scores.get(i, 0.0) for i, pid in enumerate(index.ids)}
+
+
 def test_jaccard_identical_tokens_scores_one():
-    cands = score_segment(RetrieverConfig("jaccard"), "a b c", WS)
-    assert cands.raw["P1"] == 1.0
+    assert all_scores("jaccard", "a b c")["P1"] == 1.0
 
 
 def test_jaccard_hand_value():
     # |{a,b,c} & {b,c,d}| = 2, union = 4
-    cands = score_segment(RetrieverConfig("jaccard"), "a b c", WS)
-    assert cands.raw["P2"] == pytest.approx(0.5)
+    assert all_scores("jaccard", "a b c")["P2"] == pytest.approx(0.5)
 
 
 def test_disjoint_tokens_decision_none():
     config = RetrieverConfig("jaccard", threshold=0.01)
-    cands = score_segment(config, "q r s", WS)
-    assert decide(config, cands) == REF_NONE
+    cands = worksheet_index(WS).candidates(config, "q r s")
+    assert _decision(*_best(cands), config.threshold) is None
 
 
 def test_empty_segment_all_zero():
     config = RetrieverConfig("jaccard", threshold=0.5)
-    cands = score_segment(config, "", WS)
-    assert all(v == 0.0 for v in cands.raw.values())
-    assert decide(config, cands) == REF_NONE
+    assert all(v == 0.0 for v in all_scores("jaccard", "").values())
+    cands = worksheet_index(WS).candidates(config, "")
+    assert _decision(*_best(cands), config.threshold) is None
 
 
 def test_tfidf_self_similarity_is_best():
-    config = RetrieverConfig("tfidf", threshold=0.0)
-    cands = score_segment(config, "x y z", WS)
-    assert max(cands.raw, key=cands.raw.get) == "P3"
-    assert cands.raw["P3"] == pytest.approx(1.0)
+    raw = all_scores("tfidf", "x y z")
+    assert max(raw, key=raw.get) == "P3"
+    assert raw["P3"] == pytest.approx(1.0)
 
 
 def test_bm25_normalized_scores_in_unit_interval():
     config = RetrieverConfig("bm25", threshold=0.0)
-    cands = score_segment(config, "b c d", WS)
-    assert cands.normalized is not None
-    assert all(0.0 <= v <= 1.0 for v in cands.normalized.values())
-    assert max(cands.normalized, key=cands.normalized.get) == "P2"
+    normalized = worksheet_index(WS).candidates(config, "b c d")
+    assert normalized == normalize_top10(all_scores("bm25", "b c d"))
+    assert all(0.0 <= v <= 1.0 for v in normalized.values())
+    assert max(normalized, key=normalized.get) == "P2"
 
 
 def test_scores_finite_non_negative():
     for method in ("jaccard", "tfidf", "bm25"):
-        cands = score_segment(RetrieverConfig(method), "a b c q", WS)
-        for v in cands.raw.values():
+        for v in all_scores(method, "a b c q").values():
             assert v >= 0.0 and v == v  # finite, not nan
 
 
 def test_decide_threshold_boundary():
-    config = RetrieverConfig("jaccard", threshold=0.11)
-    cands = ScoredCandidates(raw={"P1": 0.25, "P2": 0.0, "P3": 0.0},
-                             normalized=None, order=("P1", "P2", "P3"))
-    assert decide(config, cands) == RefLabel.problem("P1")
-
-    config = RetrieverConfig("tfidf", threshold=0.40)
-    cands = ScoredCandidates(raw={"P1": 0.35, "P2": 0.0, "P3": 0.0},
-                             normalized=None, order=("P1", "P2", "P3"))
-    assert decide(config, cands) == REF_NONE
+    assert _decision(*_best({"P1": 0.25, "P2": 0.0, "P3": 0.0}), 0.11) == "P1"
+    assert _decision(*_best({"P1": 0.35, "P2": 0.0, "P3": 0.0}), 0.40) is None
 
 
 def test_decide_tie_breaks_by_worksheet_order():
-    config = RetrieverConfig("jaccard", threshold=0.1)
-    cands = ScoredCandidates(raw={"P1": 0.5, "P2": 0.5, "P3": 0.2},
-                             normalized=None, order=("P1", "P2", "P3"))
-    assert decide(config, cands) == RefLabel.problem("P1")
+    assert _best({"P1": 0.5, "P2": 0.5, "P3": 0.2}) == ("P1", 0.5)
+    assert _decision(*_best({"P1": 0.5, "P2": 0.5, "P3": 0.2}), 0.1) == "P1"
 
 
 def test_decide_scale_invariant_after_normalization():
-    ws = Worksheet(id="w", problems=tuple(Problem(f"P{i}", f"t{i}") for i in range(12)))
     raw = {f"P{i}": float(i) for i in range(12)}
-    config = RetrieverConfig("bm25", threshold=0.3)
-    base = decide(config, candidates_from_raw(config, raw, ws))
-    scaled = decide(config, candidates_from_raw(
-        config, {k: 7.5 * v for k, v in raw.items()}, ws))
-    assert base == scaled
+    base = _decision(*_best(normalize_top10(raw)), 0.3)
+    scaled = _decision(*_best(normalize_top10({k: 7.5 * v for k, v in raw.items()})), 0.3)
+    assert base == scaled == "P11"
 
 
 def test_normalize_top10_outside_top10_is_zero():
@@ -294,7 +283,7 @@ def random_worksheets(seed, count):
 def test_index_scores_equal_dense_formulas(method):
     for ws, queries in random_worksheets(seed=retrieval.METHODS.index(method), count=300):
         for q in queries:
-            assert score_segment(RetrieverConfig(method), q, ws).raw == dense_scores(method, q, ws)
+            assert all_scores(method, q, ws) == dense_scores(method, q, ws)
 
 
 @pytest.mark.parametrize("method", retrieval.METHODS)
@@ -303,10 +292,16 @@ def test_index_decisions_equal_dense_decisions(method):
     for ws, queries in random_worksheets(seed=7, count=300):
         config = RetrieverConfig(method, threshold=rng.choice([0.0, 0.01, 0.3, 1.0]))
         for q in queries:
-            dense = candidates_from_raw(config, dense_scores(method, q, ws), ws)
+            dense = dense_scores(method, q, ws)
+            if method == "bm25":
+                dense = normalize_top10(dense)
+            # the first problem of the highest score, worksheet order
+            best_pid = next(p.id for p in ws.problems if dense[p.id] == max(dense.values()))
+            best = dense[best_pid]
             sparse = worksheet_index(ws).candidates(config, q)
-            assert retrieval._best(sparse) == retrieval._best(dense)
-            assert decide(config, sparse) == decide(config, dense)
+            assert _best(sparse) == (best_pid, best)
+            assert _decision(*_best(sparse), config.threshold) == (
+                best_pid if best >= config.threshold else None)
 
 
 def test_one_fit_per_worksheet_per_command(tmp_path, monkeypatch):
