@@ -22,6 +22,7 @@ from .corpus import (
     CorpusError,
     SyntheticSpec,
     corpus_stats,
+    encode_annotation,
     generate_synthetic,
     load_corpus,
     load_manifest,
@@ -36,6 +37,7 @@ from .llm import (
     fallback_labeling,
     run_posr_llm_batch,
 )
+from .llm.client import read_json_file
 from .metrics import EvalReport, TokenUsage, cost_per_100, evaluate
 from .model import labeling_to_spans
 from .retrieval import (
@@ -79,9 +81,16 @@ def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
             writer.writerow(row)
 
 
+class UsageError(ValueError):
+    """A command-line argument that cannot be used as given."""
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {out}: {exc.strerror or exc}") from exc
     return out
 
 
@@ -184,12 +193,7 @@ def _load_prices(path: str | None) -> dict:
     """The ``--prices`` table: {model: {input_usd_per_1k, output_usd_per_1k}}."""
     if path is None:
         return {}
-    try:
-        prices = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LLMConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise LLMConfigError(f"{path}: not JSON: {exc}") from exc
+    prices = read_json_file(path)
     if not isinstance(prices, dict):
         raise LLMConfigError(f"{path}: expected a JSON object mapping models to prices")
     for model, entry in prices.items():
@@ -247,13 +251,9 @@ def cmd_posr(args: argparse.Namespace) -> int:
         preds = (retrieve_labeling(rconf, e.transcript, segment(e.transcript), e.worksheet)
                  for e in corpus.entries)
     for entry, pred in zip(corpus.entries, preds):
+        # an empty prediction is written as one empty line, not an empty file
         (out / f"{entry.transcript.id}.pred.jsonl").write_text(
-            "\n".join(
-                json.dumps({"line_index": i, "segment_id": seg_id, "ref": ref.serialize()})
-                for i, (seg_id, ref) in enumerate(pred.per_line)
-            ) + "\n",
-            encoding="utf-8",
-        )
+            encode_annotation(pred) or "\n", encoding="utf-8")
         if entry.gold is not None:
             report = evaluate(pred, entry.gold, entry.transcript)
             row = {"transcript_id": entry.transcript.id, **report.as_row()}
@@ -384,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     clear_indexes()
     try:
         return args.func(args)
-    except (CorpusError, LLMConfigError, SegmentationError, RetrievalError,
+    except (UsageError, CorpusError, LLMConfigError, SegmentationError, RetrievalError,
             AnalysisError) as exc:
         # input that cannot be used as written: a usage error, not a traceback
         print(f"error: {exc}", file=sys.stderr)

@@ -78,6 +78,21 @@ def _read_text(path: Path) -> str:
         raise CorpusError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(raw: str):
+    """``json.loads(raw)``, in one C scan when ``raw`` is exactly one JSON
+    value. Anything else (surrounding whitespace, a BOM, extra data, a
+    syntax error) goes to ``json.loads`` itself, so the accepted lines, the
+    values and the error messages are all its own."""
+    try:
+        value, end = _raw_decode(raw)
+    except json.JSONDecodeError:
+        return json.loads(raw)
+    return value if end == len(raw) else json.loads(raw)
+
+
 def load_transcript(path: str | Path) -> Transcript:
     path = Path(path)
     lines: list[Line] = []
@@ -85,7 +100,7 @@ def load_transcript(path: str | Path) -> Transcript:
         if not raw.strip():
             continue
         try:
-            rec = json.loads(raw)
+            rec = _decode_line(raw)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         try:
@@ -156,18 +171,23 @@ def save_worksheet(worksheet: Worksheet, path: str | Path) -> None:
 def load_annotation(path: str | Path, n_lines: int) -> Labeling:
     path = Path(path)
     records: dict[int, tuple[int, RefLabel]] = {}
+    refs: dict[str, RefLabel] = {}  # one label per distinct raw ref
     for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         if not raw.strip():
             continue
         try:
-            rec = json.loads(raw)
+            rec = _decode_line(raw)
             line_index = int(rec["line_index"])
-            label = (int(rec["segment_id"]), RefLabel.deserialize(str(rec["ref"])))
+            segment_id = int(rec["segment_id"])
+            raw_ref = str(rec["ref"])
+            ref = refs.get(raw_ref)
+            if ref is None:
+                ref = refs[raw_ref] = RefLabel.deserialize(raw_ref)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from exc
         if line_index in records:
             raise CorpusError(f"{path}:{lineno}: duplicate line_index {line_index}")
-        records[line_index] = label
+        records[line_index] = (segment_id, ref)
     if sorted(records) != list(range(n_lines)):
         raise CorpusError(f"{path}: annotation does not cover lines 0..{n_lines - 1}")
     try:
@@ -176,13 +196,24 @@ def load_annotation(path: str | Path, n_lines: int) -> Labeling:
         raise CorpusError(f"{path}: {exc}") from exc
 
 
+def encode_annotation(labeling: Labeling) -> str:
+    """The annotation JSONL of ``labeling``: one ``{"line_index", "segment_id",
+    "ref"}`` record per line, each ending in a newline, with the bytes of
+    ``json.dumps`` on the record. Segment ids are ints; ``json.dumps`` runs
+    once per distinct ref, not once per line."""
+    refs: dict[str, str] = {}
+    records = []
+    for i, (seg, ref) in enumerate(labeling.per_line):
+        raw_ref = ref.serialize()
+        ref_json = refs.get(raw_ref)
+        if ref_json is None:
+            ref_json = refs[raw_ref] = json.dumps(raw_ref)
+        records.append(f'{{"line_index": {i}, "segment_id": {seg}, "ref": {ref_json}}}\n')
+    return "".join(records)
+
+
 def save_annotation(labeling: Labeling, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, (seg, ref) in enumerate(labeling.per_line):
-            fh.write(
-                json.dumps({"line_index": i, "segment_id": seg, "ref": ref.serialize()})
-                + "\n"
-            )
+    Path(path).write_text(encode_annotation(labeling), encoding="utf-8")
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:

@@ -27,7 +27,19 @@ class TransportError(RuntimeError):
 
 
 class LLMConfigError(ValueError):
-    """An endpoint config or price table file that cannot be used as written."""
+    """An endpoint config, price table or cassette file that cannot be used
+    as written."""
+
+
+def read_json_file(path: str | Path):
+    """The JSON document in the UTF-8 file ``path``. A file that is missing,
+    unreadable, not UTF-8 or not JSON is an ``LLMConfigError`` naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LLMConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise LLMConfigError(f"{path}: not JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -81,12 +93,7 @@ class LLMEndpointConfig:
         is required. ``api_key_env`` names the environment variable that
         holds the bearer key, and ``headers`` adds string-valued headers to
         every request. Unknown keys and an unset key variable are errors."""
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise LLMConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise LLMConfigError(f"{path}: not JSON: {exc}") from exc
+        doc = read_json_file(path)
         if not isinstance(doc, dict) or "url" not in doc:
             raise LLMConfigError(f"{path}: expected a JSON object with a 'url'")
         unknown = sorted(set(doc) - set(CONFIG_KEYS))
@@ -224,7 +231,8 @@ class CassetteClient:
     With no inner client, a cache miss is a TransportError; with one, the
     miss is forwarded and the response recorded. Safe to share between
     threads: the cache and the file are guarded by one lock, which is not
-    held while the inner client works.
+    held while the inner client works. An existing cassette file that is
+    not a JSON object is an ``LLMConfigError``.
     """
 
     def __init__(self, path: str | Path, inner: ChatClient | None = None):
@@ -233,7 +241,10 @@ class CassetteClient:
         self._cache: dict[str, dict] = {}
         self._lock = threading.RLock()
         if self.path.exists():
-            self._cache = json.loads(self.path.read_text(encoding="utf-8"))
+            self._cache = read_json_file(self.path)
+            if not isinstance(self._cache, dict):
+                raise LLMConfigError(
+                    f"{self.path}: a cassette is a JSON object mapping request keys to replies")
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         key = request.key()

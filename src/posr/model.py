@@ -86,6 +86,11 @@ class Worksheet:
                 raise ModelError(f"worksheet {self.id}: duplicate problem id {p.id}")
             seen.add(p.id)
 
+    def __hash__(self) -> int:
+        # equal worksheets have equal ids; hashing the problems instead costs
+        # time linear in the worksheet on every worksheet_index lookup
+        return hash(self.id)
+
     def problem_ids(self) -> list[str]:
         return [p.id for p in self.problems]
 

@@ -204,6 +204,55 @@ def test_posr_bad_prices_file_is_a_usage_error(synthetic_dir, tmp_path, capsys, 
     assert message in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"{not json", "not JSON"),
+    (b"[]", "a cassette is a JSON object"),
+    (b"\xff\xfe{}", "can't decode"),
+    (None, "Is a directory"),
+])
+def test_posr_bad_cassette_is_a_usage_error(synthetic_dir, tmp_path, capsys, content, message):
+    cassette = tmp_path / "bad.json"
+    if content is None:
+        cassette.mkdir()
+    else:
+        cassette.write_bytes(content)
+    assert main(["posr", "--manifest", str(synthetic_dir / "manifest.json"),
+                 "--method", "joint-llm", "--cassette", str(cassette),
+                 "--out", str(tmp_path / "p")]) == 2
+    err = one_error_line(capsys)
+    assert err.startswith(f"error: {cassette}: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("command", [
+    ["stats", "--manifest", "{manifest}"],
+    ["posr", "--manifest", "{manifest}", "--method", "texttiling"],
+    ["gen-corpus"],
+])
+@pytest.mark.parametrize("below, reason", [(False, "File exists"), (True, "Not a directory")])
+def test_out_that_is_not_a_directory_is_a_usage_error(synthetic_dir, tmp_path, capsys,
+                                                      command, below, reason):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "sub" if below else afile
+    args = [a.format(manifest=synthetic_dir / "manifest.json") for a in command]
+    assert main([*args, "--out", str(out)]) == 2
+    assert one_error_line(capsys) == f"error: --out {out}: {reason}\n"
+
+
+def test_posr_writes_an_empty_prediction_as_one_empty_line(synthetic_dir, tmp_path):
+    doc = json.loads((synthetic_dir / "manifest.json").read_text())
+    del doc["annotations"]
+    (synthetic_dir / doc["transcripts"][0]).write_text("")
+    manifest = synthetic_dir / "unannotated.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "p"
+    assert main(["posr", "--manifest", str(manifest), "--method", "texttiling",
+                 "--out", str(out)]) == 0
+    tid = Path(doc["transcripts"][0]).stem
+    assert (out / f"{tid}.pred.jsonl").read_bytes() == b"\n"
+
+
 def test_calibrate_writes_thresholds(synthetic_dir, tmp_path):
     out = tmp_path / "cal"
     rc = main(["calibrate", "--manifest", str(synthetic_dir / "manifest.json"),

@@ -2,22 +2,25 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posr.corpus import (
     CorpusError,
     SyntheticSpec,
+    _decode_line,
     corpus_stats,
+    encode_annotation,
     generate_synthetic,
     load_annotation,
     load_corpus,
     load_manifest,
     load_transcript,
     load_worksheet,
+    save_annotation,
     write_corpus,
 )
-from posr.model import labeling_to_spans
+from posr.model import REF_NONE, REF_NOT_IN_CORPUS, Labeling, RefLabel, labeling_to_spans
 from posr.retrieval import RetrieverConfig, retrieval_accuracy
 
 
@@ -297,3 +300,96 @@ def test_corpus_stats_without_annotations():
     stats = corpus_stats(stripped)
     assert "total_segments" not in stats
     assert "notice" in stats
+
+
+# ---------------------------------------------------------------------------
+# the JSONL codec against the plain json.loads / json.dumps paths
+
+
+def decode_outcome(decode, raw):
+    """What ``decode(raw)`` gives: the value's repr (which tells 1 from 1.0
+    and shows NaN), or the ``JSONDecodeError`` message."""
+    try:
+        return "value", repr(decode(raw))
+    except json.JSONDecodeError as exc:
+        return "error", str(exc)
+
+
+ODD_CHARS = st.sampled_from(['"', "\\", "\x85", "\u2028", "\ufeff", "\x00", "\u00e9", " "])
+LINE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(ODD_CHARS | st.characters(), max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(ODD_CHARS | st.characters(), max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+PADDING = st.text(st.sampled_from(" \t\r\n\x0b\x0c\x85\u2028\xa0\ufeff"), max_size=3)
+
+
+@st.composite
+def jsonl_lines(draw):
+    """One line's text: a JSON value as written (raw non-ASCII or escaped),
+    maybe cut short, padded, behind a BOM, followed by a second value, or
+    with a key given twice; or JSON-ish noise."""
+    text = json.dumps(draw(LINE_VALUES), ensure_ascii=draw(st.booleans()))
+    how = draw(st.sampled_from(
+        ["as is", "truncate", "pad", "bom", "two values", "duplicate keys", "noise"]))
+    if how == "truncate":
+        text = text[: draw(st.integers(0, max(len(text) - 1, 0)))]
+    elif how == "pad":
+        text = draw(PADDING) + text + draw(PADDING)
+    elif how == "bom":
+        text = "\ufeff" + text
+    elif how == "two values":
+        text += draw(st.sampled_from(["", " ", "\x85"])) + json.dumps(draw(LINE_VALUES))
+    elif how == "duplicate keys":
+        second = json.dumps(draw(LINE_VALUES), ensure_ascii=False)
+        text = f'{{"ref": {text}, "k": 1, "ref": {second}}}'
+    elif how == "noise":
+        text = draw(st.text(st.sampled_from('{}[]":,0123456789.eE+-tfnulsaNIiy \\\x85'),
+                            max_size=12))
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(jsonl_lines())
+def test_decode_line_equals_json_loads(raw):
+    assert decode_outcome(_decode_line, raw) == decode_outcome(json.loads, raw)
+
+
+REF_IDS = st.text(st.sampled_from(['"', "\\", "\u00e9", "\u2028", "\x85", "P", "1", "-", "/"])
+                  | st.characters(), max_size=5)
+
+
+@st.composite
+def labelings(draw):
+    """A labeling of random segments and ids whose problem refs may hold
+    quotes, backslashes and non-ASCII characters; sometimes empty."""
+    seg_ids = draw(st.lists(st.integers(-10**12, 10**12), unique=True, max_size=8))
+    per_line = []
+    for seg in seg_ids:
+        ref = draw(st.sampled_from([REF_NONE, REF_NOT_IN_CORPUS])
+                   | REF_IDS.map(RefLabel.problem))
+        per_line += [(seg, ref)] * draw(st.integers(1, 4))
+    return Labeling(tuple(per_line))
+
+
+def dumps_annotation(labeling):
+    """The annotation JSONL written one ``json.dumps`` per line."""
+    return "".join(
+        json.dumps({"line_index": i, "segment_id": seg, "ref": ref.serialize()}) + "\n"
+        for i, (seg, ref) in enumerate(labeling.per_line))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelings())
+@example(Labeling(()))
+def test_annotation_codec_equals_json_dumps_and_loads(tmp_path_factory, labeling):
+    text = encode_annotation(labeling)
+    assert text == dumps_annotation(labeling)
+    path = tmp_path_factory.mktemp("a") / "a.jsonl"
+    save_annotation(labeling, path)
+    assert path.read_bytes() == dumps_annotation(labeling).encode("utf-8")
+    oracle = tuple((int(rec["segment_id"]), RefLabel.deserialize(str(rec["ref"])))
+                   for rec in map(json.loads, text.splitlines()))
+    assert load_annotation(path, len(labeling)).per_line == oracle

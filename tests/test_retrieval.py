@@ -328,3 +328,19 @@ def test_one_fit_per_worksheet_per_command(tmp_path, monkeypatch):
                  "--retrieval", "tfidf", "--out", str(tmp_path / "p")]) == 0
     assert fits == ["synthetic-ws"] * 4  # a fresh fit for every command
     assert worksheet_index.cache_info().currsize == 0  # no fit outlives its command
+
+
+def test_equal_worksheets_share_one_fit_and_hash_by_id():
+    problems = [Problem(f"P{i}", f"text {i}") for i in range(200)]
+    a, b = Worksheet("w", tuple(problems)), Worksheet("w", tuple(problems))
+    assert a == b and a is not b and hash(a) == hash(b)
+    # the hash never reads the problems, so a lookup costs the same at any size
+    assert hash(a) == hash(Worksheet("w", (problems[0],)))
+    retrieval.clear_indexes()
+    try:
+        first = worksheet_index(a)
+        hits = worksheet_index.cache_info().hits
+        assert worksheet_index(b) is first
+        assert worksheet_index.cache_info().hits == hits + 1
+    finally:
+        retrieval.clear_indexes()
