@@ -154,11 +154,11 @@ class Labeling:
                 if prev_seg is not None:
                     seen_done.add(prev_seg)
                 prev_seg = seg
-            if seg in seg_ref:
-                if seg_ref[seg] != ref:
-                    raise ModelError(f"segment {seg} has conflicting refs at line {i}")
-            else:
-                seg_ref[seg] = ref
+            known = seg_ref.setdefault(seg, ref)
+            # identity first: the generated __eq__ is slow, and most lines of
+            # a segment share one RefLabel object
+            if known is not ref and known != ref:
+                raise ModelError(f"segment {seg} has conflicting refs at line {i}")
 
     def __len__(self) -> int:
         return len(self.per_line)

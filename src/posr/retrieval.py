@@ -3,7 +3,11 @@
 Scorers: Jaccard token overlap, TF-IDF cosine fitted on the worksheet's
 own problems, and Okapi BM25 with the worksheet as the collection. BM25
 is unbounded, so its scores are min-max normalized within each query's
-top 10 candidates so one threshold applies across queries.
+top 10 candidates so one threshold applies across queries. The top of
+that window is then exactly 1.0 when any problem shares a term with the
+segment and 0.0 when none does, so every bm25 threshold in (0, 1] makes
+the same decisions: calibration can only choose between linking the
+argmax always (0.0) and linking it only on a shared term.
 
 All three read one postings index per worksheet (``WorksheetIndex``), so
 a query touches only the problems that share one of its terms; every
@@ -53,26 +57,6 @@ class RetrieverConfig:
             raise RetrievalError(f"unknown method {self.method!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise RetrievalError("threshold must be in [0, 1]")
-
-
-def normalize_top10(raw: dict[str, float]) -> dict[str, float]:
-    """Min-max rescale within the 10 best scores; everything else -> 0.
-
-    A flat top-10 (max == min) maps positive scores to 1.0 so a clear
-    winner set is still retrievable.
-    """
-    top = sorted(raw.items(), key=lambda kv: -kv[1])[:10]
-    if not top:
-        return {}
-    hi = top[0][1]
-    lo = top[-1][1]
-    out = {pid: 0.0 for pid in raw}
-    for pid, score in top:
-        if hi == lo:
-            out[pid] = 1.0 if score > 0 else 0.0
-        else:
-            out[pid] = (score - lo) / (hi - lo)
-    return out
 
 
 _NO_POSTINGS: tuple[float, tuple] = (0.0, ())
@@ -141,27 +125,10 @@ class WorksheetIndex:
             return {i: sum(ps) for i, ps in products.items()}
         # bm25
         bm25: dict[int, float] = {}
-        for t in Counter(q):
+        for t in dict.fromkeys(q):  # distinct terms, in first-seen order
             for i, bw, _ in postings.get(t, _NO_POSTINGS)[1]:
                 bm25[i] = bm25.get(i, 0.0) + bw
         return bm25
-
-    def candidates(self, config: RetrieverConfig, text: str) -> dict[str, float]:
-        """Effective scores, in worksheet order, of the problems sharing a
-        term with ``text`` plus the first one that does not: the raw
-        scores, or for bm25 (the one unbounded scorer) their
-        ``normalize_top10``. Deciding on these gives the decision over the
-        whole worksheet. The problems left out all score 0, as does the one
-        kept: it is the floor of the top 10 whenever fewer than ten problems
-        score, and the argmax (the first problem) when none does."""
-        scores = self.scores(config.method, text)
-        kept = list(scores)
-        first_zero = next((i for i in range(len(self.ids)) if i not in scores), None)
-        if first_zero is not None:
-            kept.append(first_zero)
-        raw = {self.ids[i]: scores.get(i, 0.0) for i in sorted(kept)}
-        return normalize_top10(raw) if config.method == "bm25" else raw
-
 
 # bounded so that callers outside the CLI, which never clear it, cannot
 # accumulate fits; a command clears it on entry and exit
@@ -174,16 +141,6 @@ def worksheet_index(worksheet: Worksheet) -> WorksheetIndex:
 clear_indexes = worksheet_index.cache_clear
 
 
-def _best(scores: dict[str, float]) -> tuple[str | None, float]:
-    """(argmax problem id, its score); ``scores`` is in worksheet order, so
-    ties break toward the earlier worksheet problem."""
-    best_pid, best = None, -1.0
-    for pid, s in scores.items():
-        if s > best:
-            best_pid, best = pid, s
-    return best_pid, best
-
-
 def _decision(best_pid: str | None, best: float, threshold: float) -> str | None:
     """The argmax problem if its score clears the threshold, else None."""
     return best_pid if best >= threshold else None
@@ -193,13 +150,25 @@ def _segment_best(
     index: WorksheetIndex, config: RetrieverConfig, transcript: Transcript, span: SegmentSpan
 ) -> tuple[str | None, float]:
     """(argmax problem id, its effective score) for one segment's
-    concatenated utterances; an empty segment is (None, 0.0), never a problem."""
+    concatenated utterances; an empty segment is (None, 0.0), never a problem.
+
+    The argmax is the highest raw score, the earliest worksheet problem on
+    ties, and the first problem, at 0.0, when no problem shares a term (one
+    that does scores above 0). The effective score is the raw one, or for
+    bm25 the top of the min-max normalized top 10: (hi - lo) / (hi - lo),
+    or 1.0 for a flat positive window, so 1.0 whenever a problem scores.
+    """
     text = " ".join(
         transcript.lines[i].utterance for i in range(span.start_line, span.end_line + 1)
     )
     if not text.strip():
         return None, 0.0
-    return _best(index.candidates(config, text))
+    scores = index.scores(config.method, text)
+    if not scores:
+        return index.ids[0], 0.0
+    hi = max(scores.values())
+    best = min(i for i, s in scores.items() if s == hi)
+    return index.ids[best], 1.0 if config.method == "bm25" else hi
 
 
 def retrieve_labeling(

@@ -150,40 +150,53 @@ def _gap_scores(stream: list[str], w: int, block_size: int) -> list[float]:
 
     Moving one token changes one count by 1, so the dot product and the
     squared norms change by an integer that needs only that token's counts.
+    The counts are lists indexed by a dense id per distinct token.
     """
     n_ps = len(stream) // w  # trailing partial pseudo-sentence dropped
-    left: dict[str, int] = {}
-    right: dict[str, int] = {}
-    lget, rget = left.get, right.get
+    ids: dict[str, int] = {}
+    stream = [ids.setdefault(tok, len(ids)) for tok in stream]
+    left = [0] * len(ids)
+    right = [0] * len(ids)
     dot = sq_left = sq_right = 0
+    # each loop below moves w tokens and adds up the counts it passes, so
+    # a squared norm changes by 2 * (that sum) + w: (c + 1)^2 - c^2 = 2c + 1
     for tok in stream[: min(n_ps, block_size) * w]:
-        r = rget(tok, 0)
+        r = right[tok]
         sq_right += 2 * r + 1
         right[tok] = r + 1
     scores: list[float] = []
     for gap in range(1, n_ps):
         # the blocks move from [gap-1-B, gap-1) | [gap-1, gap-1+B)
         #                   to [gap-B, gap)     | [gap, gap+B)
+        sum_r = sum_l = 0
         for tok in stream[(gap - 1) * w : gap * w]:
             r = right[tok] - 1
-            l = lget(tok, 0)
-            dot += r - l
-            sq_right -= 2 * r + 1
-            sq_left += 2 * l + 1
             right[tok] = r
+            sum_r += r
+            l = left[tok]
             left[tok] = l + 1
+            sum_l += l
+        dot += sum_r - sum_l
+        sq_right -= 2 * sum_r + w
+        sq_left += 2 * sum_l + w
         if gap > block_size:
+            sum_l = sum_r = 0
             for tok in stream[(gap - 1 - block_size) * w : (gap - block_size) * w]:
                 l = left[tok] - 1
-                dot -= rget(tok, 0)
-                sq_left -= 2 * l + 1
                 left[tok] = l
+                sum_l += l
+                sum_r += right[tok]
+            dot -= sum_r
+            sq_left -= 2 * sum_l + w
         if gap - 1 + block_size < n_ps:
+            sum_l = sum_r = 0
             for tok in stream[(gap - 1 + block_size) * w : (gap + block_size) * w]:
-                r = rget(tok, 0)
-                dot += lget(tok, 0)
-                sq_right += 2 * r + 1
+                r = right[tok]
                 right[tok] = r + 1
+                sum_r += r
+                sum_l += left[tok]
+            dot += sum_l
+            sq_right += 2 * sum_r + w
         if sq_left == 0 or sq_right == 0:
             scores.append(0.0)
         else:

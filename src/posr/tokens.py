@@ -13,7 +13,11 @@ _SPLIT = re.compile(r"[^0-9a-z]+")
 
 
 def tokenize(text: str) -> list[str]:
-    return [t for t in _SPLIT.split(text.lower()) if t]
+    low = text.lower()
+    # ASCII letters, digits and spaces only: str.split gives the regex's tokens
+    if low.isascii() and low.replace(" ", "").isalnum():
+        return low.split()
+    return [t for t in _SPLIT.split(low) if t]
 
 
 def bigrams(text: str) -> list[str]:

@@ -56,6 +56,17 @@ def test_labeling_rejects_non_contiguous_segment():
 def test_labeling_rejects_conflicting_refs():
     with pytest.raises(ModelError):
         Labeling(((0, A), (0, B)))
+    with pytest.raises(ModelError, match="segment 1 has conflicting refs at line 3"):
+        Labeling(((0, A), (1, RefLabel.problem("B")), (1, B), (1, RefLabel.problem("C"))))
+
+
+def test_labeling_accepts_equal_but_distinct_refs():
+    # the identity shortcut must still fall back to equality
+    a2 = RefLabel.problem("A")
+    assert a2 == A and a2 is not A
+    lab = Labeling(((0, A), (0, a2), (0, A), (1, REF_NONE), (1, RefLabel("none"))))
+    assert lab.num_segments() == 2
+    assert lab.refs == [A, A, A, REF_NONE, REF_NONE]
 
 
 def test_spans_to_labeling_exact_cover():

@@ -20,6 +20,7 @@ from posr.model import (
     Problem,
     REF_NONE,
     RefLabel,
+    SegmentSpan,
     Transcript,
     Worksheet,
 )
@@ -28,10 +29,9 @@ from posr.retrieval import (
     BM25_K1,
     RetrievalError,
     RetrieverConfig,
-    _best,
     _decision,
+    _segment_best,
     calibrate_threshold,
-    normalize_top10,
     retrieval_accuracy,
     retrieve_labeling,
     worksheet_index,
@@ -52,6 +52,40 @@ def all_scores(method, text, ws=WS):
     return {pid: scores.get(i, 0.0) for i, pid in enumerate(index.ids)}
 
 
+def segment_best(config, text, ws=WS):
+    """(argmax problem id, effective score) of a one-line segment of ``text``."""
+    transcript = Transcript(id="t", lines=(Line(0, "[TUTOR]", text, 0, 1000),))
+    return _segment_best(worksheet_index(ws), config, transcript, SegmentSpan(0, 0))
+
+
+def normalize_top10(raw):
+    """Min-max rescale within the 10 best scores; everything else -> 0.
+
+    A flat top-10 (max == min) maps positive scores to 1.0 so a clear
+    winner set is still retrievable. This is the definition of bm25's
+    effective score; ``_segment_best`` gives only its argmax and top.
+    """
+    top = sorted(raw.items(), key=lambda kv: -kv[1])[:10]
+    if not top:
+        return {}
+    hi = top[0][1]
+    lo = top[-1][1]
+    out = {pid: 0.0 for pid in raw}
+    for pid, score in top:
+        if hi == lo:
+            out[pid] = 1.0 if score > 0 else 0.0
+        else:
+            out[pid] = (score - lo) / (hi - lo)
+    return out
+
+
+def first_max(scores):
+    """(argmax, its score) of scores in worksheet order: ties go to the
+    earlier worksheet problem."""
+    hi = max(scores.values())
+    return next(pid for pid, s in scores.items() if s == hi), hi
+
+
 def test_jaccard_identical_tokens_scores_one():
     assert all_scores("jaccard", "a b c")["P1"] == 1.0
 
@@ -63,15 +97,17 @@ def test_jaccard_hand_value():
 
 def test_disjoint_tokens_decision_none():
     config = RetrieverConfig("jaccard", threshold=0.01)
-    cands = worksheet_index(WS).candidates(config, "q r s")
-    assert _decision(*_best(cands), config.threshold) is None
+    assert segment_best(config, "q r s") == ("P1", 0.0)
+    assert _decision(*segment_best(config, "q r s"), config.threshold) is None
 
 
 def test_empty_segment_all_zero():
     config = RetrieverConfig("jaccard", threshold=0.5)
     assert all(v == 0.0 for v in all_scores("jaccard", "").values())
-    cands = worksheet_index(WS).candidates(config, "")
-    assert _decision(*_best(cands), config.threshold) is None
+    assert segment_best(config, "") == (None, 0.0)
+    # a segment without tokens still has an argmax, the first problem at 0
+    assert segment_best(config, " ?! ") == ("P1", 0.0)
+    assert _decision(*segment_best(config, " ?! "), config.threshold) is None
 
 
 def test_tfidf_self_similarity_is_best():
@@ -82,10 +118,9 @@ def test_tfidf_self_similarity_is_best():
 
 def test_bm25_normalized_scores_in_unit_interval():
     config = RetrieverConfig("bm25", threshold=0.0)
-    normalized = worksheet_index(WS).candidates(config, "b c d")
-    assert normalized == normalize_top10(all_scores("bm25", "b c d"))
+    normalized = normalize_top10(all_scores("bm25", "b c d"))
     assert all(0.0 <= v <= 1.0 for v in normalized.values())
-    assert max(normalized, key=normalized.get) == "P2"
+    assert segment_best(config, "b c d") == first_max(normalized) == ("P2", 1.0)
 
 
 def test_scores_finite_non_negative():
@@ -95,19 +130,31 @@ def test_scores_finite_non_negative():
 
 
 def test_decide_threshold_boundary():
-    assert _decision(*_best({"P1": 0.25, "P2": 0.0, "P3": 0.0}), 0.11) == "P1"
-    assert _decision(*_best({"P1": 0.35, "P2": 0.0, "P3": 0.0}), 0.40) is None
+    assert _decision("P1", 0.25, 0.11) == "P1"
+    assert _decision("P1", 0.35, 0.40) is None
+    assert _decision("P1", 0.40, 0.40) == "P1"
 
 
 def test_decide_tie_breaks_by_worksheet_order():
-    assert _best({"P1": 0.5, "P2": 0.5, "P3": 0.2}) == ("P1", 0.5)
-    assert _decision(*_best({"P1": 0.5, "P2": 0.5, "P3": 0.2}), 0.1) == "P1"
+    ws = Worksheet(id="w", problems=(
+        Problem("P1", "x y"), Problem("P2", "b a"), Problem("P3", "a b"), Problem("P4", "a b"),
+    ))
+    # P3 meets the query's first term, so the scores list it before P2
+    later_first = Worksheet(id="w2", problems=(
+        Problem("P1", "x y"), Problem("P2", "a b"), Problem("P3", "c d"),
+    ))
+    for method in retrieval.METHODS:
+        for sheet, query in ((ws, "a b"), (ws, "b a"), (ws, "b b a x"), (later_first, "c d a b")):
+            expected = first_max(all_scores(method, query, sheet))
+            assert expected[0] in ("P1", "P2")
+            got = segment_best(RetrieverConfig(method), query, sheet)
+            assert got == (expected if method != "bm25" else (expected[0], 1.0))
 
 
 def test_decide_scale_invariant_after_normalization():
     raw = {f"P{i}": float(i) for i in range(12)}
-    base = _decision(*_best(normalize_top10(raw)), 0.3)
-    scaled = _decision(*_best(normalize_top10({k: 7.5 * v for k, v in raw.items()})), 0.3)
+    base = _decision(*first_max(normalize_top10(raw)), 0.3)
+    scaled = _decision(*first_max(normalize_top10({k: 7.5 * v for k, v in raw.items()})), 0.3)
     assert base == scaled == "P11"
 
 
@@ -295,13 +342,27 @@ def test_index_decisions_equal_dense_decisions(method):
             dense = dense_scores(method, q, ws)
             if method == "bm25":
                 dense = normalize_top10(dense)
-            # the first problem of the highest score, worksheet order
-            best_pid = next(p.id for p in ws.problems if dense[p.id] == max(dense.values()))
-            best = dense[best_pid]
-            sparse = worksheet_index(ws).candidates(config, q)
-            assert _best(sparse) == (best_pid, best)
-            assert _decision(*_best(sparse), config.threshold) == (
+            # the first problem of the highest score, worksheet order; an
+            # empty segment is never a problem
+            best_pid, best = first_max(dense) if q.strip() else (None, 0.0)
+            sparse = segment_best(config, q, ws)
+            assert sparse == (best_pid, best)
+            assert _decision(*sparse, config.threshold) == (
                 best_pid if best >= config.threshold else None)
+
+
+def test_bm25_best_is_one_on_any_shared_term():
+    # so every bm25 threshold in (0, 1] makes the same decisions, and
+    # calibration can only choose between 0.0 and linking on overlap
+    for ws, queries in random_worksheets(seed=11, count=300):
+        for q in queries:
+            shares = any(s > 0 for s in dense_scores("jaccard", q, ws).values())
+            pid, best = segment_best(RetrieverConfig("bm25"), q, ws)
+            assert best == (1.0 if shares else 0.0)
+            decisions = {_decision(pid, best, t) for t in (0.01, 0.3, 0.99, 1.0)}
+            assert decisions == {pid if shares else None}
+    corpus = generate_synthetic(SyntheticSpec(seed=1, n_transcripts=6))
+    assert 0.0 <= calibrate_threshold("bm25", corpus) <= 0.01
 
 
 def test_one_fit_per_worksheet_per_command(tmp_path, monkeypatch):
