@@ -130,6 +130,7 @@ class WorksheetIndex:
                 bm25[i] = bm25.get(i, 0.0) + bw
         return bm25
 
+
 # bounded so that callers outside the CLI, which never clear it, cannot
 # accumulate fits; a command clears it on entry and exit
 @functools.lru_cache(maxsize=16)

@@ -154,13 +154,13 @@ def _gap_scores(stream: list[str], w: int, block_size: int) -> list[float]:
     """
     n_ps = len(stream) // w  # trailing partial pseudo-sentence dropped
     ids: dict[str, int] = {}
-    stream = [ids.setdefault(tok, len(ids)) for tok in stream]
+    seq = [ids.setdefault(tok, len(ids)) for tok in stream]
     left = [0] * len(ids)
     right = [0] * len(ids)
     dot = sq_left = sq_right = 0
     # each loop below moves w tokens and adds up the counts it passes, so
     # a squared norm changes by 2 * (that sum) + w: (c + 1)^2 - c^2 = 2c + 1
-    for tok in stream[: min(n_ps, block_size) * w]:
+    for tok in seq[: min(n_ps, block_size) * w]:
         r = right[tok]
         sq_right += 2 * r + 1
         right[tok] = r + 1
@@ -169,7 +169,7 @@ def _gap_scores(stream: list[str], w: int, block_size: int) -> list[float]:
         # the blocks move from [gap-1-B, gap-1) | [gap-1, gap-1+B)
         #                   to [gap-B, gap)     | [gap, gap+B)
         sum_r = sum_l = 0
-        for tok in stream[(gap - 1) * w : gap * w]:
+        for tok in seq[(gap - 1) * w : gap * w]:
             r = right[tok] - 1
             right[tok] = r
             sum_r += r
@@ -181,7 +181,7 @@ def _gap_scores(stream: list[str], w: int, block_size: int) -> list[float]:
         sq_left += 2 * sum_l + w
         if gap > block_size:
             sum_l = sum_r = 0
-            for tok in stream[(gap - 1 - block_size) * w : (gap - block_size) * w]:
+            for tok in seq[(gap - 1 - block_size) * w : (gap - block_size) * w]:
                 l = left[tok] - 1
                 left[tok] = l
                 sum_l += l
@@ -190,7 +190,7 @@ def _gap_scores(stream: list[str], w: int, block_size: int) -> list[float]:
             sq_left -= 2 * sum_l + w
         if gap - 1 + block_size < n_ps:
             sum_l = sum_r = 0
-            for tok in stream[(gap - 1 + block_size) * w : (gap + block_size) * w]:
+            for tok in seq[(gap - 1 + block_size) * w : (gap + block_size) * w]:
                 r = right[tok]
                 right[tok] = r + 1
                 sum_r += r

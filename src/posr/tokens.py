@@ -10,13 +10,15 @@ from __future__ import annotations
 import re
 
 _SPLIT = re.compile(r"[^0-9a-z]+")
+# every byte outside [0-9a-z] becomes a space, so str.split gives _SPLIT's tokens
+_ALNUM = b"0123456789abcdefghijklmnopqrstuvwxyz"
+_ASCII_TO_SPACE = bytes(c if c in _ALNUM else 32 for c in range(256))
 
 
 def tokenize(text: str) -> list[str]:
     low = text.lower()
-    # ASCII letters, digits and spaces only: str.split gives the regex's tokens
-    if low.isascii() and low.replace(" ", "").isalnum():
-        return low.split()
+    if low.isascii():
+        return low.encode().translate(_ASCII_TO_SPACE).decode().split()
     return [t for t in _SPLIT.split(low) if t]
 
 

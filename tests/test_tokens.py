@@ -25,12 +25,13 @@ TRICKY = ["a", "Z", "7", " ", "  ", "\t", "\n", "\x0b", "\x1c", "\xa0", "\u3000"
 @given(st.one_of(
     st.text(),
     st.lists(st.sampled_from(TRICKY), max_size=30).map("".join),
-    st.text(alphabet=st.sampled_from("aZ09 ")),  # the str.split path
+    st.text(alphabet=st.characters(max_codepoint=127)),  # the translate path
 ))
 @example("")
 @example("   ")
 @example("?! ... --")
 @example("Hello  World 42")
+@example("Okay, so what's 3.5? It's x^2-1!")
 @example("\u212aelvin")
 @example("\u0130stanbul")
 @example("cafe\u0301 na\xefve")
