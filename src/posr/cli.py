@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import sys
@@ -38,7 +39,7 @@ from .llm import (
     run_posr_llm_batch,
 )
 from .llm.client import read_json_file
-from .metrics import EvalReport, TokenUsage, cost_per_100, evaluate
+from .metrics import EvalReport, MetricError, TokenUsage, cost_per_100, evaluate
 from .model import labeling_to_spans
 from .retrieval import (
     METHODS as RETRIEVAL_METHODS,
@@ -313,6 +314,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+# parse_args never changes the parser, so one process builds it once
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="posr")
     parser.add_argument("--verbose", action="store_true")
@@ -385,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (UsageError, CorpusError, LLMConfigError, SegmentationError, RetrievalError,
-            AnalysisError) as exc:
+            MetricError, AnalysisError) as exc:
         # input that cannot be used as written: a usage error, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,8 +18,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
+from itertools import accumulate, compress, islice, repeat
+from operator import add, attrgetter, eq, itemgetter, ne, sub
 
-from .model import Labeling, Transcript, boundaries, labeling_to_spans
+from .model import Labeling, Transcript
+
+_SEGMENT_ID = itemgetter(0)
+_REF = itemgetter(1)
+# the fields the generated RefLabel.__eq__ compares, as one tuple
+_REF_KEY = attrgetter("kind", "problem_id")
+_START_MS = attrgetter("start_ms")
+_END_MS = attrgetter("end_ms")
 
 
 class MetricError(ValueError):
@@ -40,20 +49,43 @@ class WindowConfig:
             raise MetricError("delta_ms must be positive")
 
 
+def _boundary_flags(labeling: Labeling) -> list[bool]:
+    """``flags[i - 1]`` tells whether a boundary sits at position i, 1 <= i < N."""
+    segs = list(map(_SEGMENT_ID, labeling.per_line))
+    return list(map(ne, islice(segs, 1, None), segs))
+
+
+def _prefix_counts(flags: list[bool]) -> list[int]:
+    """``P[x]``, the number of boundaries at positions below x, for 0 <= x <= N
+    (N >= 1)."""
+    return [0, *accumulate(flags, initial=0)]
+
+
+def _line_times(transcript: Transcript) -> tuple[list[int], list[int]]:
+    lines = transcript.lines
+    return list(map(_START_MS, lines)), list(map(_END_MS, lines))
+
+
+def _window_config(
+    n: int, ref_flags: list[bool], starts: list[int], ends: list[int]
+) -> WindowConfig:
+    """``derive_window_config`` from the reference's ``_boundary_flags``."""
+    if n == 0:
+        raise MetricError("empty reference labeling")
+    n_segments = sum(ref_flags) + 1
+    k = max(1, int(n / n_segments / 2 + 0.5))
+    # a segment runs from the start of its first line to the end of its last
+    total_ms = (sum(compress(ends, [*ref_flags, True]))
+                - sum(compress(starts, [True, *ref_flags])))
+    return WindowConfig(k_lines=k, delta_ms=max(1, int(total_ms / n_segments / 2)))
+
+
 def derive_window_config(ref: Labeling, transcript: Transcript) -> WindowConfig:
     """k = half the mean reference segment length in lines (at least 1);
     delta = half the mean reference segment duration."""
-    spans = labeling_to_spans(ref)
-    if not spans:
-        raise MetricError("empty reference labeling")
-    mean_len = len(ref) / len(spans)
-    k = max(1, int(mean_len / 2 + 0.5))
-    durations = [
-        transcript.lines[s.end_line].end_ms - transcript.lines[s.start_line].start_ms
-        for s in spans
-    ]
-    delta = max(1, int(sum(durations) / len(durations) / 2))
-    return WindowConfig(k_lines=k, delta_ms=delta)
+    if len(transcript) != len(ref):
+        raise MetricError("transcript length mismatch")
+    return _window_config(len(ref), _boundary_flags(ref), *_line_times(transcript))
 
 
 def _check_pair(pred: Labeling, ref: Labeling, k: int) -> int:
@@ -65,24 +97,42 @@ def _check_pair(pred: Labeling, ref: Labeling, k: int) -> int:
     return n
 
 
-def _window_errors(
-    pred_at: list[int], ref_at: list[int], windows: list[tuple[int, int]]
+def _window_errors(cp: list[int], cr: list[int]) -> tuple[float, float]:
+    """(Pk, WindowDiff) from each window's boundary count in pred and in ref."""
+    pk = sum(map(ne, map(bool, cp), map(bool, cr)))
+    wd = sum(map(ne, cp, cr))
+    return pk / len(cp), wd / len(cp)
+
+
+def _line_counts(prefix: list[int], k: int) -> list[int]:
+    """Boundaries in each line window j < N-k, the positions j < i <= j+k:
+    P[j+k+1] - P[j+1] of ``_prefix_counts``."""
+    return list(map(sub, islice(prefix, k + 1, None), islice(prefix, 1, None)))
+
+
+def _time_window_errors(
+    pred_prefix: list[int], ref_prefix: list[int], starts: list[int], ends: list[int],
+    delta_ms: int, k: int,
 ) -> tuple[float, float]:
-    """(Pk, WindowDiff) over open windows (lo, hi), given each labeling's
-    sorted boundary positions on the windows' axis (line index or ms)."""
-    pk = wd = 0
-    for lo, hi in windows:
-        cp = bisect_left(pred_at, hi) - bisect_right(pred_at, lo)
-        cr = bisect_left(ref_at, hi) - bisect_right(ref_at, lo)
-        pk += (cp > 0) != (cr > 0)
-        wd += cp != cr
-    return pk / len(windows), wd / len(windows)
+    """Time (Pk, WindowDiff) from each labeling's ``_prefix_counts``."""
+    # the window at j counts the boundaries i with starts[j] < starts[i] <
+    # ends[j] + delta; start_ms never decreases, so those i are the range
+    # los[j] <= i < his[j], found by one bisection per edge for both labelings
+    n_windows = len(starts) - k
+    his = list(map(bisect_left, repeat(starts),
+                   map(add, islice(ends, n_windows), repeat(delta_ms))))
+    los = list(map(bisect_right, repeat(starts), islice(starts, n_windows)))
+
+    def counts(prefix: list[int]) -> list[int]:
+        return list(map(sub, map(prefix.__getitem__, his), map(prefix.__getitem__, los)))
+
+    return _window_errors(counts(pred_prefix), counts(ref_prefix))
 
 
 def _line_errors(pred: Labeling, ref: Labeling, k: int) -> tuple[float, float]:
-    n = _check_pair(pred, ref, k)
-    windows = [(j, j + k + 1) for j in range(n - k)]
-    return _window_errors(sorted(boundaries(pred)), sorted(boundaries(ref)), windows)
+    _check_pair(pred, ref, k)
+    return _window_errors(_line_counts(_prefix_counts(_boundary_flags(pred)), k),
+                          _line_counts(_prefix_counts(_boundary_flags(ref)), k))
 
 
 def _time_errors(
@@ -93,13 +143,9 @@ def _time_errors(
     n = _check_pair(pred, ref, k)
     if len(transcript) != n:
         raise MetricError("transcript length mismatch")
-    lines = transcript.lines
-    # boundary timestamp = onset of the first line after the boundary;
-    # start_ms never decreases, so these lists come out sorted
-    pred_at = [lines[i].start_ms for i in sorted(boundaries(pred))]
-    ref_at = [lines[i].start_ms for i in sorted(boundaries(ref))]
-    windows = [(lines[j].start_ms, lines[j].end_ms + delta_ms) for j in range(n - k)]
-    return _window_errors(pred_at, ref_at, windows)
+    return _time_window_errors(_prefix_counts(_boundary_flags(pred)),
+                               _prefix_counts(_boundary_flags(ref)),
+                               *_line_times(transcript), delta_ms, k)
 
 
 def window_diff(pred: Labeling, ref: Labeling, k: int) -> float:
@@ -135,6 +181,22 @@ def time_p_k(
     return _time_errors(pred, ref, transcript, delta_ms, k)[0]
 
 
+def _ref_matches(pred: Labeling, ref: Labeling) -> list[bool]:
+    """Per line, whether the refs are equal, compared by ``_REF_KEY``."""
+    return list(map(eq, map(_REF_KEY, map(_REF, pred.per_line)),
+                    map(_REF_KEY, map(_REF, ref.per_line))))
+
+
+def _time_weighted(matches: list[bool], starts: list[int], ends: list[int]) -> float:
+    """Matched share of the total line duration, from exact integer sums:
+    the same float as float sums, which are exact below 2**53."""
+    durations = list(map(sub, ends, starts))
+    total = sum(durations)
+    if total == 0:
+        raise MetricError("total time weight is zero")
+    return sum(compress(durations, matches)) / total
+
+
 def srs(pred: Labeling, ref: Labeling, transcript: Transcript, weighting: str = "line") -> float:
     """Weighted fraction of lines whose ref matches the gold ref.
 
@@ -148,16 +210,10 @@ def srs(pred: Labeling, ref: Labeling, transcript: Transcript, weighting: str = 
         raise MetricError(f"unknown weighting {weighting!r}")
     if n == 0:
         raise MetricError("empty labeling")
-    total = 0.0
-    matched = 0.0
-    for i in range(n):
-        alpha = 1.0 if weighting == "line" else float(transcript.lines[i].duration_ms)
-        total += alpha
-        if pred.per_line[i][1] == ref.per_line[i][1]:
-            matched += alpha
-    if total == 0:
-        raise MetricError("total time weight is zero")
-    return matched / total
+    matches = _ref_matches(pred, ref)
+    if weighting == "line":
+        return sum(matches) / n
+    return _time_weighted(matches, *_line_times(transcript))
 
 
 def segment_count_diff(pred: Labeling, ref: Labeling) -> int:
@@ -220,17 +276,36 @@ def evaluate(
     transcript: Transcript,
     cost_usd_per_100: float | None = None,
 ) -> EvalReport:
-    """All metrics for one (pred, ref) pair, windows derived from ref."""
-    cfg = derive_window_config(ref, transcript)
-    pk_line, wd_line = _line_errors(pred, ref, cfg.k_lines)
-    pk_time, wd_time = _time_errors(pred, ref, transcript, cfg.delta_ms, cfg.k_lines)
+    """All metrics for one (pred, ref) pair, windows derived from ref. Each
+    labeling's boundaries are found once and shared by every metric; an
+    error names the transcript."""
+    n = len(ref)
+    try:
+        if len(pred) != n or len(transcript) != n:
+            raise MetricError(f"length mismatch: pred {len(pred)}, ref {n}, "
+                              f"transcript {len(transcript)} lines")
+        starts, ends = _line_times(transcript)
+        ref_flags = _boundary_flags(ref)
+        cfg = _window_config(n, ref_flags, starts, ends)
+        k = cfg.k_lines
+        _check_pair(pred, ref, k)
+        pred_prefix = _prefix_counts(_boundary_flags(pred))
+        ref_prefix = _prefix_counts(ref_flags)
+        pk_line, wd_line = _window_errors(_line_counts(pred_prefix, k),
+                                          _line_counts(ref_prefix, k))
+        pk_time, wd_time = _time_window_errors(pred_prefix, ref_prefix, starts, ends,
+                                               cfg.delta_ms, k)
+        matches = _ref_matches(pred, ref)
+        srs_time = _time_weighted(matches, starts, ends)
+    except MetricError as exc:
+        raise MetricError(f"transcript {transcript.id}: {exc}") from None
     return EvalReport(
         pk_line=pk_line,
         pk_time=pk_time,
         wd_line=wd_line,
         wd_time=wd_time,
-        srs_line=srs(pred, ref, transcript, "line"),
-        srs_time=srs(pred, ref, transcript, "time"),
-        seg_count_diff=segment_count_diff(pred, ref),
+        srs_line=sum(matches) / n,
+        srs_time=srs_time,
+        seg_count_diff=pred_prefix[n] - ref_prefix[n],
         cost_usd_per_100=cost_usd_per_100,
     )

@@ -23,6 +23,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .corpus import Corpus, CorpusEntry
 from .model import (
@@ -60,6 +61,7 @@ class RetrieverConfig:
 
 
 _NO_POSTINGS: tuple[float, tuple] = (0.0, ())
+_UTTERANCE = attrgetter("utterance")
 
 
 class WorksheetIndex:
@@ -75,29 +77,33 @@ class WorksheetIndex:
 
     def __init__(self, worksheet: Worksheet):
         tokens = [tokenize(p.text) for p in worksheet.problems]
+        tfs = [Counter(toks) for toks in tokens]
         n_docs = len(tokens)
         self.ids = tuple(worksheet.problem_ids())
-        self.sizes = [len(set(toks)) for toks in tokens]  # jaccard denominators
-        df = Counter(t for toks in tokens for t in set(toks))
-        # smooth idf, sklearn convention
-        idf = {t: math.log((1 + n_docs) / (1 + d)) + 1 for t, d in df.items()}
-        # Okapi idf (never negative with the +1 inside the log)
-        bm25_idf = {t: math.log((n_docs - d + 0.5) / (d + 0.5) + 1) for t, d in df.items()}
-        avgdl = sum(len(toks) for toks in tokens) / n_docs
+        self.sizes = [len(tf) for tf in tfs]  # jaccard denominators
+        df = Counter(t for tf in tfs for t in tf)
+        # both idfs depend on a term only through its document frequency:
+        # the smooth idf (sklearn convention) and the Okapi idf (never
+        # negative with the +1 inside the log)
+        idfs = {d: (math.log((1 + n_docs) / (1 + d)) + 1,
+                    math.log((n_docs - d + 0.5) / (d + 0.5) + 1))
+                for d in set(df.values())}
+        avgdl = sum(map(len, tokens)) / n_docs
         k1, b = BM25_K1, BM25_B
-        self.postings: dict[str, tuple[float, list[tuple[int, float, float]]]] = {
-            t: (w, []) for t, w in idf.items()
+        postings: dict[str, tuple[float, list[tuple[int, float, float]]]] = {
+            t: (idfs[d][0], []) for t, d in df.items()
         }
-        for i, toks in enumerate(tokens):
-            tf = Counter(toks)
-            dl = len(toks)
-            vec = {t: c * idf[t] for t, c in tf.items()}
+        for i, (tf, toks) in enumerate(zip(tfs, tokens)):
+            if not tf:
+                continue  # no postings; if every problem is like this, avgdl is 0
+            length_norm = k1 * (1 - b + b * len(toks) / avgdl)
+            vec = {t: c * postings[t][0] for t, c in tf.items()}
             norm = math.sqrt(sum(v * v for v in vec.values()))
             for t, f in tf.items():
-                denom = f + k1 * (1 - b + b * dl / avgdl)
-                self.postings[t][1].append(
-                    (i, bm25_idf[t] * f * (k1 + 1) / denom, vec[t] / norm)
+                postings[t][1].append(
+                    (i, idfs[df[t]][1] * f * (k1 + 1) / (f + length_norm), vec[t] / norm)
                 )
+        self.postings = postings
 
     def scores(self, method: str, text: str) -> dict[int, float]:
         """Raw scores of the problems sharing a term with ``text``, keyed by
@@ -159,9 +165,7 @@ def _segment_best(
     bm25 the top of the min-max normalized top 10: (hi - lo) / (hi - lo),
     or 1.0 for a flat positive window, so 1.0 whenever a problem scores.
     """
-    text = " ".join(
-        transcript.lines[i].utterance for i in range(span.start_line, span.end_line + 1)
-    )
+    text = " ".join(map(_UTTERANCE, transcript.lines[span.start_line:span.end_line + 1]))
     if not text.strip():
         return None, 0.0
     scores = index.scores(config.method, text)
@@ -182,13 +186,16 @@ def retrieve_labeling(
     if len(segmentation) != len(transcript):
         raise RetrievalError("segmentation does not cover the transcript")
     index = worksheet_index(worksheet)
-    per_line: list[tuple[int, RefLabel]] = [None] * len(transcript)  # type: ignore[list-item]
+    # one RefLabel per distinct decision, not one per segment
+    refs: dict[str | None, RefLabel] = {None: REF_NONE}
+    per_line: list[tuple[int, RefLabel]] = []
     for span in labeling_to_spans(segmentation):
         pid = _decision(*_segment_best(index, config, transcript, span), config.threshold)
-        ref = REF_NONE if pid is None else RefLabel.problem(pid)
+        ref = refs.get(pid)
+        if ref is None:
+            ref = refs[pid] = RefLabel.problem(pid)  # type: ignore[arg-type]
         seg_id = segmentation.per_line[span.start_line][0]
-        for i in range(span.start_line, span.end_line + 1):
-            per_line[i] = (seg_id, ref)
+        per_line += [(seg_id, ref)] * (span.end_line - span.start_line + 1)
     return Labeling(tuple(per_line))
 
 
@@ -226,6 +233,28 @@ def _accuracy_at(rows: list[tuple[str | None, str | None, float]], threshold: fl
     return correct / len(rows) if rows else 0.0
 
 
+def _best_grid_threshold(rows: list[tuple[str | None, str | None, float]]) -> float:
+    """The ``GRID`` value of highest ``_accuracy_at`` on ``rows``, the lowest
+    on ties (``GRID[0]`` for no rows), from one sort and one ascending sweep.
+
+    At threshold t a row is correct when best >= t and its argmax is the
+    gold, or when best < t and the gold is None. So a row counts
+    ``best_pid == gold`` until t passes its score, ``gold is None`` after.
+    The accuracies share the denominator ``len(rows)``, so the integer
+    counts rank them alike.
+    """
+    correct = sum(best_pid == gold for gold, best_pid, _ in rows)
+    passed = sorted((best, (gold is None) - (best_pid == gold)) for gold, best_pid, best in rows)
+    best_t, best_correct, below = GRID[0], -1, 0
+    for t in GRID:
+        while below < len(passed) and passed[below][0] < t:
+            correct += passed[below][1]
+            below += 1
+        if correct > best_correct:
+            best_correct, best_t = correct, t
+    return best_t
+
+
 def calibrate_threshold(
     method: str,
     train: Corpus,
@@ -239,6 +268,8 @@ def calibrate_threshold(
     is averaged into the result. Accuracy is segment-level over ground
     truth segments, counting no-ref agreement as correct.
     """
+    if folds < 1:
+        raise RetrievalError(f"calibration needs at least 1 fold, got {folds}")
     annotated = train.annotated()
     if not annotated.entries:
         raise RetrievalError("calibration needs annotated transcripts")
@@ -257,12 +288,7 @@ def calibrate_threshold(
         for idx, rows in enumerate(per_entry_rows):
             if fold_of[idx] == fold:
                 held_out.extend(rows)
-        best_t, best_acc = GRID[0], -1.0
-        for t in GRID:
-            acc = _accuracy_at(held_out, t)
-            if acc > best_acc:
-                best_acc, best_t = acc, t
-        best_thresholds.append(best_t)
+        best_thresholds.append(_best_grid_threshold(held_out))
     return sum(best_thresholds) / len(best_thresholds)
 
 

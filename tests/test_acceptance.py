@@ -404,7 +404,7 @@ def test_released_data_reproduction(announce):
     stats = corpus_stats(corpus)
     assert stats["total_transcripts"] == 300
     assert stats["total_segments"] == 3576
-    assert math.isclose(stats["mean_duration_min"], 81.62, abs_tol=0.01)
+    assert math.isclose(stats["mean_duration_mins"], 81.62, abs_tol=0.01)
     expected_thresholds = {"jaccard": 0.11, "tfidf": 0.40, "bm25": 0.19}
     for method, want in expected_thresholds.items():
         got = calibrate_threshold(method, corpus, folds=5, seed=0)

@@ -253,6 +253,28 @@ def test_posr_writes_an_empty_prediction_as_one_empty_line(synthetic_dir, tmp_pa
     assert (out / f"{tid}.pred.jsonl").read_bytes() == b"\n"
 
 
+@pytest.mark.parametrize("command", [["segment", "--method", "texttiling"],
+                                     ["posr", "--method", "texttiling"]])
+@pytest.mark.parametrize("n_lines", [0, 1])
+def test_transcript_too_short_to_score_is_a_usage_error(synthetic_dir, tmp_path, capsys,
+                                                        command, n_lines):
+    doc = json.loads((synthetic_dir / "manifest.json").read_text())
+    tid = Path(doc["transcripts"][1]).stem
+    for path in (synthetic_dir / doc["transcripts"][1],
+                 synthetic_dir / doc["annotations"][tid]):
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:n_lines]))
+    assert main([*command, "--manifest", str(synthetic_dir / "manifest.json"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert one_error_line(capsys).startswith(f"error: transcript {tid}: ")
+
+
+@pytest.mark.parametrize("folds", ["0", "-2"])
+def test_calibrate_with_no_folds_is_a_usage_error(synthetic_dir, tmp_path, capsys, folds):
+    assert main(["calibrate", "--manifest", str(synthetic_dir / "manifest.json"),
+                 "--folds", folds, "--out", str(tmp_path / "c")]) == 2
+    assert "at least 1 fold" in one_error_line(capsys)
+
+
 def test_calibrate_writes_thresholds(synthetic_dir, tmp_path):
     out = tmp_path / "cal"
     rc = main(["calibrate", "--manifest", str(synthetic_dir / "manifest.json"),

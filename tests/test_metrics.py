@@ -16,6 +16,7 @@ from posr.metrics import (
 from posr.model import Labeling, Line, REF_NONE, RefLabel, Transcript
 
 from conftest import (
+    REF_POOL,
     make_transcript,
     oracle_line_metric,
     oracle_srs,
@@ -241,6 +242,27 @@ def test_srs_matches_oracle(rng):
         assert srs(pred, ref, t, "time") == pytest.approx(
             oracle_srs(pred, ref, weights), abs=1e-12
         )
+
+
+def test_srs_and_evaluate_match_oracle_on_equal_distinct_refs(rng):
+    # refs equal to the gold ones but never the same objects, as the
+    # retriever's refs are to the loader's
+    fresh_pool = [RefLabel(r.kind, r.problem_id) for r in REF_POOL]
+    for _ in range(200):
+        n = rng.randint(2, 50)
+        t = make_transcript([rng.randint(500, 60000) for _ in range(n)])
+        ref = random_labeling(n, rng, max_seg_len=5)
+        copy = Labeling(tuple((seg, RefLabel(r.kind, r.problem_id)) for seg, r in ref.per_line))
+        weights = [l.duration_ms for l in t.lines]
+        for pred in (random_labeling(n, rng, ref_pool=fresh_pool), copy):
+            assert not any(p is r for p, r in zip(pred.refs, ref.refs))
+            line, time = oracle_srs(pred, ref, [1.0] * n), oracle_srs(pred, ref, weights)
+            assert srs(pred, ref, t, "line") == line
+            assert srs(pred, ref, t, "time") == time
+            if derive_window_config(ref, t).k_lines < n:
+                report = evaluate(pred, ref, t)
+                assert (report.srs_line, report.srs_time) == (line, time)
+        assert srs(copy, ref, t, "line") == srs(copy, ref, t, "time") == 1.0
 
 
 def test_srs_invariant_to_segment_id_relabeling(rng):

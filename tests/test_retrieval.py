@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posr import retrieval
 from posr.cli import main
@@ -27,8 +29,11 @@ from posr.model import (
 from posr.retrieval import (
     BM25_B,
     BM25_K1,
+    GRID,
     RetrievalError,
     RetrieverConfig,
+    _accuracy_at,
+    _best_grid_threshold,
     _decision,
     _segment_best,
     calibrate_threshold,
@@ -230,6 +235,48 @@ def test_calibrate_reduces_folds_to_transcript_count():
     corpus = Corpus((make_entry([("a b", RefLabel.problem("P1"))], ws),), "train")
     t = calibrate_threshold("jaccard", corpus, folds=5, seed=0)
     assert 0.0 <= t <= 1.0
+
+
+def grid_search_oracle(rows):
+    """One ``_accuracy_at`` pass per grid value; the first best value wins."""
+    best_t, best_acc = GRID[0], -1.0
+    for t in GRID:
+        acc = _accuracy_at(rows, t)
+        if acc > best_acc:
+            best_acc, best_t = acc, t
+    return best_t
+
+
+PIDS = st.sampled_from([None, "P1", "P2"])
+# scores on grid values and one ulp either side of them, so ties and
+# threshold edges are common, besides any score in [0, 1]
+SCORES = st.one_of(
+    st.sampled_from(GRID),
+    st.sampled_from(GRID).map(lambda t: math.nextafter(t, 2.0)),
+    st.sampled_from(GRID).map(lambda t: math.nextafter(t, -1.0)),
+    st.floats(0.0, 1.0),
+)
+ROWS = st.one_of(st.lists(st.tuples(PIDS, PIDS, SCORES), max_size=40),
+                 st.lists(st.tuples(st.just(None), PIDS, SCORES), max_size=40))  # no gold problem
+
+
+@settings(max_examples=500, deadline=None)
+@given(ROWS)
+@example([])
+@example([(None, "P1", 0.5)])
+@example([("P1", "P1", 0.5)])
+@example([(None, None, 0.0), (None, "P1", 0.3), (None, "P2", 1.0)])
+@example([("P1", "P1", 0.3), (None, "P1", 0.3), ("P2", "P1", 0.3)])
+def test_grid_sweep_equals_grid_search(rows):
+    assert _best_grid_threshold(rows) == grid_search_oracle(rows)
+
+
+@pytest.mark.parametrize("folds", [0, -1])
+def test_calibrate_rejects_fewer_than_one_fold(folds):
+    ws = Worksheet(id="w", problems=(Problem("P1", "a b"),))
+    corpus = Corpus((make_entry([("a b", RefLabel.problem("P1"))], ws),), "train")
+    with pytest.raises(RetrievalError, match="at least 1 fold"):
+        calibrate_threshold("jaccard", corpus, folds=folds)
 
 
 def test_oversegmentation_does_not_beat_ground_truth():
