@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import Corpus
-from .model import Labeling, labeling_to_spans
+from .model import Labeling, boundary_flags, labeling_to_spans
 from .tokens import bigrams
 
 
@@ -31,9 +31,6 @@ class BigramCounts:
         for utt in utterances:
             counts.update(bigrams(utt))
         return BigramCounts(label=label, counts=counts)
-
-    def __add__(self, other: "BigramCounts") -> "BigramCounts":
-        return BigramCounts(f"{self.label}+{other.label}", self.counts + other.counts)
 
 
 def log_odds(
@@ -124,10 +121,7 @@ def _chi2_sf(x: float, df: int) -> float:
 
 def boundary_vector(labeling: Labeling) -> list[bool]:
     """Per-position boundary indicator (positions 1..N-1) for agreement tests."""
-    from .model import boundaries
-
-    b = boundaries(labeling)
-    return [i in b for i in range(1, len(labeling))]
+    return boundary_flags(labeling)
 
 
 @dataclass(frozen=True)

@@ -64,14 +64,17 @@ SEGMENT_COLUMNS = ["transcript_id", "pk_line", "pk_time", "wd_line", "wd_time",
                    "seg_count_diff"]
 
 
+def _write_json(path: Path, doc: object) -> None:
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
 def _write_run_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
-    doc = {
+    _write_json(out / "run_manifest.json", {
         "command": command,
         "version": __version__,
         "seed": getattr(args, "seed", None),
         "args": {k: str(v) for k, v in vars(args).items() if k != "func"},
-    }
-    (out / "run_manifest.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    })
 
 
 def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
@@ -123,9 +126,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
             {"start_line": s.start_line, "end_line": s.end_line}
             for s in labeling_to_spans(pred)
         ]
-        (out / f"{entry.transcript.id}.spans.json").write_text(
-            json.dumps(spans, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(out / f"{entry.transcript.id}.spans.json", spans)
         if entry.gold is not None:
             row = {"transcript_id": entry.transcript.id,
                    **evaluate(pred, entry.gold, entry.transcript).as_row()}
@@ -161,11 +162,8 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     overall = correct / len(rows) if rows else 0.0
     _write_csv(out / "retrieval_decisions.csv",
                ["transcript_id", "start_line", "end_line", "decision", "gold"], rows)
-    (out / "retrieval_accuracy.json").write_text(
-        json.dumps({"method": args.method, "threshold": args.threshold,
-                    "accuracy": overall}, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out / "retrieval_accuracy.json",
+                {"method": args.method, "threshold": args.threshold, "accuracy": overall})
     _write_run_manifest(out, "retrieve", args)
     print(f"{args.method} accuracy on ground-truth segments: {overall:.4f}")
     return 0
@@ -181,11 +179,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             method, train, folds=args.folds, seed=args.seed
         )
         print(f"{method}: {thresholds[method]:.4f}")
-    (out / "thresholds.json").write_text(
-        json.dumps({"seed": args.seed, "folds": args.folds,
-                    "thresholds": thresholds}, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out / "thresholds.json",
+                {"seed": args.seed, "folds": args.folds, "thresholds": thresholds})
     _write_run_manifest(out, "calibrate", args)
     return 0
 
@@ -221,6 +216,8 @@ def cmd_posr(args: argparse.Namespace) -> int:
     prices = _load_prices(args.prices)
     rows = []
     llm_mode = args.method in LLM_METHODS
+    if llm_mode and args.prices and args.model not in prices:
+        raise UsageError(f"{args.prices}: no entry for --model {args.model!r}")
     client = _make_client(args) if llm_mode else None
     usages: list[TokenUsage] = []
     failed: list[str] = []
@@ -260,16 +257,14 @@ def cmd_posr(args: argparse.Namespace) -> int:
             row = {"transcript_id": entry.transcript.id, **report.as_row()}
             rows.append(row)
     cost = None
-    if usages and prices and args.model in prices:
+    if usages and prices:
         cost = cost_per_100(usages, args.model, prices)
         for row in rows:
             row["cost_usd_per_100"] = cost
     if rows:
         _write_csv(out / "posr_metrics.csv", POSR_COLUMNS, rows)
     if failed:
-        (out / "failed_transcripts.json").write_text(
-            json.dumps(failed, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(out / "failed_transcripts.json", failed)
     _write_run_manifest(out, "posr", args)
     print(f"evaluated {len(rows)} transcripts"
           + (f", cost/100 = ${cost:.2f}" if cost is not None else "")
@@ -307,9 +302,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(f"{key}: {value}")
     if args.out:
         out = _out_dir(args)
-        (out / "corpus_stats.json").write_text(
-            json.dumps(stats, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(out / "corpus_stats.json", stats)
         _write_run_manifest(out, "stats", args)
     return 0
 

@@ -241,6 +241,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
              *(manifest.annotations or {}).values()]
     if not all(isinstance(f, str) for f in files):
         raise CorpusError(f"{path}: file paths must be strings")
+    if not all(isinstance(t, str) for t in [*manifest.worksheets, *(manifest.annotations or {})]):
+        raise CorpusError(f"{path}: transcript ids must be strings")
     ids = {Path(p).stem for p in manifest.transcripts}
     if manifest.annotations:
         missing = set(manifest.annotations) - ids

@@ -42,13 +42,16 @@ def read_json_file(path: str | Path):
         raise LLMConfigError(f"{path}: not JSON: {exc}") from exc
 
 
+# every request asks for up to MAX_TOKENS tokens at TEMPERATURE
+MAX_TOKENS = 4096
+TEMPERATURE = 0.0
+
+
 @dataclass(frozen=True)
 class ChatRequest:
     model: str
     system: str
     user: str
-    max_tokens: int = 4096
-    temperature: float = 0.0
 
     def key(self) -> str:
         payload = json.dumps(
@@ -56,8 +59,8 @@ class ChatRequest:
                 "model": self.model,
                 "system": self.system,
                 "user": self.user,
-                "max_tokens": self.max_tokens,
-                "temperature": self.temperature,
+                "max_tokens": MAX_TOKENS,
+                "temperature": TEMPERATURE,
             },
             sort_keys=True,
         )
@@ -144,8 +147,8 @@ class HttpChatClient:
                 {"role": "system", "content": request.system},
                 {"role": "user", "content": request.user},
             ],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         headers = {"Content-Type": "application/json", **self.config.headers}
         if self.config.api_key:

@@ -46,25 +46,23 @@ def build_prompt(
 ) -> tuple[str, str]:
     """Render (system, user) for one request; byte-stable for fixed inputs.
 
-    ``segment`` is the inclusive (start_line, end_line) pair required by
-    the per-segment retrieval prompt.
+    Every kind needs the transcript, and all but segmentation the worksheet.
+    The retrieval prompt shows only ``segment``, the inclusive (start_line,
+    end_line) pair, in place of the whole transcript.
     """
-    system = _load_template(f"{kind.value}.system.txt")
-    user = _load_template(f"{kind.value}.user.txt")
-    if kind is PromptKind.INDEPENDENT_SEGMENTATION:
-        if transcript is None:
-            raise ValueError("segmentation prompt requires a transcript")
-        user = user.replace("{transcript}", render_transcript_lines(transcript))
-    elif kind is PromptKind.INDEPENDENT_RETRIEVAL:
-        if transcript is None or worksheet is None or segment is None:
-            raise ValueError("retrieval prompt requires transcript, worksheet, and segment")
-        user = user.replace(
-            "{transcript}", render_segment_lines(transcript, segment[0], segment[1])
-        )
-        user = user.replace("{problems}", render_problems(worksheet))
-    else:
-        if transcript is None or worksheet is None:
-            raise ValueError("joint prompt requires transcript and worksheet")
-        user = user.replace("{transcript}", render_transcript_lines(transcript))
-        user = user.replace("{problems}", render_problems(worksheet))
-    return system, user
+    retrieval = kind is PromptKind.INDEPENDENT_RETRIEVAL
+    with_problems = kind is not PromptKind.INDEPENDENT_SEGMENTATION
+    required: dict[str, object] = {"transcript": transcript}
+    if with_problems:
+        required["worksheet"] = worksheet
+    if retrieval:
+        required["segment"] = segment
+    if any(value is None for value in required.values()):
+        raise ValueError(f"{kind.value} prompt requires {', '.join(required)}")
+    lines = (render_segment_lines(transcript, *segment) if retrieval  # type: ignore[misc]
+             else render_transcript_lines(transcript))
+    # {transcript} first: a "{problems}" inside the transcript is filled too
+    user = _load_template(f"{kind.value}.user.txt").replace("{transcript}", lines)
+    if with_problems:
+        user = user.replace("{problems}", render_problems(worksheet))  # type: ignore[arg-type]
+    return _load_template(f"{kind.value}.system.txt"), user

@@ -134,11 +134,11 @@ def run_posr_llm(
 ) -> LLMRunResult:
     """Predict a Labeling for one transcript via the chosen prompt protocol.
 
-    Every request asks for up to 4096 tokens at temperature 0.0, the
-    ``ChatRequest`` defaults. Lines that no predicted span covers become
-    their own no-ref segments (``spans_to_labeling``). An unparseable
-    top-level response falls back to a single no-ref segment and is
-    flagged; per-segment retrieval parse failures degrade that segment to
+    Every request asks for up to ``MAX_TOKENS`` tokens at ``TEMPERATURE``,
+    the constants of ``posr.llm.client``. Lines that no predicted span
+    covers become their own no-ref segments (``spans_to_labeling``). An
+    unparseable top-level response falls back to a single no-ref segment and
+    is flagged; per-segment retrieval parse failures degrade that segment to
     no ref without failing the transcript. The requests go out one after
     another, and the first one that raises ends the run: its exception
     carries the usage of the requests answered before it as its ``usage``

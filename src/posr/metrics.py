@@ -21,9 +21,8 @@ from dataclasses import asdict, dataclass
 from itertools import accumulate, compress, islice, repeat
 from operator import add, attrgetter, eq, itemgetter, ne, sub
 
-from .model import Labeling, Transcript
+from .model import Labeling, Transcript, boundary_flags
 
-_SEGMENT_ID = itemgetter(0)
 _REF = itemgetter(1)
 # the fields the generated RefLabel.__eq__ compares, as one tuple
 _REF_KEY = attrgetter("kind", "problem_id")
@@ -42,18 +41,6 @@ class WindowConfig:
     k_lines: int
     delta_ms: int
 
-    def __post_init__(self) -> None:
-        if self.k_lines < 1:
-            raise MetricError("k_lines must be >= 1")
-        if self.delta_ms <= 0:
-            raise MetricError("delta_ms must be positive")
-
-
-def _boundary_flags(labeling: Labeling) -> list[bool]:
-    """``flags[i - 1]`` tells whether a boundary sits at position i, 1 <= i < N."""
-    segs = list(map(_SEGMENT_ID, labeling.per_line))
-    return list(map(ne, islice(segs, 1, None), segs))
-
 
 def _prefix_counts(flags: list[bool]) -> list[int]:
     """``P[x]``, the number of boundaries at positions below x, for 0 <= x <= N
@@ -69,7 +56,7 @@ def _line_times(transcript: Transcript) -> tuple[list[int], list[int]]:
 def _window_config(
     n: int, ref_flags: list[bool], starts: list[int], ends: list[int]
 ) -> WindowConfig:
-    """``derive_window_config`` from the reference's ``_boundary_flags``."""
+    """``derive_window_config`` from the reference's ``boundary_flags``."""
     if n == 0:
         raise MetricError("empty reference labeling")
     n_segments = sum(ref_flags) + 1
@@ -85,7 +72,7 @@ def derive_window_config(ref: Labeling, transcript: Transcript) -> WindowConfig:
     delta = half the mean reference segment duration."""
     if len(transcript) != len(ref):
         raise MetricError("transcript length mismatch")
-    return _window_config(len(ref), _boundary_flags(ref), *_line_times(transcript))
+    return _window_config(len(ref), boundary_flags(ref), *_line_times(transcript))
 
 
 def _check_pair(pred: Labeling, ref: Labeling, k: int) -> int:
@@ -131,20 +118,18 @@ def _time_window_errors(
 
 def _line_errors(pred: Labeling, ref: Labeling, k: int) -> tuple[float, float]:
     _check_pair(pred, ref, k)
-    return _window_errors(_line_counts(_prefix_counts(_boundary_flags(pred)), k),
-                          _line_counts(_prefix_counts(_boundary_flags(ref)), k))
+    return _window_errors(_line_counts(_prefix_counts(boundary_flags(pred)), k),
+                          _line_counts(_prefix_counts(boundary_flags(ref)), k))
 
 
 def _time_errors(
-    pred: Labeling, ref: Labeling, transcript: Transcript, delta_ms: int, k: int | None
+    pred: Labeling, ref: Labeling, transcript: Transcript, delta_ms: int, k: int
 ) -> tuple[float, float]:
-    if k is None:
-        k = derive_window_config(ref, transcript).k_lines
     n = _check_pair(pred, ref, k)
     if len(transcript) != n:
         raise MetricError("transcript length mismatch")
-    return _time_window_errors(_prefix_counts(_boundary_flags(pred)),
-                               _prefix_counts(_boundary_flags(ref)),
+    return _time_window_errors(_prefix_counts(boundary_flags(pred)),
+                               _prefix_counts(boundary_flags(ref)),
                                *_line_times(transcript), delta_ms, k)
 
 
@@ -159,23 +144,14 @@ def p_k(pred: Labeling, ref: Labeling, k: int) -> float:
 
 
 def time_window_diff(
-    pred: Labeling,
-    ref: Labeling,
-    transcript: Transcript,
-    delta_ms: int,
-    k: int | None = None,
+    pred: Labeling, ref: Labeling, transcript: Transcript, delta_ms: int, k: int
 ) -> float:
-    """Duration-windowed WindowDiff; k (defaulting to the reference-derived
-    value) fixes the summation count N-k."""
+    """Duration-windowed WindowDiff; k fixes the summation count N-k."""
     return _time_errors(pred, ref, transcript, delta_ms, k)[1]
 
 
 def time_p_k(
-    pred: Labeling,
-    ref: Labeling,
-    transcript: Transcript,
-    delta_ms: int,
-    k: int | None = None,
+    pred: Labeling, ref: Labeling, transcript: Transcript, delta_ms: int, k: int
 ) -> float:
     """Duration-windowed Pk."""
     return _time_errors(pred, ref, transcript, delta_ms, k)[0]
@@ -270,12 +246,7 @@ class EvalReport:
         return asdict(self)
 
 
-def evaluate(
-    pred: Labeling,
-    ref: Labeling,
-    transcript: Transcript,
-    cost_usd_per_100: float | None = None,
-) -> EvalReport:
+def evaluate(pred: Labeling, ref: Labeling, transcript: Transcript) -> EvalReport:
     """All metrics for one (pred, ref) pair, windows derived from ref. Each
     labeling's boundaries are found once and shared by every metric; an
     error names the transcript."""
@@ -285,11 +256,11 @@ def evaluate(
             raise MetricError(f"length mismatch: pred {len(pred)}, ref {n}, "
                               f"transcript {len(transcript)} lines")
         starts, ends = _line_times(transcript)
-        ref_flags = _boundary_flags(ref)
+        ref_flags = boundary_flags(ref)
         cfg = _window_config(n, ref_flags, starts, ends)
         k = cfg.k_lines
         _check_pair(pred, ref, k)
-        pred_prefix = _prefix_counts(_boundary_flags(pred))
+        pred_prefix = _prefix_counts(boundary_flags(pred))
         ref_prefix = _prefix_counts(ref_flags)
         pk_line, wd_line = _window_errors(_line_counts(pred_prefix, k),
                                           _line_counts(ref_prefix, k))
@@ -307,5 +278,4 @@ def evaluate(
         srs_line=sum(matches) / n,
         srs_time=srs_time,
         seg_count_diff=pred_prefix[n] - ref_prefix[n],
-        cost_usd_per_100=cost_usd_per_100,
     )

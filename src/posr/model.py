@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import compress, count, islice, repeat
+from operator import itemgetter, ne
 
 logger = logging.getLogger(__name__)
+
+_SEGMENT_ID = itemgetter(0)
 
 
 class ModelError(ValueError):
@@ -174,7 +178,7 @@ class Labeling:
     def num_segments(self) -> int:
         if not self.per_line:
             return 0
-        return len(boundaries(self)) + 1
+        return sum(boundary_flags(self)) + 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,16 +201,16 @@ class SegmentSpan:
 def spans_to_labeling(spans: list[SegmentSpan], n_lines: int) -> Labeling:
     """Normalize possibly gappy/overlapping spans into a total Labeling.
 
-    Spans are sorted by start; overlaps resolve first-span-wins; spans
-    reaching outside [0, n_lines) are clamped with a logged warning. Each
-    uncovered maximal gap becomes its own segment with no ref. An empty
+    Spans reaching outside [0, n_lines) are clamped with a logged warning
+    and sorted by (start, end). One sweep then gives each span the lines
+    after those already taken, so overlaps resolve first-span-wins, and each
+    maximal run of lines no span takes becomes its own segment with no ref:
+    linear in n_lines plus the number of spans, after the sort. An empty
     span list yields a single all-covering segment with no ref.
     """
     if n_lines <= 0:
         return Labeling(())
-    owner: list[int | None] = [None] * n_lines
-    refs: list[RefLabel | None] = []
-    clean: list[SegmentSpan] = []
+    clean: list[tuple[int, int, RefLabel]] = []
     for span in spans:
         if span.end_line < 0 or span.start_line >= n_lines:
             logger.warning("span (%d, %d) outside [0, %d); dropped",
@@ -217,28 +221,23 @@ def spans_to_labeling(spans: list[SegmentSpan], n_lines: int) -> Labeling:
         if (start, end) != (span.start_line, span.end_line):
             logger.warning("span (%d, %d) clamped to (%d, %d)",
                            span.start_line, span.end_line, start, end)
-        clean.append(SegmentSpan(start, end, span.ref))
-    clean.sort(key=lambda s: (s.start_line, s.end_line))
-    for idx, span in enumerate(clean):
-        refs.append(span.ref if span.ref is not None else REF_NONE)
-        for i in range(span.start_line, span.end_line + 1):
-            if owner[i] is None:
-                owner[i] = idx
+        clean.append((start, end, span.ref if span.ref is not None else REF_NONE))
+    clean.sort(key=itemgetter(0, 1))  # stable: equal spans keep their order
 
     per_line: list[tuple[int, RefLabel]] = []
-    next_seg = 0
-    # a new segment starts wherever the owner changes; every gap line has
-    # owner None, which is safe because two gaps are never adjacent
-    prev_owner: object = object()  # sentinel unequal to anything
-    for i in range(n_lines):
-        ref = REF_NONE if owner[i] is None else refs[owner[i]]  # type: ignore[index]
-        if owner[i] != prev_owner:
-            seg = next_seg
-            next_seg += 1
-            prev_owner = owner[i]
-        else:
-            seg = per_line[-1][0]
-        per_line.append((seg, ref))
+    seg = 0
+    taken = 0  # lines below this already have a segment
+    for start, end, ref in clean:
+        if start > taken:  # the lines before this span that no span took
+            per_line.extend(repeat((seg, REF_NONE), start - taken))
+            seg += 1
+            taken = start
+        if end >= taken:
+            per_line.extend(repeat((seg, ref), end + 1 - taken))
+            seg += 1
+            taken = end + 1
+    if taken < n_lines:
+        per_line.extend(repeat((seg, REF_NONE), n_lines - taken))
     return Labeling(tuple(per_line))
 
 
@@ -254,7 +253,12 @@ def labeling_to_spans(labeling: Labeling) -> list[SegmentSpan]:
     return spans
 
 
+def boundary_flags(labeling: Labeling) -> list[bool]:
+    """``flags[i - 1]`` tells whether a boundary sits at position i, 1 <= i < N."""
+    segs = list(map(_SEGMENT_ID, labeling.per_line))
+    return list(map(ne, islice(segs, 1, None), segs))
+
+
 def boundaries(labeling: Labeling) -> set[int]:
     """Positions i (1 <= i <= N-1) with a segment change between lines i-1 and i."""
-    segs = labeling.segment_ids
-    return {i for i in range(1, len(segs)) if segs[i] != segs[i - 1]}
+    return set(compress(count(1), boundary_flags(labeling)))

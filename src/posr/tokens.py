@@ -7,19 +7,14 @@ non-alphanumeric characters, drop empties.
 
 from __future__ import annotations
 
-import re
-
-_SPLIT = re.compile(r"[^0-9a-z]+")
-# every byte outside [0-9a-z] becomes a space, so str.split gives _SPLIT's tokens
+# each non-ASCII character encodes to "?", and every byte outside [0-9a-z]
+# becomes a space, so str.split gives the runs of [0-9a-z]
 _ALNUM = b"0123456789abcdefghijklmnopqrstuvwxyz"
 _ASCII_TO_SPACE = bytes(c if c in _ALNUM else 32 for c in range(256))
 
 
 def tokenize(text: str) -> list[str]:
-    low = text.lower()
-    if low.isascii():
-        return low.encode().translate(_ASCII_TO_SPACE).decode().split()
-    return [t for t in _SPLIT.split(low) if t]
+    return text.lower().encode("ascii", "replace").translate(_ASCII_TO_SPACE).decode().split()
 
 
 def bigrams(text: str) -> list[str]:

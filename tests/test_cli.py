@@ -204,6 +204,21 @@ def test_posr_bad_prices_file_is_a_usage_error(synthetic_dir, tmp_path, capsys, 
     assert message in err
 
 
+@pytest.mark.parametrize("method", list(LLM_METHODS))
+def test_prices_without_the_model_is_a_usage_error(synthetic_dir, tmp_path, capsys, method):
+    prices = tmp_path / "prices.json"
+    prices.write_text(json.dumps({"other": {"input_usd_per_1k": 1, "output_usd_per_1k": 2}}))
+    cassette = tmp_path / "cassette.json"
+    out = tmp_path / "p"
+    # with no cassette entries, a request would fail its transcript, not the run
+    assert main(["posr", "--manifest", str(synthetic_dir / "manifest.json"),
+                 "--method", method, "--model", "m", "--cassette", str(cassette),
+                 "--prices", str(prices), "--out", str(out)]) == 2
+    assert one_error_line(capsys) == f"error: {prices}: no entry for --model 'm'\n"
+    assert not list(out.glob("*.pred.jsonl"))
+    assert not cassette.exists()
+
+
 @pytest.mark.parametrize("content, message", [
     (b"{not json", "not JSON"),
     (b"[]", "a cassette is a JSON object"),

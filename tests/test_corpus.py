@@ -234,6 +234,7 @@ def test_load_worksheet_raises_only_corpus_error(tmp_path_factory, problem, key,
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["transcripts", "worksheets", "annotations", "split"]), JSON_VALUES)
+@example("annotations", ["00", [None, ""]])  # pairs that give a None transcript id
 def test_load_manifest_raises_only_corpus_error(tmp_path_factory, key, value):
     doc = {"transcripts": ["a.jsonl"], "worksheets": {"a": "w.json"},
            "annotations": {"a": "a.labels.jsonl"}, "split": "test", key: value}

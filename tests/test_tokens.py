@@ -36,6 +36,9 @@ TRICKY = ["a", "Z", "7", " ", "  ", "\t", "\n", "\x0b", "\x1c", "\xa0", "\u3000"
 @example("\u0130stanbul")
 @example("cafe\u0301 na\xefve")
 @example("a\tb\nc\x0bd\x1ce\xa0f\u3000g")
+@example("\ud800")  # a lone surrogate
+@example("\U0001F600")  # an astral character
+@example("\ufb01")  # a ligature whose lowercase is itself
 def test_tokenize_equals_regex_definition(s):
     assert tokenize(s) == oracle_tokenize(s)
 
