@@ -8,8 +8,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import Corpus
-from .model import Labeling, boundary_flags, labeling_to_spans
+from .model import labeling_to_spans
 from .tokens import bigrams
+
+
+# the log-odds prior of quartile_language_compare sums to this share of its bigrams
+_ALPHA0_SCALE = 0.01
 
 
 class AnalysisError(ValueError):
@@ -119,11 +123,6 @@ def _chi2_sf(x: float, df: int) -> float:
     return math.erfc(math.sqrt(half)) + total
 
 
-def boundary_vector(labeling: Labeling) -> list[bool]:
-    """Per-position boundary indicator (positions 1..N-1) for agreement tests."""
-    return boundary_flags(labeling)
-
-
 @dataclass(frozen=True)
 class TalkTimeTable:
     """Seconds of talk per (problem, transcript) plus per-problem summaries."""
@@ -165,7 +164,7 @@ def talk_time(corpus: Corpus) -> TalkTimeTable:
     for pid, values in by_problem.items():
         q1, median, q3 = _quartiles(values)
         summary[pid] = {
-            "mean": sum(values) / len(values),
+            "mean": math.fsum(values) / len(values),
             "q1": q1,
             "median": median,
             "q3": q3,
@@ -173,14 +172,12 @@ def talk_time(corpus: Corpus) -> TalkTimeTable:
     return TalkTimeTable(per_cell=per_cell, summary=summary)
 
 
-def quartile_language_compare(
-    corpus: Corpus, problem_id: str, alpha0_scale: float = 0.01
-) -> list[tuple[str, float]]:
+def quartile_language_compare(corpus: Corpus, problem_id: str) -> list[tuple[str, float]]:
     """Log-odds of long-duration vs short-duration segments of one problem.
 
     Segments labeled with the problem are split at the duration quartiles
     (top quartile vs bottom quartile); the prior is the bigram language of
-    the whole corpus; alpha0 is the prior total scaled by alpha0_scale.
+    the whole corpus; alpha0 is the prior total scaled by ``_ALPHA0_SCALE``.
     Positive z marks bigrams distinctive of long segments.
     """
     segments: list[tuple[float, list[str]]] = []  # (duration_s, utterances)
@@ -204,4 +201,4 @@ def quartile_language_compare(
     counts_long = BigramCounts.from_utterances("long", long_utts)
     counts_short = BigramCounts.from_utterances("short", short_utts)
     prior = BigramCounts.from_utterances("corpus", all_utterances)
-    return log_odds(counts_long, counts_short, prior, alpha0=alpha0_scale * prior.total)
+    return log_odds(counts_long, counts_short, prior, alpha0=_ALPHA0_SCALE * prior.total)

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Commands: gen-corpus, segment, retrieve, calibrate, posr, analyze, stats.
-Every command writes CSV reports plus a run manifest (config, seed where
-the command takes one, version) into the output directory; reruns with
+Every command writes CSV reports into the ``--out`` directory, which
+``main`` creates; after the command succeeds, ``main`` adds a run manifest
+(command, config, seed where the command takes one, version). Reruns with
 the same seed and cassette are byte-identical.
 """
 
@@ -35,7 +36,6 @@ from .llm import (
     LLMConfigError,
     LLMEndpointConfig,
     PromptKind,
-    fallback_labeling,
     run_posr_llm_batch,
 )
 from .llm.client import read_json_file
@@ -50,8 +50,6 @@ from .retrieval import (
     retrieve_labeling,
 )
 from .segmentation import METHODS as SEGMENT_METHODS, SegmentationError, segmenter
-
-logger = logging.getLogger(__name__)
 
 LLM_METHODS = {
     "joint-llm": PromptKind.JOINT_POSR,
@@ -68,9 +66,9 @@ def _write_json(path: Path, doc: object) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_run_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
+def _write_run_manifest(out: Path, args: argparse.Namespace) -> None:
     _write_json(out / "run_manifest.json", {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "seed": getattr(args, "seed", None),
         "args": {k: str(v) for k, v in vars(args).items() if k != "func"},
@@ -89,8 +87,8 @@ class UsageError(ValueError):
     """A command-line argument that cannot be used as given."""
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
+def _out_dir(path: str) -> Path:
+    out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -98,8 +96,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def cmd_gen_corpus(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_gen_corpus(args: argparse.Namespace, out: Path) -> None:
     spec = SyntheticSpec(
         n_transcripts=args.n_transcripts,
         n_problems=args.n_problems,
@@ -109,16 +106,18 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
     )
     corpus = generate_synthetic(spec)
     manifest_path = write_corpus(corpus, out)
-    _write_run_manifest(out, "gen-corpus", args)
     print(f"wrote {len(corpus)} transcripts; manifest at {manifest_path}")
-    return 0
 
 
-def cmd_segment(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
-    corpus = load_corpus(load_manifest(args.manifest))
+def _segmenter(args: argparse.Namespace):
+    """The ``--method`` segmenter, trained on ``--train-manifest`` if given."""
     train = load_corpus(load_manifest(args.train_manifest)) if args.train_manifest else None
-    segment = segmenter(args.method, train)
+    return segmenter(args.method, train)
+
+
+def cmd_segment(args: argparse.Namespace, out: Path) -> None:
+    corpus = load_corpus(load_manifest(args.manifest))
+    segment = _segmenter(args)
     rows = []
     for entry in corpus.entries:
         pred = segment(entry.transcript)
@@ -133,13 +132,10 @@ def cmd_segment(args: argparse.Namespace) -> int:
             rows.append({col: row[col] for col in SEGMENT_COLUMNS})
     if rows:
         _write_csv(out / "segmentation_metrics.csv", SEGMENT_COLUMNS, rows)
-    _write_run_manifest(out, "segment", args)
     print(f"segmented {len(corpus)} transcripts with {args.method}")
-    return 0
 
 
-def cmd_retrieve(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_retrieve(args: argparse.Namespace, out: Path) -> None:
     corpus = load_corpus(load_manifest(args.manifest)).annotated()
     if not corpus.entries:
         raise RetrievalError("retrieval evaluation needs annotated transcripts")
@@ -164,13 +160,10 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                ["transcript_id", "start_line", "end_line", "decision", "gold"], rows)
     _write_json(out / "retrieval_accuracy.json",
                 {"method": args.method, "threshold": args.threshold, "accuracy": overall})
-    _write_run_manifest(out, "retrieve", args)
     print(f"{args.method} accuracy on ground-truth segments: {overall:.4f}")
-    return 0
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_calibrate(args: argparse.Namespace, out: Path) -> None:
     train = load_corpus(load_manifest(args.manifest))
     methods = [args.method] if args.method else list(RETRIEVAL_METHODS)
     thresholds = {}
@@ -181,8 +174,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         print(f"{method}: {thresholds[method]:.4f}")
     _write_json(out / "thresholds.json",
                 {"seed": args.seed, "folds": args.folds, "thresholds": thresholds})
-    _write_run_manifest(out, "calibrate", args)
-    return 0
 
 
 def _load_prices(path: str | None) -> dict:
@@ -210,41 +201,26 @@ def _make_client(args: argparse.Namespace):
     return inner
 
 
-def cmd_posr(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_posr(args: argparse.Namespace, out: Path) -> None:
     corpus = load_corpus(load_manifest(args.manifest))
     prices = _load_prices(args.prices)
     rows = []
     llm_mode = args.method in LLM_METHODS
     if llm_mode and args.prices and args.model not in prices:
         raise UsageError(f"{args.prices}: no entry for --model {args.model!r}")
-    client = _make_client(args) if llm_mode else None
     usages: list[TokenUsage] = []
     failed: list[str] = []
     if llm_mode:
-        preds = []
-        outcomes = run_posr_llm_batch(
-            client, args.model, [(e.transcript, e.worksheet) for e in corpus.entries],
-            LLM_METHODS[args.method])
-        for entry, outcome in zip(corpus.entries, outcomes):
-            if isinstance(outcome, Exception):
-                # scored with the fallback, like a parse failure, and priced
-                # with the tokens spent before it raised, so the averages
-                # never cover only the transcripts that succeeded
-                logger.error("%s: LLM run failed: %s", entry.transcript.id, outcome,
-                             exc_info=outcome)
-                preds.append(fallback_labeling(len(entry.transcript)))
-                usages.append(getattr(outcome, "usage", TokenUsage()))
-                failed.append(entry.transcript.id)
-                continue
-            preds.append(outcome.labeling)
-            usages.append(outcome.usage)
-            if outcome.parse_failed:
-                failed.append(entry.transcript.id)
+        results = run_posr_llm_batch(
+            _make_client(args), args.model,
+            [(e.transcript, e.worksheet) for e in corpus.entries], LLM_METHODS[args.method])
+        preds = [r.labeling for r in results]
+        usages = [r.usage for r in results]
+        failed = [e.transcript.id for e, r in zip(corpus.entries, results)
+                  if r.parse_failed or r.error is not None]
     else:
         rconf = RetrieverConfig(method=args.retrieval, threshold=args.threshold)
-        train = load_corpus(load_manifest(args.train_manifest)) if args.train_manifest else None
-        segment = segmenter(args.method, train)
+        segment = _segmenter(args)
         # CPU-bound under the interpreter lock: threads would not help here
         preds = (retrieve_labeling(rconf, e.transcript, segment(e.transcript), e.worksheet)
                  for e in corpus.entries)
@@ -265,15 +241,12 @@ def cmd_posr(args: argparse.Namespace) -> int:
         _write_csv(out / "posr_metrics.csv", POSR_COLUMNS, rows)
     if failed:
         _write_json(out / "failed_transcripts.json", failed)
-    _write_run_manifest(out, "posr", args)
     print(f"evaluated {len(rows)} transcripts"
           + (f", cost/100 = ${cost:.2f}" if cost is not None else "")
           + (f", {len(failed)} flagged" if failed else ""))
-    return 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_analyze(args: argparse.Namespace, out: Path) -> None:
     corpus = load_corpus(load_manifest(args.manifest)).annotated()
     if not corpus.entries:
         raise AnalysisError("analyze needs annotated transcripts")
@@ -290,21 +263,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _write_csv(out / f"logodds_{args.problem}.csv",
                    ["bigram", "z"],
                    [{"bigram": b, "z": z} for b, z in ranked])
-    _write_run_manifest(out, "analyze", args)
     print(f"analysis artifacts written to {out}")
-    return 0
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace, out: Path | None) -> None:
     corpus = load_corpus(load_manifest(args.manifest))
     stats = corpus_stats(corpus)
     for key, value in stats.items():
         print(f"{key}: {value}")
-    if args.out:
-        out = _out_dir(args)
+    if out is not None:
         _write_json(out / "corpus_stats.json", stats)
-        _write_run_manifest(out, "stats", args)
-    return 0
 
 
 # parse_args never changes the parser, so one process builds it once
@@ -379,7 +347,8 @@ def main(argv: list[str] | None = None) -> int:
     # worksheet indexes are fitted once per command and never outlive it
     clear_indexes()
     try:
-        return args.func(args)
+        out = _out_dir(args.out) if args.out else None
+        args.func(args, out)
     except (UsageError, CorpusError, LLMConfigError, SegmentationError, RetrievalError,
             MetricError, AnalysisError) as exc:
         # input that cannot be used as written: a usage error, not a traceback
@@ -387,6 +356,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     finally:
         clear_indexes()
+    # written last, so an out directory with a manifest holds a finished run
+    if out is not None:
+        _write_run_manifest(out, args)
+    return 0
 
 
 if __name__ == "__main__":

@@ -135,13 +135,13 @@ def parse_retrieval(text: str, worksheet: Worksheet) -> RefLabel:
     raise ParseFailure(f"no worksheet problem id in {stripped!r}", text)
 
 
-def _to_ref(problem_id, worksheet: Worksheet) -> RefLabel:
+def _to_ref(problem_id, ids: set[str]) -> RefLabel:
     if problem_id is None:
         return REF_NONE
     pid = str(problem_id)
     if pid == "-1":
         return REF_NOT_IN_CORPUS
-    if pid in set(worksheet.problem_ids()):
+    if pid in ids:
         return RefLabel.problem(pid)
     logger.warning("problem_id %r not in worksheet; treating as off-worksheet", problem_id)
     return REF_NOT_IN_CORPUS
@@ -150,6 +150,7 @@ def _to_ref(problem_id, worksheet: Worksheet) -> RefLabel:
 def parse_joint(text: str, n_lines: int, worksheet: Worksheet) -> list[SegmentSpan]:
     """Parse the list of {start_line_idx, end_line_idx, problem_id} objects."""
     value = _extract_json_array(text)
+    ids = set(worksheet.problem_ids())
     spans: list[SegmentSpan] = []
     for item in value:
         if not isinstance(item, dict):
@@ -162,7 +163,7 @@ def parse_joint(text: str, n_lines: int, worksheet: Worksheet) -> list[SegmentSp
         clamped = _clamp_span(start, end, n_lines)
         if clamped is None:
             continue
-        ref = _to_ref(item.get("problem_id"), worksheet)
+        ref = _to_ref(item.get("problem_id"), ids)
         spans.append(SegmentSpan(clamped[0], clamped[1], ref))
     if not spans:
         raise ParseFailure("no usable spans in response", text)

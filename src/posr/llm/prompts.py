@@ -8,6 +8,7 @@ substitution of the ``{transcript}`` and ``{problems}`` placeholders.
 from __future__ import annotations
 
 import enum
+import functools
 from importlib import resources
 
 from ..model import Transcript, Worksheet
@@ -19,6 +20,7 @@ class PromptKind(enum.Enum):
     JOINT_POSR = "joint_posr"
 
 
+@functools.cache
 def _load_template(name: str) -> str:
     ref = resources.files("posr.llm") / "templates" / name
     return ref.read_text(encoding="utf-8").rstrip("\n")

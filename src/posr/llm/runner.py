@@ -8,6 +8,12 @@ requests one after another. ``run_posr_llm_batch`` runs the requests of
 many transcripts on one small thread pool, so the retrieval requests of
 one transcript overlap with each other and with other transcripts'
 requests.
+
+Both settle every transcript to one ``LLMRunResult``. A reply that does not
+parse gives the flagged fallback (``parse_failed``); a request that raises
+ends that transcript's run with the fallback, the tokens of the replies
+answered before it, and the exception (``error``), logged here. Either way
+the transcript is scored and priced, never dropped.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ class LLMRunResult:
     labeling: Labeling
     usage: TokenUsage
     parse_failed: bool = False
+    error: Exception | None = None
 
 
 def fallback_labeling(n_lines: int) -> Labeling:
@@ -51,18 +58,16 @@ def fallback_labeling(n_lines: int) -> Labeling:
 
 def _call(client: ChatClient, model: str, system: str, user: str,
           usage: TokenUsage) -> tuple[ChatResponse, TokenUsage]:
-    """One request; returns the response and ``usage`` plus its tokens.
-
-    A request that raises carries ``usage``, the tokens spent before it, as
-    the exception's ``usage`` attribute, so a transcript that fails part-way
-    is still priced.
-    """
-    try:
-        response = client.complete(ChatRequest(model=model, system=system, user=user))
-    except Exception as exc:
-        exc.usage = usage  # type: ignore[attr-defined]
-        raise
+    """One request; returns the response and ``usage`` plus its tokens."""
+    response = client.complete(ChatRequest(model=model, system=system, user=user))
     return response, usage + TokenUsage(response.input_tokens, response.output_tokens, 1)
+
+
+def _failed(transcript: Transcript, usage: TokenUsage, exc: Exception) -> LLMRunResult:
+    """A run ended by a request that raised: the fallback, priced with
+    ``usage``, the replies answered before it."""
+    logger.error("%s: LLM run failed: %s", transcript.id, exc, exc_info=exc)
+    return LLMRunResult(fallback_labeling(len(transcript)), usage, error=exc)
 
 
 def _first_request(
@@ -140,18 +145,23 @@ def run_posr_llm(
     unparseable top-level response falls back to a single no-ref segment and
     is flagged; per-segment retrieval parse failures degrade that segment to
     no ref without failing the transcript. The requests go out one after
-    another, and the first one that raises ends the run: its exception
-    carries the usage of the requests answered before it as its ``usage``
-    attribute.
+    another, and the first one that raises ends the run: the result is the
+    fallback, priced with the replies answered before it, with the exception
+    as ``error``.
     """
-    first = _first_request(client, model, transcript, worksheet, kind)
-    if isinstance(first, LLMRunResult):
-        return first
-    spans, usage = first
-    labeled: list[SegmentSpan] = []
-    for span in spans:
-        segment, usage = _retrieval_request(client, model, transcript, worksheet, span, usage)
-        labeled.append(segment)
+    usage = TokenUsage()
+    try:
+        first = _first_request(client, model, transcript, worksheet, kind)
+        if isinstance(first, LLMRunResult):
+            return first
+        spans, usage = first
+        labeled: list[SegmentSpan] = []
+        for span in spans:
+            segment, usage = _retrieval_request(client, model, transcript, worksheet, span,
+                                                usage)
+            labeled.append(segment)
+    except Exception as exc:  # noqa: BLE001 - settled as a flagged fallback
+        return _failed(transcript, usage, exc)
     return LLMRunResult(spans_to_labeling(labeled, len(transcript)), usage)
 
 
@@ -160,7 +170,7 @@ def run_posr_llm_batch(
     model: str,
     items: Sequence[tuple[Transcript, Worksheet]],
     kind: PromptKind,
-) -> list[LLMRunResult | Exception]:
+) -> list[LLMRunResult]:
     """``run_posr_llm`` over (transcript, worksheet) pairs on one shared
     client, with up to ``LLM_CONCURRENCY`` requests in flight.
 
@@ -170,11 +180,11 @@ def run_posr_llm_batch(
     returns their futures. No task waits on another, so the pool cannot
     deadlock.
 
-    Returns one outcome per pair, in input order: the result, or the
-    exception its run raised. When retrieval requests raise, the outcome is
-    the exception of the first failing segment in segment order, and its
-    ``usage`` attribute counts the segmentation reply and every retrieval
-    reply that was answered.
+    Returns one result per pair, in input order, settled as in
+    ``run_posr_llm``. When retrieval requests raise, the result's ``error``
+    is the exception of the first failing segment in segment order, and its
+    ``usage`` counts the segmentation reply and every retrieval reply that
+    was answered, also those that finished after the failing one.
     """
     pool = ThreadPoolExecutor(max_workers=LLM_CONCURRENCY)
 
@@ -189,20 +199,20 @@ def run_posr_llm_batch(
 
     try:
         started = [pool.submit(start, transcript, worksheet) for transcript, worksheet in items]
-        return [_outcome(future, len(transcript))
+        return [_outcome(future, transcript)
                 for (transcript, _), future in zip(items, started)]
     finally:
         # an interrupted wait drops the requests not yet started
         pool.shutdown(cancel_futures=True)
 
 
-def _outcome(started: Future, n_lines: int) -> LLMRunResult | Exception:
+def _outcome(started: Future, transcript: Transcript) -> LLMRunResult:
     """Wait for one transcript of the batch: its first request, then each of
     its retrieval requests in segment order."""
     try:
         first = started.result()
-    except Exception as exc:  # noqa: BLE001 - the caller flags this transcript
-        return exc
+    except Exception as exc:  # noqa: BLE001 - settled as a flagged fallback
+        return _failed(transcript, TokenUsage(), exc)
     if isinstance(first, LLMRunResult):
         return first
     usage, retrievals = first
@@ -211,13 +221,12 @@ def _outcome(started: Future, n_lines: int) -> LLMRunResult | Exception:
     for future in retrievals:
         try:
             segment, reply = future.result()
-        except Exception as exc:  # noqa: BLE001 - the caller flags this transcript
+        except Exception as exc:  # noqa: BLE001 - settled as a flagged fallback
             if failure is None:
                 failure = exc
             continue
         labeled.append(segment)
         usage += reply
     if failure is not None:
-        failure.usage = usage  # type: ignore[attr-defined]
-        return failure
-    return LLMRunResult(spans_to_labeling(labeled, n_lines), usage)
+        return _failed(transcript, usage, failure)
+    return LLMRunResult(spans_to_labeling(labeled, len(transcript)), usage)

@@ -16,6 +16,7 @@ and delta = k*d.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from itertools import accumulate, compress, islice, repeat
@@ -223,7 +224,7 @@ def cost_per_100(
     prices = price_table[model]
     if not usages:
         return 0.0
-    total = sum(
+    total = math.fsum(
         u.input_tokens / 1000 * prices["input_usd_per_1k"]
         + u.output_tokens / 1000 * prices["output_usd_per_1k"]
         for u in usages

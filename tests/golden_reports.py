@@ -7,9 +7,8 @@ A change that alters reports on purpose rewrites the table:
     PYTHONPATH=src python tests/golden_reports.py            # the table
     PYTHONPATH=src python tests/golden_reports.py --fixture  # fixture, then table
 
-Files matching ``VERSION_DEPENDENT`` keep one digest per Python minor
-version, so the table is rewritten once under each supported version
-(``--fixture`` drops the digests of every version).
+Every supported Python writes the same bytes, so the table holds one
+digest per file.
 
 The fixture is a ``gen-corpus`` corpus at a fixed seed (``plain``) and a
 deterministic rewrite of its text (``surface``) with capitals, punctuation,
@@ -21,7 +20,6 @@ failed transcript each).
 
 from __future__ import annotations
 
-import fnmatch
 import hashlib
 import json
 import re
@@ -33,9 +31,6 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPORA = ("plain", "surface")
 MODEL = "m"
-# cost_usd_per_100 and the talk-time means sum floats with sum(), which is
-# compensated from Python 3.12 on
-VERSION_DEPENDENT = ("*/analyze/talk_time_summary.csv", "*/posr-*-llm/posr_metrics.csv")
 
 
 def commands(corpus: Path, out: Path) -> list[list[str]]:
@@ -77,28 +72,9 @@ def run_digests(work: Path) -> dict[str, str]:
             if path.is_file() and path.name != "run_manifest.json"}
 
 
-def python_minor() -> str:
-    return f"{sys.version_info[0]}.{sys.version_info[1]}"
-
-
-def expected_digest(entry: str | dict[str, str]) -> str | None:
-    """A table entry's digest for this Python, or None if it has none."""
-    return entry.get(python_minor()) if isinstance(entry, dict) else entry
-
-
 def write_table(digests: dict[str, str]) -> None:
-    """Rewrite ``digests.json``: this Python's digest of every file, keeping
-    the other versions' digests of the ``VERSION_DEPENDENT`` files."""
-    path = GOLDEN / "digests.json"
-    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    table: dict[str, str | dict[str, str]] = {}
-    for rel, digest in digests.items():
-        if any(fnmatch.fnmatchcase(rel, pattern) for pattern in VERSION_DEPENDENT):
-            by_version = old.get(rel) if isinstance(old.get(rel), dict) else {}
-            table[rel] = dict(sorted({**by_version, python_minor(): digest}.items()))
-        else:
-            table[rel] = digest
-    path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (GOLDEN / "digests.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n",
+                                         encoding="utf-8")
 
 
 # --- fixture -----------------------------------------------------------------
@@ -265,8 +241,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_digests(Path(tmp))
     write_table(digests)
-    print(f"{len(digests)} digests written to {GOLDEN / 'digests.json'} "
-          f"for Python {python_minor()}")
+    print(f"{len(digests)} digests written to {GOLDEN / 'digests.json'}")
     return 0
 
 

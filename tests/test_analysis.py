@@ -7,7 +7,6 @@ from posr.analysis import (
     AnalysisError,
     BigramCounts,
     _chi2_sf,
-    boundary_vector,
     cochran_q,
     log_odds,
     quartile_language_compare,
@@ -321,11 +320,6 @@ def test_chi2_sf_matches_scipy():
     for df, row in CHI2_SF.items():
         for x, expected in zip(CHI2_SF_X, row):
             assert math.isclose(_chi2_sf(x, df), expected, rel_tol=1e-12, abs_tol=0.0), (df, x)
-
-
-def test_boundary_vector():
-    lab = Labeling(((0, REF_NONE), (0, REF_NONE), (1, REF_NONE), (1, REF_NONE)))
-    assert boundary_vector(lab) == [False, True, False]
 
 
 # --- talk time

@@ -255,6 +255,34 @@ def test_out_that_is_not_a_directory_is_a_usage_error(synthetic_dir, tmp_path, c
     assert one_error_line(capsys) == f"error: --out {out}: {reason}\n"
 
 
+def test_main_writes_the_run_manifest_of_each_command_that_succeeds(
+        synthetic_dir, tmp_path, monkeypatch):
+    m = str(synthetic_dir / "manifest.json")
+    commands = [["gen-corpus", "--seed", "5"],
+                ["segment", "--manifest", m, "--method", "texttiling"],
+                ["retrieve", "--manifest", m, "--method", "jaccard"],
+                ["calibrate", "--manifest", m, "--folds", "3", "--seed", "4"],
+                ["posr", "--manifest", m, "--method", "texttiling"],
+                ["analyze", "--manifest", m],
+                ["stats", "--manifest", m]]
+    for command in commands:
+        out = tmp_path / command[0]
+        assert main([*command, "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["command"] == command[0]
+        assert manifest["version"] == posr.__version__
+        assert manifest["seed"] == {"gen-corpus": 5, "calibrate": 4}.get(command[0])
+        assert manifest["args"]["out"] == str(out)
+    failed = tmp_path / "failed"
+    assert main(["calibrate", "--manifest", m, "--folds", "0", "--out", str(failed)]) == 2
+    assert not (failed / "run_manifest.json").exists()
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["stats", "--manifest", m]) == 0
+    assert list(cwd.iterdir()) == []
+
+
 def test_posr_writes_an_empty_prediction_as_one_empty_line(synthetic_dir, tmp_path):
     doc = json.loads((synthetic_dir / "manifest.json").read_text())
     del doc["annotations"]
@@ -478,15 +506,16 @@ def test_posr_llm_prices_the_tokens_of_a_partly_failed_transcript(llm_corpus, tm
         return llm_responder(req)
 
     scripted = ScriptedClient(segmentation_only)
-    with pytest.raises(TransportError):
-        run_posr_llm(CassetteClient(cassette, inner=scripted), "m",
-                     partial.transcript, partial.worksheet, kind)
+    result = run_posr_llm(CassetteClient(cassette, inner=scripted), "m",
+                          partial.transcript, partial.worksheet, kind)
+    assert isinstance(result.error, TransportError)
     segmentation, retrieval = scripted.calls
     assert "Segment:\n" in retrieval.user
     # ScriptedClient counts whitespace-separated words as tokens
     usages[partial.transcript.id] = TokenUsage(
         len(segmentation.system.split()) + len(segmentation.user.split()),
         len(llm_responder(segmentation).split()), 1)
+    assert result.usage == usages[partial.transcript.id]
 
     out = tmp_path / "posr"
     # replay only: the partial transcript's retrieval request misses and raises

@@ -12,11 +12,7 @@ def test_reports_match_golden_digests(tmp_path):
     cassette = (golden.GOLDEN / "cassette.json").read_bytes()
     digests = golden.run_digests(tmp_path)
     assert sorted(digests) == sorted(table), "the set of report files changed"
-    unrecorded = [rel for rel, entry in table.items() if golden.expected_digest(entry) is None]
-    assert not unrecorded, (f"no digest for Python {golden.python_minor()}; run "
-                            f"tests/golden_reports.py under it: {unrecorded}")
-    changed = [rel for rel, digest in digests.items()
-               if digest != golden.expected_digest(table[rel])]
+    changed = [rel for rel, digest in digests.items() if digest != table[rel]]
     assert not changed, f"reports differ from the golden digests: {changed}"
     # replaying never records
     assert (golden.GOLDEN / "cassette.json").read_bytes() == cassette

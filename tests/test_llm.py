@@ -24,6 +24,7 @@ from posr.llm import (
     ScriptedClient,
     TransportError,
     build_prompt,
+    fallback_labeling,
     parse_joint,
     parse_retrieval,
     parse_segmentation,
@@ -324,7 +325,7 @@ def test_usage_accumulates_monotonically():
     assert result.usage.output_tokens > 0
 
 
-def test_exception_carries_the_usage_spent_before_it():
+def test_failed_request_settles_to_the_fallback_priced_with_the_usage_before_it():
     gold = gold_labeling()
     reply = encode_segmentation(gold)
 
@@ -334,12 +335,15 @@ def test_exception_carries_the_usage_spent_before_it():
         raise TransportError("endpoint down")
 
     client = ScriptedClient(responder)
-    with pytest.raises(TransportError) as info:
-        run_posr_llm(client, "m", gold_transcript(), WS, PromptKind.INDEPENDENT_RETRIEVAL)
+    result = run_posr_llm(client, "m", gold_transcript(), WS, PromptKind.INDEPENDENT_RETRIEVAL)
+    assert isinstance(result.error, TransportError)
+    assert str(result.error) == "endpoint down"
+    assert result.labeling == fallback_labeling(12)
+    assert not result.parse_failed
     segmentation, retrieval = client.calls
     assert "Segment:\n" in retrieval.user
     # ScriptedClient counts whitespace-separated words as tokens
-    assert info.value.usage == TokenUsage(
+    assert result.usage == TokenUsage(
         len(segmentation.system.split()) + len(segmentation.user.split()),
         len(reply.split()), 1)
 
@@ -455,18 +459,23 @@ def test_batch_overlaps_at_most_llm_concurrency_and_keeps_input_order():
     assert outcomes == sequential
 
 
-def test_batch_returns_the_exception_in_place():
+def test_batch_settles_a_failed_transcript_in_place():
     transcripts = numbered_transcripts(4)
+    down = TransportError("endpoint down")  # one instance: the results compare equal
 
     def responder(req):
         if "transcript 2 " in req.user:
-            raise TransportError("endpoint down")
+            raise down
         return joint_reply_by_transcript(req)
 
     outcomes = run_posr_llm_batch(ScriptedClient(responder), "m",
                                   [(t, WS) for t in transcripts], PromptKind.JOINT_POSR)
-    assert [type(o).__name__ for o in outcomes] == [
-        "LLMRunResult", "LLMRunResult", "TransportError", "LLMRunResult"]
+    assert [o.error for o in outcomes] == [None, None, down, None]
+    assert outcomes[2].labeling == fallback_labeling(12)
+    assert outcomes[2].usage == TokenUsage()
+    sequential = [run_posr_llm(ScriptedClient(responder), "m", t, WS, PromptKind.JOINT_POSR)
+                  for t in transcripts]
+    assert outcomes == sequential
 
 
 def test_batch_interrupted_wait_starts_no_more_transcripts():
@@ -601,8 +610,9 @@ def test_batch_returns_the_first_failing_segment_priced_with_every_answer():
     client = ScriptedClient(responder)
     [outcome] = run_posr_llm_batch(client, "m", [(transcript, WS)],
                                    PromptKind.INDEPENDENT_RETRIEVAL)
-    assert isinstance(outcome, TransportError)
-    assert str(outcome) == "segment 5"
+    assert isinstance(outcome.error, TransportError)
+    assert str(outcome.error) == "segment 5"
+    assert outcome.labeling == fallback_labeling(12)
     assert len(client.calls) == 1 + 5
     # the segmentation reply and the retrievals of segments 0, 2 and 7
     assert outcome.usage == sum(answered, TokenUsage())

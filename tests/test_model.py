@@ -15,6 +15,7 @@ from posr.model import (
     Transcript,
     Worksheet,
     boundaries,
+    boundary_flags,
     labeling_to_spans,
     spans_to_labeling,
 )
@@ -185,6 +186,11 @@ def test_boundaries():
     assert boundaries(Labeling(((0, REF_NONE), (0, REF_NONE), (1, A), (1, A)))) == {2}
     # enumerate adjacent pairs: changes at 1 and 2
     assert boundaries(Labeling(((0, REF_NONE), (1, A), (2, B)))) == {1, 2}
+
+
+def test_boundary_flags():
+    lab = Labeling(((0, REF_NONE), (0, REF_NONE), (1, REF_NONE), (1, REF_NONE)))
+    assert boundary_flags(lab) == [False, True, False]
 
 
 def test_boundary_count_matches_segment_count(rng):
