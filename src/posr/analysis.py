@@ -185,7 +185,7 @@ def quartile_language_compare(corpus: Corpus, problem_id: str) -> list[tuple[str
     for entry in corpus.annotated().entries:
         all_utterances.extend(l.utterance for l in entry.transcript.lines)
         for span in labeling_to_spans(entry.gold):  # type: ignore[arg-type]
-            if span.ref is None or span.ref.kind != "problem" or span.ref.problem_id != problem_id:
+            if span.ref.kind != "problem" or span.ref.problem_id != problem_id:
                 continue
             lines = entry.transcript.lines[span.start_line : span.end_line + 1]
             duration = sum(l.duration_ms for l in lines) / 1000

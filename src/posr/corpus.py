@@ -312,8 +312,9 @@ class SyntheticSpec:
                        self.tokens_per_line):
             if lo < 1 or hi < lo:
                 raise CorpusError(f"empty or non-positive range ({lo}, {hi})")
-        if not 0.0 <= self.vocab_overlap <= 1.0:
-            raise CorpusError("vocab_overlap must be in [0, 1]")
+        for name in ("vocab_overlap", "informal_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise CorpusError(f"{name} must be in [0, 1]")
         if self.n_transcripts < 1 or self.n_problems < 1:
             raise CorpusError("n_transcripts and n_problems must be positive")
 

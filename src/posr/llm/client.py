@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -95,7 +96,9 @@ class LLMEndpointConfig:
         """Read a JSON object with the keys in ``CONFIG_KEYS``; only ``url``
         is required. ``api_key_env`` names the environment variable that
         holds the bearer key, and ``headers`` adds string-valued headers to
-        every request. Unknown keys and an unset key variable are errors."""
+        every request. ``url`` must be a non-empty string, ``timeout_s`` a
+        number > 0, ``max_attempts`` an integer >= 1 and ``backoff_s`` a
+        number >= 0. Unknown keys and an unset key variable are errors."""
         doc = read_json_file(path)
         if not isinstance(doc, dict) or "url" not in doc:
             raise LLMConfigError(f"{path}: expected a JSON object with a 'url'")
@@ -113,13 +116,26 @@ class LLMEndpointConfig:
             isinstance(k, str) and isinstance(v, str) for k, v in headers.items()
         ):
             raise LLMConfigError(f"{path}: headers must map strings to strings")
+
+        def checked(key: str, default, ok, want: str):
+            value = doc.get(key, default)
+            if isinstance(value, bool) or not ok(value):
+                raise LLMConfigError(f"{path}: {key!r} must be {want}, got {value!r}")
+            return value
+
+        def number(v) -> bool:
+            return isinstance(v, (int, float)) and math.isfinite(v)
+
         return LLMEndpointConfig(
-            url=doc["url"],
+            url=checked("url", None, lambda v: isinstance(v, str) and v, "a non-empty string"),
             api_key=api_key,
             headers=dict(headers),
-            timeout_s=float(doc.get("timeout_s", 120.0)),
-            max_attempts=int(doc.get("max_attempts", 3)),
-            backoff_s=float(doc.get("backoff_s", 1.0)),
+            timeout_s=float(checked("timeout_s", 120.0, lambda v: number(v) and v > 0,
+                                    "a number > 0")),
+            max_attempts=checked("max_attempts", 3, lambda v: isinstance(v, int) and v >= 1,
+                                 "an integer >= 1"),
+            backoff_s=float(checked("backoff_s", 1.0, lambda v: number(v) and v >= 0,
+                                    "a number >= 0")),
         )
 
 

@@ -3,17 +3,18 @@
 Three modes mirror the prompt kinds: joint (one request yielding spans
 with refs), segmentation-only (one request, refs left unset), and the
 independent pipeline (one segmentation request followed by one retrieval
-request per predicted segment). ``run_posr_llm`` sends a transcript's
-requests one after another. ``run_posr_llm_batch`` runs the requests of
+request per predicted segment). ``run_posr_llm_batch`` runs the requests of
 many transcripts on one small thread pool, so the retrieval requests of
 one transcript overlap with each other and with other transcripts'
-requests.
+requests. ``run_posr_llm`` is the same run for one transcript on one
+worker, so its requests go out one after another.
 
 Both settle every transcript to one ``LLMRunResult``. A reply that does not
-parse gives the flagged fallback (``parse_failed``); a request that raises
-ends that transcript's run with the fallback, the tokens of the replies
-answered before it, and the exception (``error``), logged here. Either way
-the transcript is scored and priced, never dropped.
+parse gives the flagged fallback (``parse_failed``). A request that raises
+gives the fallback too, priced with every reply the transcript got
+answered, with the exception of its first failing request (in segment
+order) as ``error``, logged here. Either way the transcript is scored and
+priced, never dropped.
 """
 
 from __future__ import annotations
@@ -56,34 +57,33 @@ def fallback_labeling(n_lines: int) -> Labeling:
     return Labeling(tuple((0, REF_NONE) for _ in range(n_lines)))
 
 
-def _call(client: ChatClient, model: str, system: str, user: str,
-          usage: TokenUsage) -> tuple[ChatResponse, TokenUsage]:
-    """One request; returns the response and ``usage`` plus its tokens."""
+def _call(client: ChatClient, model: str, system: str,
+          user: str) -> tuple[ChatResponse, TokenUsage]:
+    """One request; returns the response and its tokens."""
     response = client.complete(ChatRequest(model=model, system=system, user=user))
-    return response, usage + TokenUsage(response.input_tokens, response.output_tokens, 1)
+    return response, TokenUsage(response.input_tokens, response.output_tokens, 1)
 
 
 def _failed(transcript: Transcript, usage: TokenUsage, exc: Exception) -> LLMRunResult:
-    """A run ended by a request that raised: the fallback, priced with
-    ``usage``, the replies answered before it."""
+    """A run with a request that raised: the fallback, priced with ``usage``."""
     logger.error("%s: LLM run failed: %s", transcript.id, exc, exc_info=exc)
     return LLMRunResult(fallback_labeling(len(transcript)), usage, error=exc)
 
 
 def _first_request(
-    client: ChatClient, model: str, transcript: Transcript, worksheet: Worksheet,
-    kind: PromptKind,
-) -> LLMRunResult | tuple[list[SegmentSpan], TokenUsage]:
+    pool: ThreadPoolExecutor, client: ChatClient, model: str, transcript: Transcript,
+    worksheet: Worksheet, kind: PromptKind,
+) -> LLMRunResult | tuple[TokenUsage, list[Future]]:
     """A transcript's joint or segmentation request.
 
     Returns the finished result, or, under independent retrieval with a
-    reply that parses, the predicted spans and the usage so far: each span
-    still needs its retrieval request.
+    reply that parses, the usage so far and the futures of the retrieval
+    requests it submitted to ``pool``, one per predicted span.
     """
     n = len(transcript)
     if kind is PromptKind.JOINT_POSR:
         system, user = build_prompt(kind, transcript, worksheet)
-        response, usage = _call(client, model, system, user, TokenUsage())
+        response, usage = _call(client, model, system, user)
         try:
             spans = parse_joint(response.text, n, worksheet)
         except ParseFailure as exc:
@@ -93,7 +93,7 @@ def _first_request(
 
     # both independent modes start with a segmentation request
     system, user = build_prompt(PromptKind.INDEPENDENT_SEGMENTATION, transcript)
-    response, usage = _call(client, model, system, user, TokenUsage())
+    response, usage = _call(client, model, system, user)
     try:
         spans = parse_segmentation(response.text, n)
     except ParseFailure as exc:
@@ -102,23 +102,24 @@ def _first_request(
 
     if kind is PromptKind.INDEPENDENT_SEGMENTATION:
         return LLMRunResult(spans_to_labeling(spans, n), usage)
-    return spans, usage
+    return usage, [pool.submit(_retrieval_request, client, model, transcript, worksheet, span)
+                   for span in spans]
 
 
 def _retrieval_request(
     client: ChatClient, model: str, transcript: Transcript, worksheet: Worksheet,
-    span: SegmentSpan, usage: TokenUsage,
+    span: SegmentSpan,
 ) -> tuple[SegmentSpan, TokenUsage]:
     """One segment's retrieval request; returns the segment with its ref and
-    ``usage`` plus the reply's tokens. A reply that does not parse degrades
-    the segment to no ref without failing the transcript."""
+    the reply's tokens. A reply that does not parse degrades the segment to
+    no ref without failing the transcript."""
     system, user = build_prompt(
         PromptKind.INDEPENDENT_RETRIEVAL,
         transcript,
         worksheet,
         segment=(span.start_line, span.end_line),
     )
-    response, usage = _call(client, model, system, user, usage)
+    response, usage = _call(client, model, system, user)
     try:
         ref = parse_retrieval(response.text, worksheet)
     except ParseFailure as exc:
@@ -145,24 +146,9 @@ def run_posr_llm(
     unparseable top-level response falls back to a single no-ref segment and
     is flagged; per-segment retrieval parse failures degrade that segment to
     no ref without failing the transcript. The requests go out one after
-    another, and the first one that raises ends the run: the result is the
-    fallback, priced with the replies answered before it, with the exception
-    as ``error``.
+    another; a request that raises is settled as in ``run_posr_llm_batch``.
     """
-    usage = TokenUsage()
-    try:
-        first = _first_request(client, model, transcript, worksheet, kind)
-        if isinstance(first, LLMRunResult):
-            return first
-        spans, usage = first
-        labeled: list[SegmentSpan] = []
-        for span in spans:
-            segment, usage = _retrieval_request(client, model, transcript, worksheet, span,
-                                                usage)
-            labeled.append(segment)
-    except Exception as exc:  # noqa: BLE001 - settled as a flagged fallback
-        return _failed(transcript, usage, exc)
-    return LLMRunResult(spans_to_labeling(labeled, len(transcript)), usage)
+    return _run(client, model, [(transcript, worksheet)], kind, workers=1)[0]
 
 
 def run_posr_llm_batch(
@@ -174,31 +160,26 @@ def run_posr_llm_batch(
     """``run_posr_llm`` over (transcript, worksheet) pairs on one shared
     client, with up to ``LLM_CONCURRENCY`` requests in flight.
 
-    Each request is one task on one pool. A transcript's first task sends
-    its joint or segmentation request; under independent retrieval it then
-    submits that transcript's retrieval requests to the same pool and
-    returns their futures. No task waits on another, so the pool cannot
-    deadlock.
-
-    Returns one result per pair, in input order, settled as in
-    ``run_posr_llm``. When retrieval requests raise, the result's ``error``
-    is the exception of the first failing segment in segment order, and its
-    ``usage`` counts the segmentation reply and every retrieval reply that
-    was answered, also those that finished after the failing one.
+    Returns one result per pair, in input order. When requests of a
+    transcript raise, its result is the fallback, its ``error`` is the
+    exception of the first failing request in segment order, and its
+    ``usage`` counts every reply that was answered, also those that
+    finished after the failing one.
     """
-    pool = ThreadPoolExecutor(max_workers=LLM_CONCURRENCY)
+    return _run(client, model, items, kind, workers=LLM_CONCURRENCY)
 
-    def start(transcript: Transcript, worksheet: Worksheet):
-        first = _first_request(client, model, transcript, worksheet, kind)
-        if isinstance(first, LLMRunResult):
-            return first
-        spans, usage = first
-        return usage, [pool.submit(_retrieval_request, client, model, transcript, worksheet,
-                                   span, TokenUsage())
-                       for span in spans]
 
+def _run(client: ChatClient, model: str, items: Sequence[tuple[Transcript, Worksheet]],
+         kind: PromptKind, workers: int) -> list[LLMRunResult]:
+    """Each request is one task on one pool of ``workers`` threads. A
+    transcript's first task sends its joint or segmentation request; under
+    independent retrieval it then submits that transcript's retrieval
+    requests to the same pool. No task waits on another, so the pool cannot
+    deadlock, and one worker sends the requests in order."""
+    pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        started = [pool.submit(start, transcript, worksheet) for transcript, worksheet in items]
+        started = [pool.submit(_first_request, pool, client, model, transcript, worksheet, kind)
+                   for transcript, worksheet in items]
         return [_outcome(future, transcript)
                 for (transcript, _), future in zip(items, started)]
     finally:

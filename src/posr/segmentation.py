@@ -43,7 +43,6 @@ class BoundaryWordModel:
     """Top-k tokens of segment-opening lines in an annotated train set."""
 
     words: tuple[str, ...]
-    k: int
 
 
 def fit_boundary_words(train: Corpus, k: int) -> BoundaryWordModel:
@@ -60,7 +59,7 @@ def fit_boundary_words(train: Corpus, k: int) -> BoundaryWordModel:
         for span in labeling_to_spans(entry.gold):  # type: ignore[arg-type]
             counts.update(tokenize(entry.transcript.lines[span.start_line].utterance))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return BoundaryWordModel(words=tuple(w for w, _ in ranked[:k]), k=k)
+    return BoundaryWordModel(words=tuple(w for w, _ in ranked[:k]))
 
 
 def segment_boundary_words(model: BoundaryWordModel, transcript: Transcript) -> Labeling:

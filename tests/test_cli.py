@@ -255,6 +255,16 @@ def test_out_that_is_not_a_directory_is_a_usage_error(synthetic_dir, tmp_path, c
     assert one_error_line(capsys) == f"error: --out {out}: {reason}\n"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--informal-prob", "1.5"), ("--informal-prob", "nan"), ("--vocab-overlap", "-0.1"),
+])
+def test_gen_corpus_probability_outside_0_1_is_a_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out", str(out), flag, value]) == 2
+    assert one_error_line(capsys) == f"error: {flag[2:].replace('-', '_')} must be in [0, 1]\n"
+    assert list(out.iterdir()) == []
+
+
 def test_main_writes_the_run_manifest_of_each_command_that_succeeds(
         synthetic_dir, tmp_path, monkeypatch):
     m = str(synthetic_dir / "manifest.json")
@@ -509,8 +519,10 @@ def test_posr_llm_prices_the_tokens_of_a_partly_failed_transcript(llm_corpus, tm
     result = run_posr_llm(CassetteClient(cassette, inner=scripted), "m",
                           partial.transcript, partial.worksheet, kind)
     assert isinstance(result.error, TransportError)
-    segmentation, retrieval = scripted.calls
-    assert "Segment:\n" in retrieval.user
+    # every retrieval request was sent, also after the first one raised
+    segmentation, *retrievals = scripted.calls
+    assert len(retrievals) == len(json.loads(llm_responder(segmentation)))
+    assert all("Segment:\n" in retrieval.user for retrieval in retrievals)
     # ScriptedClient counts whitespace-separated words as tokens
     usages[partial.transcript.id] = TokenUsage(
         len(segmentation.system.split()) + len(segmentation.user.split()),

@@ -325,7 +325,7 @@ def test_usage_accumulates_monotonically():
     assert result.usage.output_tokens > 0
 
 
-def test_failed_request_settles_to_the_fallback_priced_with_the_usage_before_it():
+def test_failed_request_settles_to_the_fallback_priced_with_every_answer():
     gold = gold_labeling()
     reply = encode_segmentation(gold)
 
@@ -340,8 +340,10 @@ def test_failed_request_settles_to_the_fallback_priced_with_the_usage_before_it(
     assert str(result.error) == "endpoint down"
     assert result.labeling == fallback_labeling(12)
     assert not result.parse_failed
-    segmentation, retrieval = client.calls
-    assert "Segment:\n" in retrieval.user
+    # every retrieval request was sent, also after the first one raised
+    segmentation, *retrievals = client.calls
+    assert len(retrievals) == len(json.loads(reply))
+    assert all("Segment:\n" in retrieval.user for retrieval in retrievals)
     # ScriptedClient counts whitespace-separated words as tokens
     assert result.usage == TokenUsage(
         len(segmentation.system.split()) + len(segmentation.user.split()),
@@ -572,6 +574,18 @@ def test_batch_overlaps_the_retrieval_requests_of_one_transcript():
                                      PromptKind.INDEPENDENT_RETRIEVAL)]
 
 
+def test_run_posr_llm_sends_one_request_at_a_time_in_segment_order():
+    transcript = numbered_transcripts(1)[0]
+    probe = OverlapProbe(independent_reply, lambda req: 0.0 if is_segmentation(req) else 0.01)
+    client = ScriptedClient(probe)
+    run_posr_llm(client, "m", transcript, WS, PromptKind.INDEPENDENT_RETRIEVAL)
+    retrievals = client.calls[1:]
+    assert len(retrievals) > LLM_CONCURRENCY
+    assert probe.peak == 1
+    starts = [transcript_and_line(req)[1] for req in retrievals]
+    assert starts == sorted(starts)
+
+
 def test_batch_retrievals_finishing_out_of_order_match_a_sequential_loop():
     transcripts = numbered_transcripts(2 * LLM_CONCURRENCY)
     # later segments and earlier transcripts answer sooner
@@ -617,6 +631,12 @@ def test_batch_returns_the_first_failing_segment_priced_with_every_answer():
     # the segmentation reply and the retrievals of segments 0, 2 and 7
     assert outcome.usage == sum(answered, TokenUsage())
     assert outcome.usage.n_requests == 4
+    answered.clear()
+    sequential = run_posr_llm(ScriptedClient(responder), "m", transcript, WS,
+                              PromptKind.INDEPENDENT_RETRIEVAL)
+    assert str(sequential.error) == "segment 5"
+    assert sequential.usage == sum(answered, TokenUsage()) == outcome.usage
+    assert sequential.labeling == outcome.labeling
 
 
 def test_batch_interrupted_retrieval_wait_sends_no_more_requests():
@@ -790,7 +810,26 @@ def test_endpoint_config_unset_key_variable_is_an_error(tmp_path, monkeypatch):
     {"url": "http://endpoint", "headers": {"X-Retries": 3}},
     {"api_key_env": "HOME"},
     {"url": "http://endpoint", "api_key_env": 7},
+    {"url": 5},
+    {"url": ""},
+    {"url": "http://endpoint", "timeout_s": "abc"},
+    {"url": "http://endpoint", "timeout_s": 0},
+    {"url": "http://endpoint", "timeout_s": float("nan")},
+    {"url": "http://endpoint", "timeout_s": float("inf")},
+    {"url": "http://endpoint", "max_attempts": None},
+    {"url": "http://endpoint", "max_attempts": 0},
+    {"url": "http://endpoint", "max_attempts": 2.5},
+    {"url": "http://endpoint", "max_attempts": True},
+    {"url": "http://endpoint", "backoff_s": -1},
+    {"url": "http://endpoint", "backoff_s": False},
 ])
 def test_endpoint_config_rejects_bad_keys(tmp_path, doc):
     with pytest.raises(LLMConfigError):
         LLMEndpointConfig.from_file(write_config(tmp_path, doc))
+
+
+def test_endpoint_config_error_names_the_file_and_the_key(tmp_path):
+    path = write_config(tmp_path, {"url": "http://endpoint", "max_attempts": 0})
+    with pytest.raises(LLMConfigError, match=r"max_attempts.*integer >= 1") as info:
+        LLMEndpointConfig.from_file(path)
+    assert str(info.value).startswith(f"{path}: ")

@@ -67,7 +67,7 @@ def test_fit_boundary_words_requires_annotations():
 
 def test_segment_boundary_words_no_hits_single_segment():
     t = make_transcript([1000] * 6)
-    model = BoundaryWordModel(words=("zzzznope",), k=10)
+    model = BoundaryWordModel(words=("zzzznope",))
     lab = segment_boundary_words(model, t)
     assert lab.num_segments() == 1
 
@@ -77,7 +77,7 @@ def test_segment_boundary_words_scan():
     t = Transcript(id="t", lines=tuple(
         Line(i, "[TUTOR]", u, i * 1000, (i + 1) * 1000) for i, u in enumerate(lines)
     ))
-    model = BoundaryWordModel(words=("question",), k=1)
+    model = BoundaryWordModel(words=("question",))
     lab = segment_boundary_words(model, t)
     assert boundaries(lab) == {3}
 
@@ -87,7 +87,7 @@ def test_segment_boundary_words_every_line_fires():
     t = Transcript(id="t", lines=tuple(
         Line(i, "[TUTOR]", u, i * 1000, (i + 1) * 1000) for i, u in enumerate(lines)
     ))
-    model = BoundaryWordModel(words=("question",), k=1)
+    model = BoundaryWordModel(words=("question",))
     lab = segment_boundary_words(model, t)
     assert lab.num_segments() == len(lines)
 
@@ -97,7 +97,7 @@ def test_segment_boundary_words_case_invariant():
     t = Transcript(id="t", lines=tuple(
         Line(i, "[TUTOR]", u, i * 1000, (i + 1) * 1000) for i, u in enumerate(lines)
     ))
-    model = BoundaryWordModel(words=("question",), k=1)
+    model = BoundaryWordModel(words=("question",))
     assert segment_boundary_words(model, t).num_segments() == 2
 
 
