@@ -9,6 +9,7 @@ counts) are accepted.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -19,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
+from urllib.parse import unquote, urlsplit, urlunsplit
 
 logger = logging.getLogger(__name__)
 
@@ -82,6 +84,24 @@ class ChatClient(Protocol):
 CONFIG_KEYS = ("url", "api_key_env", "headers", "timeout_s", "max_attempts", "backoff_s")
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _http_url(value) -> bool:
+    """An http:// or https:// URL with a host and a valid port, in printable
+    ASCII without spaces, so that every request can carry it."""
+    if not (isinstance(value, str) and value.isascii() and value.isprintable()
+            and " " not in value):
+        return False
+    try:
+        parts = urlsplit(value)
+        parts.port  # noqa: B018 - raises on a port that is not a number in range
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
 @dataclass
 class LLMEndpointConfig:
     url: str
@@ -91,14 +111,37 @@ class LLMEndpointConfig:
     max_attempts: int = 3
     backoff_s: float = 1.0
 
+    def __post_init__(self) -> None:
+        """``url`` must be an http:// or https:// URL with a host, ``headers``
+        map strings to strings, ``timeout_s`` be a number > 0,
+        ``max_attempts`` an integer >= 1 and ``backoff_s`` a number >= 0
+        (``True`` and ``False`` are not numbers here); anything else is an
+        ``LLMConfigError`` naming the field."""
+        def check(key: str, ok, want: str) -> None:
+            value = getattr(self, key)
+            if not ok(value):
+                raise LLMConfigError(f"{key!r} must be {want}, got {value!r}")
+
+        check("url", _http_url, "an http:// or https:// URL with a host")
+        check("headers", lambda v: isinstance(v, dict) and all(
+            isinstance(k, str) and isinstance(x, str) for k, x in v.items()),
+            "a map from strings to strings")
+        check("timeout_s", lambda v: _number(v) and v > 0, "a number > 0")
+        check("max_attempts", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+              "an integer >= 1")
+        check("backoff_s", lambda v: _number(v) and v >= 0, "a number >= 0")
+        self.headers = dict(self.headers)
+        self.timeout_s = float(self.timeout_s)
+        self.backoff_s = float(self.backoff_s)
+
     @staticmethod
     def from_file(path: str | Path) -> "LLMEndpointConfig":
         """Read a JSON object with the keys in ``CONFIG_KEYS``; only ``url``
         is required. ``api_key_env`` names the environment variable that
         holds the bearer key, and ``headers`` adds string-valued headers to
-        every request. ``url`` must be a non-empty string, ``timeout_s`` a
-        number > 0, ``max_attempts`` an integer >= 1 and ``backoff_s`` a
-        number >= 0. Unknown keys and an unset key variable are errors."""
+        every request. Unknown keys, an unset key variable and any value
+        ``__post_init__`` rejects are errors whose message starts with
+        ``path``."""
         doc = read_json_file(path)
         if not isinstance(doc, dict) or "url" not in doc:
             raise LLMConfigError(f"{path}: expected a JSON object with a 'url'")
@@ -107,57 +150,95 @@ class LLMEndpointConfig:
             raise LLMConfigError(f"{path}: unknown keys {unknown}; accepted: {list(CONFIG_KEYS)}")
         api_key = None
         if "api_key_env" in doc:
-            env = doc["api_key_env"]
+            env = doc.pop("api_key_env")
             api_key = os.environ.get(env) if isinstance(env, str) else None
             if not api_key:
                 raise LLMConfigError(f"{path}: api_key_env {env!r} names no set variable")
-        headers = doc.get("headers", {})
-        if not isinstance(headers, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in headers.items()
-        ):
-            raise LLMConfigError(f"{path}: headers must map strings to strings")
-
-        def checked(key: str, default, ok, want: str):
-            value = doc.get(key, default)
-            if isinstance(value, bool) or not ok(value):
-                raise LLMConfigError(f"{path}: {key!r} must be {want}, got {value!r}")
-            return value
-
-        def number(v) -> bool:
-            return isinstance(v, (int, float)) and math.isfinite(v)
-
-        return LLMEndpointConfig(
-            url=checked("url", None, lambda v: isinstance(v, str) and v, "a non-empty string"),
-            api_key=api_key,
-            headers=dict(headers),
-            timeout_s=float(checked("timeout_s", 120.0, lambda v: number(v) and v > 0,
-                                    "a number > 0")),
-            max_attempts=checked("max_attempts", 3, lambda v: isinstance(v, int) and v >= 1,
-                                 "an integer >= 1"),
-            backoff_s=float(checked("backoff_s", 1.0, lambda v: number(v) and v >= 0,
-                                    "a number >= 0")),
-        )
+        try:
+            return LLMEndpointConfig(api_key=api_key, **doc)
+        except LLMConfigError as exc:
+            raise LLMConfigError(f"{path}: {exc}") from None
 
 
 class HttpChatClient:
-    """Live client with exponential backoff.
+    """Live client on the standard library's ``http.client``, with
+    exponential backoff.
+
+    Each thread that calls ``complete`` keeps one connection of its own open
+    between requests, so a pool of workers holds at most one connection per
+    worker. It is closed when its thread ends, and closed and dropped after
+    any transport error. A reused connection that the server closed while
+    idle fails before a status line arrives; it is reopened and the request
+    resent once, within the same attempt.
+
+    Proxies (``http_proxy``, ``https_proxy``, ``all_proxy``, ``no_proxy``)
+    and the CA bundle (``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE``, else the
+    system's certificates) are read from the environment once, here. An
+    https target behind a proxy is reached through a CONNECT tunnel, an http
+    target by sending the proxy the absolute URL. Credentials in a proxy URL
+    go out as ``Proxy-Authorization: Basic``, those in ``config.url`` as
+    ``Authorization: Basic``. A proxy that is not http://, or a CA bundle
+    that cannot be read, is an ``LLMConfigError``.
 
     Only transient failures are retried: connection errors, timeouts, 429
     and 5xx. A 429 or 503 that carries a delta-seconds ``Retry-After`` waits
-    for the larger of it and the backoff. Any other 4xx, or a reply that is
-    not a chat completion, raises ``TransportError`` at once. One client may
-    serve several threads; they share its ``requests.Session``.
+    for the larger of it and the backoff. Any other status of 300 or more,
+    or a reply that is not a chat completion, raises ``TransportError`` at
+    once; redirects are not followed.
     """
 
-    def __init__(self, config: LLMEndpointConfig, session=None):
-        import requests
+    def __init__(self, config: LLMEndpointConfig):
+        import http.client
+        import ssl
+        import urllib.request
 
         self.config = config
-        self._session = session or requests.Session()
-        self._transient = (requests.ConnectionError, requests.Timeout)
+        self._transient = (OSError, http.client.HTTPException)
+        self._local = threading.local()
+        url = urlsplit(config.url)
+        self._headers = {"Content-Type": "application/json", **config.headers}
+        if config.api_key:
+            self._headers["Authorization"] = f"Bearer {config.api_key}"
+        if url.username is not None:
+            self._headers["Authorization"] = _basic_auth(url)
+        self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        host, port = url.hostname, url.port
+        proxy = None
+        if not urllib.request.proxy_bypass(host):
+            proxies = urllib.request.getproxies()
+            proxy = proxies.get(url.scheme) or proxies.get("all")
+        tunnel = None
+        if proxy:
+            via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if via.scheme != "http" or not via.hostname:
+                raise LLMConfigError(
+                    f"proxy {proxy!r} for {config.url}: only http:// proxies are supported")
+            auth = {} if via.username is None else {"Proxy-Authorization": _basic_auth(via)}
+            if url.scheme == "https":
+                tunnel = (host, port, auth)
+            else:
+                self._target = urlunsplit(
+                    ("http", url.netloc.rpartition("@")[2], url.path or "/", url.query, ""))
+                self._headers.update(auth)
+            host, port = via.hostname, via.port or 80
+        connection = http.client.HTTPConnection
+        if url.scheme == "https":
+            bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+            try:
+                context = ssl.create_default_context(cafile=bundle)
+            except OSError as exc:
+                raise LLMConfigError(f"CA bundle {bundle}: {exc}") from exc
+            connection = functools.partial(http.client.HTTPSConnection, context=context)
+
+        def connect():
+            conn = connection(host, port, timeout=config.timeout_s)
+            if tunnel:
+                conn.set_tunnel(*tunnel)
+            return conn
+        self._connect = connect
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        body = {
+        payload = json.dumps({
             "model": request.model,
             "messages": [
                 {"role": "system", "content": request.system},
@@ -165,10 +246,7 @@ class HttpChatClient:
             ],
             "temperature": TEMPERATURE,
             "max_tokens": MAX_TOKENS,
-        }
-        headers = {"Content-Type": "application/json", **self.config.headers}
-        if self.config.api_key:
-            headers["Authorization"] = f"Bearer {self.config.api_key}"
+        }).encode("utf-8")
         last_error: Exception | None = None
         retry_after = 0.0
         for attempt in range(self.config.max_attempts):
@@ -176,26 +254,73 @@ class HttpChatClient:
                 time.sleep(max(retry_after, self.config.backoff_s * 2 ** (attempt - 1)))
                 retry_after = 0.0
             try:
-                resp = self._session.post(
-                    self.config.url, json=body, headers=headers,
-                    timeout=self.config.timeout_s,
-                )
+                status, retry_header, body = self._post(payload)
             except self._transient as exc:
                 last_error = exc
             else:
-                if resp.status_code < 400:
+                if status < 300:
                     try:
-                        doc = resp.json()
+                        doc = json.loads(body)
                     except ValueError as exc:
-                        raise TransportError(f"reply is not JSON: {resp.text[:200]}") from exc
+                        raise TransportError(f"reply is not JSON: {_text(body)}") from exc
                     return _parse_response(doc)
-                last_error = TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                if resp.status_code != 429 and resp.status_code < 500:
+                last_error = TransportError(f"HTTP {status}: {_text(body)}")
+                if status != 429 and status < 500:
                     raise last_error
-                if resp.status_code in (429, 503):
-                    retry_after = _retry_after_s(resp.headers.get("Retry-After", ""))
+                if status in (429, 503):
+                    retry_after = _retry_after_s(retry_header)
             logger.warning("request attempt %d failed: %s", attempt + 1, last_error)
         raise TransportError(f"all {self.config.max_attempts} attempts failed") from last_error
+
+    def _post(self, payload: bytes) -> tuple[int, str, bytes]:
+        """One attempt on this thread's connection: the status, the
+        ``Retry-After`` header and the whole body, read in full so that the
+        connection can carry the next request."""
+        link = getattr(self._local, "link", None)
+        if link is None:
+            link = self._local.link = _Connection(self._connect())
+        conn = link.conn
+        try:
+            reused = conn.sock is not None
+            try:
+                conn.request("POST", self._target, payload, self._headers)
+                reply = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # RemoteDisconnected is a ConnectionResetError
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", self._target, payload, self._headers)
+                reply = conn.getresponse()
+            return reply.status, reply.getheader("Retry-After", ""), reply.read()
+        except BaseException:
+            conn.close()
+            del self._local.link
+            raise
+
+
+class _Connection:
+    """Holds one thread's connection and closes it when dropped: when the
+    thread ends, when the client is collected, or after a failure."""
+
+    def __init__(self, conn):
+        self.conn = conn
+
+    def __del__(self):
+        self.conn.close()
+
+
+def _basic_auth(url) -> str:
+    """The Basic credentials in the user info of the split URL ``url``."""
+    import base64
+
+    user = f"{unquote(url.username)}:{unquote(url.password or '')}"
+    return "Basic " + base64.b64encode(user.encode("latin-1")).decode("ascii")
+
+
+def _text(body: bytes) -> str:
+    """The start of a reply body, for an error message."""
+    return body.decode("utf-8", "replace")[:200]
 
 
 def _retry_after_s(value: str) -> float:

@@ -39,8 +39,10 @@ from .prompts import PromptKind, build_prompt
 
 logger = logging.getLogger(__name__)
 
-# Requests in flight at once. Below requests' default pool of 10
-# connections per host, so a shared HttpChatClient never drops a connection.
+# Requests in flight at once; an HttpChatClient holds one connection per
+# worker. Enough to hide the endpoint's latency (the bench's independent-llm
+# workload ran 4.1x faster at 8 than one at a time), few enough that one run
+# stays a modest load on a shared endpoint and its rate limit.
 LLM_CONCURRENCY = 8
 
 

@@ -100,6 +100,17 @@ def test_posr_bad_llm_config_is_a_usage_error(synthetic_dir, tmp_path, capsys):
     assert "unknown keys ['api_key']" in capsys.readouterr().err
 
 
+def test_posr_url_without_a_scheme_is_a_usage_error(synthetic_dir, tmp_path, capsys):
+    config = tmp_path / "llm.json"
+    config.write_text(json.dumps({"url": "127.0.0.1:9/v1/chat/completions"}))
+    out = tmp_path / "p"
+    assert main(["posr", "--manifest", str(synthetic_dir / "manifest.json"),
+                 "--method", "independent-llm", "--model", "m", "--llm-config", str(config),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: 'url' must be an http://")
+    assert not (out / "run_manifest.json").exists()
+
+
 def test_malformed_manifest_is_a_usage_error(tmp_path, capsys):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"worksheets": {}}))

@@ -1,14 +1,19 @@
+import itertools
 import json
 import random
 import re
+import socket
+import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -679,74 +684,189 @@ def test_concurrent_independent_recordings_write_identical_cassettes(tmp_path):
 # --- HTTP client
 
 
-class FakeResponse:
-    def __init__(self, status_code, doc=None, headers=None):
-        self.status_code = status_code
-        self.doc = doc
-        self.text = json.dumps(doc) if doc is not None else "error"
-        self.headers = headers or {}
+@dataclass
+class Reply:
+    """One scripted reply: a status with headers and a body (``doc`` as JSON,
+    else the text "error"), sent after ``delay_s``. ``then_close`` closes
+    the connection after the reply without telling the client, as a server
+    does with a connection left idle too long."""
 
-    def json(self):
-        if self.doc is None:
-            raise ValueError("not json")
-        return self.doc
+    status: int
+    doc: dict | None = None
+    headers: dict = field(default_factory=dict)
+    delay_s: float = 0.0
+    then_close: bool = False
 
 
-class FakeSession:
-    """Plays back replies (a FakeResponse or an exception to raise) and
-    records the headers of every post."""
+HANG_UP = object()  # close the connection without replying
 
-    def __init__(self, *replies):
-        self.replies = list(replies)
-        self.posts = []
 
-    def post(self, url, json, headers, timeout):
-        self.posts.append(headers)
-        reply = self.replies.pop(0)
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
+@dataclass(frozen=True)
+class Seen:
+    """A request as the endpoint received it."""
+
+    target: str
+    headers: dict
+    connection: int
+
+
+class Endpoint:
+    """A loopback HTTP/1.1 server that plays back a script of replies, then
+    ``default`` once the script runs out, and records every request it
+    reads and how many connections are open."""
+
+    def __init__(self, *script, default=None):
+        self.script = list(script)
+        self.default = default
+        self.seen: list[Seen] = []
+        self.open_connections = 0
+        self._lock = threading.Lock()
+        self._connections = itertools.count()
+        endpoint = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # headers and body go out in two writes; with Nagle on, each
+            # reply would wait for the client's delayed ACK
+            disable_nagle_algorithm = True
+
+            def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+                pass
+
+            def setup(self):
+                super().setup()
+                with endpoint._lock:
+                    self.number = next(endpoint._connections)
+                    endpoint.open_connections += 1
+
+            def finish(self):
+                try:
+                    super().finish()
+                finally:
+                    with endpoint._lock:
+                        endpoint.open_connections -= 1
+
+            def do_POST(self):  # noqa: N802 - stdlib name
+                self.rfile.read(int(self.headers["Content-Length"]))
+                with endpoint._lock:
+                    endpoint.seen.append(Seen(self.path, dict(self.headers), self.number))
+                    reply = endpoint.script.pop(0) if endpoint.script else endpoint.default
+                if reply is HANG_UP:
+                    self.close_connection = True
+                    return
+                if reply.delay_s:
+                    time.sleep(reply.delay_s)
+                payload = (json.dumps(reply.doc) if reply.doc is not None else "error").encode()
+                try:
+                    self.send_response(reply.status)
+                    for name, value in reply.headers.items():
+                        self.send_header(name, value)
+                    self.send_header("Content-Length", str(len(payload)))
+                    self.end_headers()
+                    self.wfile.write(payload)
+                except OSError:  # the client gave up waiting
+                    self.close_connection = True
+                self.close_connection |= reply.then_close
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.block_on_close = False
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1/chat"
+        threading.Thread(target=self.server.serve_forever, kwargs={"poll_interval": 0.02},
+                         daemon=True).start()
+
+    def connections(self) -> set[int]:
+        return {seen.connection for seen in self.seen}
+
+    def close(self) -> None:
+        self.server.shutdown()
+        self.server.server_close()
+
+
+@pytest.fixture
+def endpoint_factory(monkeypatch):
+    """Starts loopback endpoints, with no proxy from the environment, and
+    stops them after the test."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    started = []
+
+    def start(*script, default=None):
+        started.append(Endpoint(*script, default=default))
+        return started[-1]
+
+    yield start
+    for endpoint in started:
+        endpoint.close()
+
+
+def refused_url() -> str:
+    """A loopback URL on which nothing listens."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{probe.getsockname()[1]}/v1/chat"
+
+
+def wait_for(predicate, timeout_s=5.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 OK_REPLY = {"text": "null", "input_tokens": 3, "output_tokens": 1}
+OK = Reply(200, OK_REPLY)
+REQUEST = ChatRequest(model="m", system="s", user="u")
 
 
-def http_client(session, attempts=3, backoff_s=0.0):
-    config = LLMEndpointConfig(url="http://endpoint", max_attempts=attempts,
-                               backoff_s=backoff_s)
-    return HttpChatClient(config, session=session)
+def http_client(endpoint, attempts=3, backoff_s=0.0, timeout_s=120.0):
+    url = endpoint if isinstance(endpoint, str) else endpoint.url
+    return HttpChatClient(LLMEndpointConfig(url=url, max_attempts=attempts,
+                                            backoff_s=backoff_s, timeout_s=timeout_s))
 
 
 @pytest.mark.parametrize("reply", [
-    FakeResponse(503), FakeResponse(500), FakeResponse(429),
-    requests.ConnectionError("refused"), requests.Timeout("slow"),
+    Reply(503), Reply(500), Reply(429),
+    HANG_UP,                            # a connection closed with no reply
+    Reply(200, OK_REPLY, delay_s=1.0),  # a reply slower than timeout_s
 ])
-def test_http_retries_transient_failures(reply):
-    session = FakeSession(reply, FakeResponse(200, OK_REPLY))
-    response = http_client(session).complete(ChatRequest(model="m", system="s", user="u"))
-    assert response.text == "null" and len(session.posts) == 2
+def test_http_retries_transient_failures(endpoint_factory, reply):
+    endpoint = endpoint_factory(reply, OK)
+    response = http_client(endpoint, timeout_s=0.3).complete(REQUEST)
+    assert response.text == "null" and len(endpoint.seen) == 2
 
 
-@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
-def test_http_permanent_errors_fail_at_once(status):
-    session = FakeSession(FakeResponse(status), FakeResponse(200, OK_REPLY))
+def test_http_retries_a_refused_connection(endpoint_factory, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+    with pytest.raises(TransportError, match="all 2 attempts failed") as info:
+        http_client(refused_url(), attempts=2, backoff_s=0.5).complete(REQUEST)
+    assert isinstance(info.value.__cause__, ConnectionRefusedError)
+    assert sleeps == [0.5]
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 422, 302])  # redirects not followed
+def test_http_permanent_errors_fail_at_once(endpoint_factory, status):
+    endpoint = endpoint_factory(Reply(status), OK)
     with pytest.raises(TransportError, match=f"HTTP {status}"):
-        http_client(session).complete(ChatRequest(model="m", system="s", user="u"))
-    assert len(session.posts) == 1
+        http_client(endpoint).complete(REQUEST)
+    assert len(endpoint.seen) == 1
 
 
-def test_http_non_json_reply_fails_at_once():
-    session = FakeSession(FakeResponse(200), FakeResponse(200, OK_REPLY))
-    with pytest.raises(TransportError):
-        http_client(session).complete(ChatRequest(model="m", system="s", user="u"))
-    assert len(session.posts) == 1
+def test_http_non_json_reply_fails_at_once(endpoint_factory):
+    endpoint = endpoint_factory(Reply(200), OK)
+    with pytest.raises(TransportError, match="reply is not JSON: error"):
+        http_client(endpoint).complete(REQUEST)
+    assert len(endpoint.seen) == 1
 
 
-def test_http_gives_up_after_max_attempts():
-    session = FakeSession(*[FakeResponse(503)] * 3)
+def test_http_gives_up_after_max_attempts(endpoint_factory):
+    endpoint = endpoint_factory(*[Reply(503)] * 3)
     with pytest.raises(TransportError, match="all 3 attempts failed"):
-        http_client(session).complete(ChatRequest(model="m", system="s", user="u"))
-    assert len(session.posts) == 3
+        http_client(endpoint).complete(REQUEST)
+    assert len(endpoint.seen) == 3
 
 
 @pytest.mark.parametrize("status, retry_after, backoff_s, slept", [
@@ -757,25 +877,120 @@ def test_http_gives_up_after_max_attempts():
     (503, "-4", 0.5, 0.5),
     (500, "5", 0.5, 0.5),      # only 429 and 503 carry a usable Retry-After
 ])
-def test_http_honours_retry_after(monkeypatch, status, retry_after, backoff_s, slept):
+def test_http_honours_retry_after(endpoint_factory, monkeypatch, status, retry_after,
+                                  backoff_s, slept):
+    endpoint = endpoint_factory(Reply(status, headers={"Retry-After": retry_after}), OK)
     sleeps = []
     monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
-    session = FakeSession(FakeResponse(status, headers={"Retry-After": retry_after}),
-                          FakeResponse(200, OK_REPLY))
-    response = http_client(session, backoff_s=backoff_s).complete(
-        ChatRequest(model="m", system="s", user="u"))
+    response = http_client(endpoint, backoff_s=backoff_s).complete(REQUEST)
     assert response.text == "null"
     assert sleeps == [slept]
 
 
-def test_http_retry_after_applies_to_the_next_attempt_only(monkeypatch):
+def test_http_retry_after_applies_to_the_next_attempt_only(endpoint_factory, monkeypatch):
+    # the 503 closes its connection, so the hang-up after it fails a fresh
+    # connection and is retried with backoff, not resent at once
+    endpoint = endpoint_factory(
+        Reply(503, headers={"Retry-After": "7", "Connection": "close"}), HANG_UP, OK)
     sleeps = []
     monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
-    session = FakeSession(FakeResponse(503, headers={"Retry-After": "7"}),
-                          requests.ConnectionError("refused"),
-                          FakeResponse(200, OK_REPLY))
-    http_client(session, backoff_s=1.0).complete(ChatRequest(model="m", system="s", user="u"))
+    http_client(endpoint, backoff_s=1.0).complete(REQUEST)
     assert sleeps == [7.0, 2.0]
+    assert len(endpoint.seen) == 3
+
+
+def test_http_sequential_requests_share_one_connection(endpoint_factory):
+    endpoint = endpoint_factory(default=OK)
+    client = http_client(endpoint)
+    for _ in range(20):
+        assert client.complete(REQUEST).text == "null"
+    assert len(endpoint.seen) == 20
+    assert len(endpoint.connections()) == 1
+
+
+def test_http_batch_opens_at_most_one_connection_per_worker(endpoint_factory):
+    n = 2 * LLM_CONCURRENCY + 1
+    endpoint = endpoint_factory(default=Reply(200, {"text": "[[0, 3]]"}, delay_s=0.02))
+    items = [(small_transcript(), WS)] * n
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        results = run_posr_llm_batch(http_client(endpoint), "m", items,
+                                     PromptKind.INDEPENDENT_SEGMENTATION)
+    assert all(r.error is None and not r.parse_failed for r in results)
+    assert len(endpoint.seen) == n
+    assert 1 < len(endpoint.connections()) <= LLM_CONCURRENCY
+    # the workers are gone, and their connections were closed with them,
+    # not left for the collector to find unclosed
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert wait_for(lambda: endpoint.open_connections == 0)
+
+
+def test_http_resends_once_on_a_connection_closed_while_idle(endpoint_factory, monkeypatch):
+    endpoint = endpoint_factory(Reply(200, OK_REPLY, then_close=True), OK)
+    client = http_client(endpoint, attempts=1)
+    client.complete(REQUEST)
+    assert wait_for(lambda: endpoint.open_connections == 0)
+    sleeps = []
+    monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+    assert client.complete(REQUEST).text == "null"
+    assert sleeps == []
+    assert len(endpoint.seen) == 2 and len(endpoint.connections()) == 2
+
+
+def test_http_does_not_resend_a_timeout(endpoint_factory):
+    endpoint = endpoint_factory(OK, Reply(200, OK_REPLY, delay_s=1.0), OK)
+    client = http_client(endpoint, attempts=1, timeout_s=0.3)
+    client.complete(REQUEST)
+    with pytest.raises(TransportError, match="all 1 attempts failed") as info:
+        client.complete(REQUEST)
+    assert isinstance(info.value.__cause__, TimeoutError)
+    assert len(endpoint.seen) == 2
+    # the timed-out connection was dropped; the next request opens another
+    assert client.complete(REQUEST).text == "null"
+    assert len(endpoint.connections()) == 2
+
+
+def test_http_proxy_gets_the_absolute_url_and_no_proxy_bypasses_it(endpoint_factory,
+                                                                    monkeypatch):
+    proxy = endpoint_factory(OK)
+    monkeypatch.setenv("http_proxy", proxy.url.rsplit("/v1/", 1)[0])
+    http_client("http://llm.invalid:8080/v1/chat?v=2").complete(REQUEST)
+    assert [seen.target for seen in proxy.seen] == ["http://llm.invalid:8080/v1/chat?v=2"]
+    assert proxy.seen[0].headers["Host"] == "llm.invalid:8080"
+
+    direct = endpoint_factory(OK)
+    monkeypatch.setenv("http_proxy", refused_url())
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    http_client(direct).complete(REQUEST)
+    assert [seen.target for seen in direct.seen] == ["/v1/chat"]
+
+
+def test_http_credentials_in_urls_go_out_as_basic_auth(endpoint_factory, monkeypatch):
+    proxy = endpoint_factory(OK)
+    base = proxy.url.rsplit("/v1/", 1)[0]
+    monkeypatch.setenv("http_proxy", base.replace("://", "://ann:s%40cret@"))
+    http_client("http://bo:pw@llm.invalid/v1/chat").complete(REQUEST)
+    seen = proxy.seen[0]
+    assert seen.headers["Proxy-Authorization"] == "Basic YW5uOnNAY3JldA=="
+    assert seen.headers["Authorization"] == "Basic Ym86cHc="
+    assert seen.target == "http://llm.invalid/v1/chat"
+
+
+def test_http_proxy_other_than_http_is_a_config_error(endpoint_factory, monkeypatch):
+    monkeypatch.setenv("https_proxy", "socks5://127.0.0.1:1080")
+    with pytest.raises(LLMConfigError, match="only http:// proxies"):
+        http_client("https://llm.invalid/v1/chat")
+
+
+def test_cli_import_does_not_load_the_transport():
+    src = str(Path(client_module.__file__).resolve().parents[2])
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import posr.cli; "
+         "print(sorted({'http.client', 'ssl', 'urllib.request'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert probe.stdout.strip() == "[]"
 
 
 def write_config(tmp_path, doc):
@@ -784,15 +999,15 @@ def write_config(tmp_path, doc):
     return path
 
 
-def test_endpoint_config_readme_shape(tmp_path, monkeypatch):
+def test_endpoint_config_readme_shape(tmp_path, monkeypatch, endpoint_factory):
+    endpoint = endpoint_factory(OK)
     monkeypatch.setenv("POSR_TEST_KEY", "secret")
     config = LLMEndpointConfig.from_file(write_config(tmp_path, {
-        "url": "http://endpoint", "api_key_env": "POSR_TEST_KEY",
+        "url": endpoint.url, "api_key_env": "POSR_TEST_KEY",
         "headers": {"X-Org": "lab"}, "timeout_s": 5, "max_attempts": 1, "backoff_s": 0,
     }))
-    session = FakeSession(FakeResponse(200, OK_REPLY))
-    HttpChatClient(config, session=session).complete(ChatRequest(model="m", system="s", user="u"))
-    headers = session.posts[0]
+    HttpChatClient(config).complete(REQUEST)
+    headers = endpoint.seen[0].headers
     assert headers["Authorization"] == "Bearer secret"
     assert headers["X-Org"] == "lab"
 
@@ -822,6 +1037,11 @@ def test_endpoint_config_unset_key_variable_is_an_error(tmp_path, monkeypatch):
     {"url": "http://endpoint", "max_attempts": True},
     {"url": "http://endpoint", "backoff_s": -1},
     {"url": "http://endpoint", "backoff_s": False},
+    {"url": "127.0.0.1:9/v1/chat/completions"},
+    {"url": "ftp://endpoint/v1"},
+    {"url": "http:///v1/chat"},
+    {"url": "http://endpoint:port/v1"},
+    {"url": "http://endpoint/v1 chat"},
 ])
 def test_endpoint_config_rejects_bad_keys(tmp_path, doc):
     with pytest.raises(LLMConfigError):
@@ -833,3 +1053,15 @@ def test_endpoint_config_error_names_the_file_and_the_key(tmp_path):
     with pytest.raises(LLMConfigError, match=r"max_attempts.*integer >= 1") as info:
         LLMEndpointConfig.from_file(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("field_value", [
+    {"url": "127.0.0.1:9/v1/chat/completions"},
+    {"max_attempts": 0},
+    {"timeout_s": 0.0},
+    {"backoff_s": -1.0},
+    {"headers": {"X-Retries": 3}},
+])
+def test_endpoint_config_constructor_checks_every_field(field_value):
+    with pytest.raises(LLMConfigError, match=repr(next(iter(field_value)))):
+        LLMEndpointConfig(**{"url": "http://endpoint", **field_value})
