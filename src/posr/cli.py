@@ -40,13 +40,16 @@ from .llm import (
 )
 from .llm.client import read_json_file
 from .metrics import EvalReport, MetricError, TokenUsage, cost_per_100, evaluate
-from .model import labeling_to_spans
+from .model import REF_NONE, labeling_to_spans
 from .retrieval import (
     METHODS as RETRIEVAL_METHODS,
     RetrievalError,
     RetrieverConfig,
-    calibrate_threshold,
+    _accuracy_at,
+    _decision,
+    calibrate_thresholds,
     clear_indexes,
+    gold_rows,
     retrieve_labeling,
 )
 from .segmentation import METHODS as SEGMENT_METHODS, SegmentationError, segmenter
@@ -140,38 +143,28 @@ def cmd_retrieve(args: argparse.Namespace, out: Path) -> None:
     if not corpus.entries:
         raise RetrievalError("retrieval evaluation needs annotated transcripts")
     config = RetrieverConfig(method=args.method, threshold=args.threshold)
-    rows = []
-    correct = 0
-    for entry in corpus.entries:
-        pred = retrieve_labeling(config, entry.transcript, entry.gold, entry.worksheet)
-        for span in labeling_to_spans(pred):
-            gold_ref = entry.gold.per_line[span.start_line][1]
-            # no-ref agreement counts as correct, as in retrieval_accuracy
-            correct += span.ref.problem_id == gold_ref.problem_id
-            rows.append({
-                "transcript_id": entry.transcript.id,
-                "start_line": span.start_line,
-                "end_line": span.end_line,
-                "decision": span.ref.serialize(),
-                "gold": gold_ref.serialize(),
-            })
-    overall = correct / len(rows) if rows else 0.0
+    rows, decisions = [], []
+    for entry, spans, by_method in gold_rows([config.method], corpus):
+        for span, row in zip(spans, by_method[config.method]):
+            pid = _decision(*row[1:], config.threshold)
+            decisions.append({"transcript_id": entry.transcript.id, "gold": span.ref.serialize(),
+                              "start_line": span.start_line, "end_line": span.end_line,
+                              "decision": REF_NONE.serialize() if pid is None else pid})
+            rows.append(row)
+    accuracy = _accuracy_at(rows, config.threshold)
     _write_csv(out / "retrieval_decisions.csv",
-               ["transcript_id", "start_line", "end_line", "decision", "gold"], rows)
+               ["transcript_id", "start_line", "end_line", "decision", "gold"], decisions)
     _write_json(out / "retrieval_accuracy.json",
-                {"method": args.method, "threshold": args.threshold, "accuracy": overall})
-    print(f"{args.method} accuracy on ground-truth segments: {overall:.4f}")
+                {"method": args.method, "threshold": args.threshold, "accuracy": accuracy})
+    print(f"{args.method} accuracy on ground-truth segments: {accuracy:.4f}")
 
 
 def cmd_calibrate(args: argparse.Namespace, out: Path) -> None:
     train = load_corpus(load_manifest(args.manifest))
-    methods = [args.method] if args.method else list(RETRIEVAL_METHODS)
-    thresholds = {}
-    for method in methods:
-        thresholds[method] = calibrate_threshold(
-            method, train, folds=args.folds, seed=args.seed
-        )
-        print(f"{method}: {thresholds[method]:.4f}")
+    thresholds = calibrate_thresholds([args.method] if args.method else RETRIEVAL_METHODS,
+                                      train, folds=args.folds, seed=args.seed)
+    for method, threshold in thresholds.items():
+        print(f"{method}: {threshold:.4f}")
     _write_json(out / "thresholds.json",
                 {"seed": args.seed, "folds": args.folds, "thresholds": thresholds})
 

@@ -93,6 +93,15 @@ def _decode_line(raw: str):
     return value if end == len(raw) else json.loads(raw)
 
 
+def _text_field(rec, key: str, ids: bool = False) -> str:
+    """``rec[key]``: a JSON string or, for ``ids``, also a non-boolean integer."""
+    value = rec[key]
+    if type(value) is str or (ids and type(value) is int):
+        return str(value)
+    kind = "a string or an integer" if ids else "a string"
+    raise TypeError(f"{key} must be {kind}, not {type(value).__name__}")
+
+
 def load_transcript(path: str | Path) -> Transcript:
     path = Path(path)
     lines: list[Line] = []
@@ -107,8 +116,8 @@ def load_transcript(path: str | Path) -> Transcript:
             lines.append(
                 Line(
                     index=int(rec["index"]),
-                    speaker=str(rec["speaker"]),
-                    utterance=str(rec["utterance"]),
+                    speaker=_text_field(rec, "speaker"),
+                    utterance=_text_field(rec, "utterance"),
                     start_ms=int(rec["start_ms"]),
                     end_ms=int(rec["end_ms"]),
                 )
@@ -150,10 +159,9 @@ def load_worksheet(path: str | Path) -> Worksheet:
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        problems = tuple(
-            Problem(id=str(p["id"]), text=str(p["text"])) for p in doc["problems"]
-        )
-        return Worksheet(id=str(doc["id"]), problems=problems)
+        problems = tuple(Problem(_text_field(p, "id", ids=True), _text_field(p, "text"))
+                         for p in doc["problems"])
+        return Worksheet(id=_text_field(doc, "id", ids=True), problems=problems)
     except (KeyError, TypeError) as exc:
         raise CorpusError(f"{path}: malformed worksheet: {exc}") from exc
     except ModelError as exc:
@@ -179,7 +187,7 @@ def load_annotation(path: str | Path, n_lines: int) -> Labeling:
             rec = _decode_line(raw)
             line_index = int(rec["line_index"])
             segment_id = int(rec["segment_id"])
-            raw_ref = str(rec["ref"])
+            raw_ref = _text_field(rec, "ref", ids=True)
             ref = refs.get(raw_ref)
             if ref is None:
                 ref = refs[raw_ref] = RefLabel.deserialize(raw_ref)
@@ -304,12 +312,9 @@ class SyntheticSpec:
     vocab_overlap: float = 0.0
     informal_prob: float = 0.0
     seed: int = 0
-    tokens_per_line: tuple[int, int] = (5, 12)
-    vocab_words_per_problem: int = 12
 
     def __post_init__(self) -> None:
-        for lo, hi in (self.lines_per_segment, self.segments_per_transcript,
-                       self.tokens_per_line):
+        for lo, hi in (self.lines_per_segment, self.segments_per_transcript):
             if lo < 1 or hi < lo:
                 raise CorpusError(f"empty or non-positive range ({lo}, {hi})")
         for name in ("vocab_overlap", "informal_prob"):
@@ -317,6 +322,10 @@ class SyntheticSpec:
                 raise CorpusError(f"{name} must be in [0, 1]")
         if self.n_transcripts < 1 or self.n_problems < 1:
             raise CorpusError("n_transcripts and n_problems must be positive")
+
+
+TOKENS_PER_LINE = (5, 12)
+VOCAB_WORDS_PER_PROBLEM = 12
 
 
 def _word(prefix: str, i: int) -> str:
@@ -333,7 +342,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
     problems = tuple(
         Problem(
             id=f"P{p + 1}",
-            text=" ".join(_word(f"prob{p}w", i) for i in range(spec.vocab_words_per_problem)),
+            text=" ".join(_word(f"prob{p}w", i) for i in range(VOCAB_WORDS_PER_PROBLEM)),
         )
         for p in range(spec.n_problems)
     )
@@ -359,7 +368,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
                 base_vocab = problems[p].text.split()
             n_lines = rng.randint(*spec.lines_per_segment)
             for _ in range(n_lines):
-                n_tokens = rng.randint(*spec.tokens_per_line)
+                n_tokens = rng.randint(*TOKENS_PER_LINE)
                 toks = [
                     rng.choice(shared_vocab)
                     if rng.random() < spec.vocab_overlap

@@ -16,6 +16,7 @@ from ..model import (
     RefLabel,
     SegmentSpan,
     Worksheet,
+    clamp_span,
 )
 
 logger = logging.getLogger(__name__)
@@ -90,18 +91,6 @@ def _extract_json_array(text: str) -> list:
     raise ParseFailure("no parseable JSON array found", text)
 
 
-def _clamp_span(start: int, end: int, n_lines: int) -> tuple[int, int] | None:
-    if end < 0 or start >= n_lines:
-        logger.warning("span (%d, %d) outside transcript of %d lines", start, end, n_lines)
-        return None
-    clamped = (max(0, start), min(end, n_lines - 1))
-    if clamped != (start, end):
-        logger.warning("span (%d, %d) clamped to %s", start, end, clamped)
-    if clamped[0] > clamped[1]:
-        return None
-    return clamped
-
-
 def parse_segmentation(text: str, n_lines: int) -> list[SegmentSpan]:
     """Parse the list-of-[first, last] output of the segmentation prompt."""
     value = _extract_json_array(text)
@@ -113,9 +102,9 @@ def parse_segmentation(text: str, n_lines: int) -> list[SegmentSpan]:
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
         ):
             raise ParseFailure(f"expected [first, last] pair, got {item!r}", text)
-        clamped = _clamp_span(item[0], item[1], n_lines)
+        clamped = clamp_span(item[0], item[1], n_lines)
         if clamped is not None:
-            spans.append(SegmentSpan(clamped[0], clamped[1]))
+            spans.append(SegmentSpan(*clamped))
     if not spans:
         raise ParseFailure("no usable spans in response", text)
     return spans
@@ -160,11 +149,9 @@ def parse_joint(text: str, n_lines: int, worksheet: Worksheet) -> list[SegmentSp
             end = int(item["end_line_idx"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseFailure(f"bad segment object {item!r}", text) from exc
-        clamped = _clamp_span(start, end, n_lines)
-        if clamped is None:
-            continue
-        ref = _to_ref(item.get("problem_id"), ids)
-        spans.append(SegmentSpan(clamped[0], clamped[1], ref))
+        clamped = clamp_span(start, end, n_lines)
+        if clamped is not None:
+            spans.append(SegmentSpan(*clamped, _to_ref(item.get("problem_id"), ids)))
     if not spans:
         raise ParseFailure("no usable spans in response", text)
     return spans

@@ -198,11 +198,23 @@ class SegmentSpan:
             raise ModelError(f"span start {self.start_line} > end {self.end_line}")
 
 
+def clamp_span(start: int, end: int, n_lines: int) -> tuple[int, int] | None:
+    """``(start, end)`` clamped to [0, n_lines), logged if it moved; None for
+    a span wholly outside, also logged, or with start > end."""
+    if end < 0 or start >= n_lines:
+        logger.warning("span (%d, %d) outside [0, %d); dropped", start, end, n_lines)
+        return None
+    clamped = (max(start, 0), min(end, n_lines - 1))
+    if clamped != (start, end):
+        logger.warning("span (%d, %d) clamped to (%d, %d)", start, end, *clamped)
+    return clamped if clamped[0] <= clamped[1] else None
+
+
 def spans_to_labeling(spans: list[SegmentSpan], n_lines: int) -> Labeling:
     """Normalize possibly gappy/overlapping spans into a total Labeling.
 
-    Spans reaching outside [0, n_lines) are clamped with a logged warning
-    and sorted by (start, end). One sweep then gives each span the lines
+    Spans reaching outside [0, n_lines) are clamped by ``clamp_span`` and
+    sorted by (start, end). One sweep then gives each span the lines
     after those already taken, so overlaps resolve first-span-wins, and each
     maximal run of lines no span takes becomes its own segment with no ref:
     linear in n_lines plus the number of spans, after the sort. An empty
@@ -212,16 +224,9 @@ def spans_to_labeling(spans: list[SegmentSpan], n_lines: int) -> Labeling:
         return Labeling(())
     clean: list[tuple[int, int, RefLabel]] = []
     for span in spans:
-        if span.end_line < 0 or span.start_line >= n_lines:
-            logger.warning("span (%d, %d) outside [0, %d); dropped",
-                           span.start_line, span.end_line, n_lines)
-            continue
-        start = max(span.start_line, 0)
-        end = min(span.end_line, n_lines - 1)
-        if (start, end) != (span.start_line, span.end_line):
-            logger.warning("span (%d, %d) clamped to (%d, %d)",
-                           span.start_line, span.end_line, start, end)
-        clean.append((start, end, span.ref if span.ref is not None else REF_NONE))
+        clamped = clamp_span(span.start_line, span.end_line, n_lines)
+        if clamped is not None:
+            clean.append((*clamped, span.ref if span.ref is not None else REF_NONE))
     clean.sort(key=itemgetter(0, 1))  # stable: equal spans keep their order
 
     per_line: list[tuple[int, RefLabel]] = []

@@ -14,6 +14,10 @@ a query touches only the problems that share one of its terms; every
 other problem scores 0 under every method. ``worksheet_index`` fits each
 distinct worksheet once; ``posr.cli.main`` clears those fits around every
 command.
+
+Each ground-truth segment becomes one row (gold id, argmax id, effective
+score) on one path. Calibration builds a segment's query once for all its
+methods; ``posr retrieve`` and ``retrieval_accuracy`` read ``gold_rows``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import functools
 import math
 import random
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -105,10 +110,9 @@ class WorksheetIndex:
                 )
         self.postings = postings
 
-    def scores(self, method: str, text: str) -> dict[int, float]:
-        """Raw scores of the problems sharing a term with ``text``, keyed by
-        worksheet index. Every other problem scores 0."""
-        q = tokenize(text)
+    def scores(self, method: str, q: list[str]) -> dict[int, float]:
+        """Raw scores of the problems sharing a term with the query tokens
+        ``q``, keyed by worksheet index. Every other problem scores 0."""
         postings = self.postings
         if method == "jaccard":
             qs = set(q)
@@ -153,11 +157,15 @@ def _decision(best_pid: str | None, best: float, threshold: float) -> str | None
     return best_pid if best >= threshold else None
 
 
-def _segment_best(
-    index: WorksheetIndex, config: RetrieverConfig, transcript: Transcript, span: SegmentSpan
-) -> tuple[str | None, float]:
-    """(argmax problem id, its effective score) for one segment's
-    concatenated utterances; an empty segment is (None, 0.0), never a problem.
+def _segment_query(transcript: Transcript, span: SegmentSpan) -> list[str] | None:
+    """The tokens of one segment's joined utterances; None if that text is blank."""
+    text = " ".join(map(_UTTERANCE, transcript.lines[span.start_line:span.end_line + 1]))
+    return tokenize(text) if text.strip() else None
+
+
+def _best(index: WorksheetIndex, method: str, q: list[str] | None) -> tuple[str | None, float]:
+    """(argmax problem id, its effective score) for one segment's query; a
+    blank segment is (None, 0.0), never a problem.
 
     The argmax is the highest raw score, the earliest worksheet problem on
     ties, and the first problem, at 0.0, when no problem shares a term (one
@@ -165,15 +173,14 @@ def _segment_best(
     bm25 the top of the min-max normalized top 10: (hi - lo) / (hi - lo),
     or 1.0 for a flat positive window, so 1.0 whenever a problem scores.
     """
-    text = " ".join(map(_UTTERANCE, transcript.lines[span.start_line:span.end_line + 1]))
-    if not text.strip():
+    if q is None:
         return None, 0.0
-    scores = index.scores(config.method, text)
+    scores = index.scores(method, q)
     if not scores:
         return index.ids[0], 0.0
     hi = max(scores.values())
     best = min(i for i, s in scores.items() if s == hi)
-    return index.ids[best], 1.0 if config.method == "bm25" else hi
+    return index.ids[best], 1.0 if method == "bm25" else hi
 
 
 def retrieve_labeling(
@@ -190,7 +197,8 @@ def retrieve_labeling(
     refs: dict[str | None, RefLabel] = {None: REF_NONE}
     per_line: list[tuple[int, RefLabel]] = []
     for span in labeling_to_spans(segmentation):
-        pid = _decision(*_segment_best(index, config, transcript, span), config.threshold)
+        pid = _decision(*_best(index, config.method, _segment_query(transcript, span)),
+                        config.threshold)
         ref = refs.get(pid)
         if ref is None:
             ref = refs[pid] = RefLabel.problem(pid)  # type: ignore[arg-type]
@@ -200,40 +208,39 @@ def retrieve_labeling(
 
 
 # ---------------------------------------------------------------------------
-# threshold calibration
+# ground-truth segments: threshold calibration and accuracy
 
 GRID = [round(i * 0.01, 2) for i in range(101)]
 
-
-def _entry_best_scores(
-    config: RetrieverConfig, entry: CorpusEntry
-) -> list[tuple[str | None, str | None, float]]:
-    """Per ground-truth segment of one annotated entry: (gold problem id or
-    None, argmax problem id, argmax effective score). Warm-up/off-worksheet
-    golds count as None."""
-    index = worksheet_index(entry.worksheet)
-    return [
-        (span.ref.problem_id, *_segment_best(index, config, entry.transcript, span))
-        for span in labeling_to_spans(entry.gold)  # type: ignore[arg-type]
-    ]
+# one ground-truth segment: (gold problem id or None, argmax id, effective score)
+Row = tuple[str | None, str | None, float]
 
 
-def _segment_best_scores(
-    config: RetrieverConfig, corpus: Corpus
-) -> list[tuple[str | None, str | None, float]]:
-    """``_entry_best_scores`` over every annotated entry, in corpus order."""
-    return [row for entry in corpus.annotated().entries
-            for row in _entry_best_scores(config, entry)]
+def gold_rows(
+    methods: Sequence[str], corpus: Corpus
+) -> Iterator[tuple[CorpusEntry, list[SegmentSpan], dict[str, list[Row]]]]:
+    """Per annotated entry of ``corpus``, in order: the entry, its
+    ground-truth segments, and under each method the row of every segment.
+    Warm-up/off-worksheet golds count as None. A segment's query is built
+    once for every method, and dropped with its entry."""
+    for entry in corpus.annotated().entries:
+        spans = labeling_to_spans(entry.gold)  # type: ignore[arg-type]
+        queries = [_segment_query(entry.transcript, span) for span in spans]
+        index = worksheet_index(entry.worksheet)
+        yield entry, spans, {
+            method: [(span.ref.problem_id, *_best(index, method, query))  # type: ignore[union-attr]
+                     for span, query in zip(spans, queries)]
+            for method in methods}
 
 
-def _accuracy_at(rows: list[tuple[str | None, str | None, float]], threshold: float) -> float:
+def _accuracy_at(rows: list[Row], threshold: float) -> float:
     correct = 0
     for gold, best_pid, best in rows:
         correct += _decision(best_pid, best, threshold) == gold
     return correct / len(rows) if rows else 0.0
 
 
-def _best_grid_threshold(rows: list[tuple[str | None, str | None, float]]) -> float:
+def _best_grid_threshold(rows: list[Row]) -> float:
     """The ``GRID`` value of highest ``_accuracy_at`` on ``rows``, the lowest
     on ties (``GRID[0]`` for no rows), from one sort and one ascending sweep.
 
@@ -255,44 +262,43 @@ def _best_grid_threshold(rows: list[tuple[str | None, str | None, float]]) -> fl
     return best_t
 
 
-def calibrate_threshold(
-    method: str,
-    train: Corpus,
-    folds: int = 5,
-    seed: int = 0,
-) -> float:
-    """Cross-validated grid search for the decision threshold.
+def calibrate_thresholds(methods: Sequence[str], train: Corpus, folds: int = 5,
+                         seed: int = 0) -> dict[str, float]:
+    """Cross-validated grid search for each method's decision threshold.
 
     Transcripts are assigned to folds with a seeded shuffle; each fold's
     best grid threshold (highest held-out accuracy, lowest value on ties)
-    is averaged into the result. Accuracy is segment-level over ground
-    truth segments, counting no-ref agreement as correct.
+    is averaged into the method's result. Accuracy is segment-level over
+    ground truth segments, counting no-ref agreement as correct.
     """
     if folds < 1:
         raise RetrievalError(f"calibration needs at least 1 fold, got {folds}")
     annotated = train.annotated()
     if not annotated.entries:
         raise RetrievalError("calibration needs annotated transcripts")
-    if folds > len(annotated.entries):
-        folds = len(annotated.entries)
-    base = RetrieverConfig(method=method)
+    folds = min(folds, len(annotated.entries))
+    for method in methods:
+        RetrieverConfig(method)  # an unknown method is a RetrievalError
 
     indices = list(range(len(annotated.entries)))
     random.Random(seed).shuffle(indices)
     fold_of = {idx: i % folds for i, idx in enumerate(indices)}
 
-    per_entry_rows = [_entry_best_scores(base, entry) for entry in annotated.entries]
-    best_thresholds: list[float] = []
-    for fold in range(folds):
-        held_out: list[tuple[str | None, str | None, float]] = []
-        for idx, rows in enumerate(per_entry_rows):
-            if fold_of[idx] == fold:
-                held_out.extend(rows)
-        best_thresholds.append(_best_grid_threshold(held_out))
-    return sum(best_thresholds) / len(best_thresholds)
+    held_out: dict[str, list[list[Row]]] = {m: [[] for _ in range(folds)] for m in methods}
+    for idx, (_, _, by_method) in enumerate(gold_rows(methods, annotated)):
+        for method, rows in by_method.items():
+            held_out[method][fold_of[idx]] += rows
+    return {method: sum(map(_best_grid_threshold, per_fold)) / folds
+            for method, per_fold in held_out.items()}
+
+
+def calibrate_threshold(method: str, train: Corpus, folds: int = 5, seed: int = 0) -> float:
+    """``calibrate_thresholds`` for one method."""
+    return calibrate_thresholds((method,), train, folds, seed)[method]
 
 
 def retrieval_accuracy(config: RetrieverConfig, corpus: Corpus) -> float:
     """Segment-level accuracy of decisions on ground-truth segments."""
-    rows = _segment_best_scores(config, corpus)
+    rows = [row for _, _, by_method in gold_rows([config.method], corpus)
+            for row in by_method[config.method]]
     return _accuracy_at(rows, config.threshold)

@@ -35,8 +35,8 @@ from posr.model import (
 )
 from posr.retrieval import (
     RetrieverConfig,
-    _segment_best_scores,
     calibrate_threshold,
+    gold_rows,
     retrieval_accuracy,
 )
 
@@ -174,8 +174,8 @@ def test_calibration_recovers_gap(announce):
                 seed=1000 + seed,
             )
         )
-        config = RetrieverConfig("jaccard", threshold=0.0)
-        rows = _segment_best_scores(config, corpus)
+        rows = [row for _, _, by_method in gold_rows(["jaccard"], corpus)
+                for row in by_method["jaccard"]]
         negatives = [best for gold, _, best in rows if gold is None]
         positives = [best for gold, _, best in rows if gold is not None]
         if not negatives or not positives:

@@ -20,7 +20,15 @@ from posr.corpus import (
     save_annotation,
     write_corpus,
 )
-from posr.model import REF_NONE, REF_NOT_IN_CORPUS, Labeling, RefLabel, labeling_to_spans
+from posr.model import (
+    REF_NONE,
+    REF_NOT_IN_CORPUS,
+    Labeling,
+    Problem,
+    RefLabel,
+    Worksheet,
+    labeling_to_spans,
+)
 from posr.retrieval import RetrieverConfig, retrieval_accuracy
 
 
@@ -78,6 +86,10 @@ def test_load_worksheet(tmp_path):
     with pytest.raises(CorpusError):
         load_worksheet(path)
 
+    # integer ids are read in decimal
+    path.write_text(json.dumps({"id": 7, "problems": [{"id": 3, "text": "a"}]}))
+    assert load_worksheet(path) == Worksheet("7", (Problem("3", "a"),))
+
 
 def test_annotation_requires_full_cover(tmp_path):
     path = tmp_path / "a.jsonl"
@@ -103,6 +115,10 @@ GOOD_LINE = {"index": 0, "speaker": "s", "utterance": "u", "start_ms": 0, "end_m
     [0, "s", "u", 0, 1000],
     5,
     "index",
+    {**GOOD_LINE, "speaker": None, "utterance": None},
+    {**GOOD_LINE, "speaker": True},
+    {**GOOD_LINE, "utterance": ["u"]},
+    {**GOOD_LINE, "utterance": 5},
 ])
 def test_load_transcript_mistyped_record_names_file_and_line(tmp_path, bad):
     path = tmp_path / "t.jsonl"
@@ -147,12 +163,38 @@ def test_load_annotation_duplicate_line_names_file_and_line(tmp_path):
     {"line_index": float("inf"), "segment_id": 0, "ref": "null"},
     [1, 0, "null"],
     7,
+    {"line_index": 1, "segment_id": 0, "ref": None},
+    {"line_index": 1, "segment_id": 0, "ref": True},
+    {"line_index": 1, "segment_id": 0, "ref": ["P1"]},
+    {"line_index": 1, "segment_id": 0, "ref": 1.0},
 ])
 def test_load_annotation_mistyped_record_names_file_and_line(tmp_path, bad):
     path = tmp_path / "a.jsonl"
     write_lines(path, [{"line_index": 0, "segment_id": 0, "ref": "null"}, bad])
     with pytest.raises(CorpusError, match=at(path, 2)):
         load_annotation(path, 2)
+
+
+def test_load_annotation_integer_ref_is_a_problem_id(tmp_path):
+    path = tmp_path / "a.jsonl"
+    write_lines(path, [{"line_index": 0, "segment_id": 0, "ref": 3},
+                       {"line_index": 1, "segment_id": 1, "ref": -1}])
+    assert load_annotation(path, 2).refs == [RefLabel.problem("3"), REF_NOT_IN_CORPUS]
+
+
+@pytest.mark.parametrize("doc", [
+    {"id": None, "problems": [{"id": "P1", "text": "a"}]},
+    {"id": "w", "problems": [{"id": None, "text": "a"}]},
+    {"id": "w", "problems": [{"id": "P1", "text": True}]},
+    {"id": True, "problems": [{"id": "P1", "text": "a"}]},
+    {"id": "w", "problems": [{"id": 1.0, "text": "a"}]},
+    {"id": "w", "problems": [{"id": "P1", "text": 7}]},
+])
+def test_load_worksheet_mistyped_field_names_file(tmp_path, doc):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorpusError, match=at(path) + " malformed worksheet"):
+        load_worksheet(path)
 
 
 JSON_VALUES = st.recursive(

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -15,16 +16,19 @@ from posr.corpus import (
     generate_synthetic,
     load_corpus,
     load_manifest,
+    write_corpus,
 )
 from posr.model import (
     Labeling,
     Line,
     Problem,
     REF_NONE,
+    REF_NOT_IN_CORPUS,
     RefLabel,
     SegmentSpan,
     Transcript,
     Worksheet,
+    labeling_to_spans,
 )
 from posr.retrieval import (
     BM25_B,
@@ -33,9 +37,10 @@ from posr.retrieval import (
     RetrievalError,
     RetrieverConfig,
     _accuracy_at,
+    _best,
     _best_grid_threshold,
     _decision,
-    _segment_best,
+    _segment_query,
     calibrate_threshold,
     retrieval_accuracy,
     retrieve_labeling,
@@ -53,14 +58,15 @@ WS = Worksheet(id="w", problems=(
 def all_scores(method, text, ws=WS):
     """Raw scores of every worksheet problem, keyed by problem id."""
     index = worksheet_index(ws)
-    scores = index.scores(method, text)
+    scores = index.scores(method, tokenize(text))
     return {pid: scores.get(i, 0.0) for i, pid in enumerate(index.ids)}
 
 
 def segment_best(config, text, ws=WS):
     """(argmax problem id, effective score) of a one-line segment of ``text``."""
     transcript = Transcript(id="t", lines=(Line(0, "[TUTOR]", text, 0, 1000),))
-    return _segment_best(worksheet_index(ws), config, transcript, SegmentSpan(0, 0))
+    query = _segment_query(transcript, SegmentSpan(0, 0))
+    return _best(worksheet_index(ws), config.method, query)
 
 
 def normalize_top10(raw):
@@ -68,7 +74,7 @@ def normalize_top10(raw):
 
     A flat top-10 (max == min) maps positive scores to 1.0 so a clear
     winner set is still retrievable. This is the definition of bm25's
-    effective score; ``_segment_best`` gives only its argmax and top.
+    effective score; ``_best`` gives only its argmax and top.
     """
     top = sorted(raw.items(), key=lambda kv: -kv[1])[:10]
     if not top:
@@ -310,6 +316,73 @@ def test_empty_segment_is_never_a_problem():
     pred = retrieve_labeling(config, entry.transcript, entry.gold, ws)
     assert pred.refs == entry.gold.refs
     assert retrieval_accuracy(config, Corpus((entry,))) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# one path from a ground-truth segment to its row
+
+
+def test_retrieve_off_worksheet_gold_is_written_and_counted(tmp_path):
+    ws = Worksheet(id="w", problems=(Problem("P1", "a b c"),))
+    entry = make_entry([("x y z", REF_NOT_IN_CORPUS), ("a b c", RefLabel.problem("P1")),
+                        ("a q", REF_NOT_IN_CORPUS)], ws)
+    manifest = write_corpus(Corpus((entry,)), tmp_path / "corpus")
+    out = tmp_path / "ret"
+    assert main(["retrieve", "--manifest", str(manifest), "--method", "jaccard",
+                 "--threshold", "0.05", "--out", str(out)]) == 0
+    decisions = (out / "retrieval_decisions.csv").read_text().splitlines()[1:]
+    # (decision, gold): no ref against an off-worksheet gold is correct; a
+    # problem against it (jaccard 0.25 clears 0.05) is not
+    assert [row.split(",")[3:] for row in decisions] == [
+        ["null", "-1"], ["P1", "P1"], ["P1", "-1"]]
+    config = RetrieverConfig("jaccard", threshold=0.05)
+    doc = json.loads((out / "retrieval_accuracy.json").read_text())
+    assert doc["accuracy"] == retrieval_accuracy(config, Corpus((entry,))) == 2 / 3
+
+
+def test_calibrate_all_methods_equals_each_method_alone(tmp_path):
+    ws = Worksheet(id="w", problems=(Problem("P1", "a b c d"), Problem("P2", "e f g h")))
+    entries = [
+        make_entry([("a b c d", RefLabel.problem("P1")), ("a x y z w", REF_NONE),
+                    ("e q", RefLabel.problem("P2"))], ws, "t1"),
+        make_entry([("e f g", RefLabel.problem("P2")), ("e v", REF_NONE),
+                    ("", REF_NONE), ("b c", RefLabel.problem("P1"))], ws, "t2"),
+        make_entry([("h r s", RefLabel.problem("P2")), ("d", REF_NONE)], ws, "t3"),
+    ]
+    manifest = str(write_corpus(Corpus(tuple(entries), "train"), tmp_path / "corpus"))
+
+    def thresholds(*method):
+        out = tmp_path / "-".join(("cal",) + method)
+        assert main(["calibrate", "--manifest", manifest, "--folds", "2", "--seed", "3",
+                     "--out", str(out), *(("--method",) + method if method else ())]) == 0
+        return json.loads((out / "thresholds.json").read_text())["thresholds"]
+
+    together = thresholds()
+    assert list(together) == list(retrieval.METHODS)
+    for method in retrieval.METHODS:
+        assert thresholds(method) == {method: together[method]}
+    # a mix-up between methods would show: each calibrates to its own value
+    assert len(set(together.values())) == len(together)
+
+
+def test_calibrate_tokenizes_each_gold_segment_once(tmp_path, monkeypatch):
+    corpus_dir = tmp_path / "corpus"
+    main(["gen-corpus", "--out", str(corpus_dir), "--seed", "4", "--n-transcripts", "5",
+          "--informal-prob", "0.3"])
+    corpus = load_corpus(load_manifest(corpus_dir / "manifest.json"))
+    tokenized = []
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(retrieval, "tokenize", counting_tokenize)
+    assert main(["calibrate", "--manifest", str(corpus_dir / "manifest.json"),
+                 "--out", str(tmp_path / "cal")]) == 0
+    problems = corpus.entries[0].worksheet.problems
+    segments = sum(len(labeling_to_spans(e.gold)) for e in corpus.entries)
+    # one fit of the shared worksheet, then each segment once for all three methods
+    assert len(tokenized) == len(problems) + segments
 
 
 # ---------------------------------------------------------------------------
