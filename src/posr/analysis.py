@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import Corpus
+from .errors import InputError
 from .model import labeling_to_spans
 from .tokens import bigrams
 
@@ -16,7 +17,7 @@ from .tokens import bigrams
 _ALPHA0_SCALE = 0.01
 
 
-class AnalysisError(ValueError):
+class AnalysisError(InputError):
     pass
 
 

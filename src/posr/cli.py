@@ -19,9 +19,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .analysis import AnalysisError, quartile_language_compare, talk_time
 from .corpus import (
-    CorpusError,
     SyntheticSpec,
     corpus_stats,
     encode_annotation,
@@ -30,16 +28,8 @@ from .corpus import (
     load_manifest,
     write_corpus,
 )
-from .llm import (
-    CassetteClient,
-    HttpChatClient,
-    LLMConfigError,
-    LLMEndpointConfig,
-    PromptKind,
-    run_posr_llm_batch,
-)
-from .llm.client import read_json_file
-from .metrics import EvalReport, MetricError, TokenUsage, cost_per_100, evaluate
+from .errors import InputError
+from .metrics import EvalReport, TokenUsage, cost_per_100, evaluate
 from .model import REF_NONE, labeling_to_spans
 from .retrieval import (
     METHODS as RETRIEVAL_METHODS,
@@ -52,12 +42,14 @@ from .retrieval import (
     gold_rows,
     retrieve_labeling,
 )
-from .segmentation import METHODS as SEGMENT_METHODS, SegmentationError, segmenter
+from .segmentation import METHODS as SEGMENT_METHODS, segmenter
 
+# each LLM method's posr.llm.PromptKind, by value: the LLM client and runner
+# are imported only by the commands that use them
 LLM_METHODS = {
-    "joint-llm": PromptKind.JOINT_POSR,
-    "independent-llm": PromptKind.INDEPENDENT_RETRIEVAL,
-    "segment-llm": PromptKind.INDEPENDENT_SEGMENTATION,
+    "joint-llm": "joint_posr",
+    "independent-llm": "independent_retrieval",
+    "segment-llm": "independent_segmentation",
 }
 POSR_COLUMNS = ["transcript_id", *(f.name for f in fields(EvalReport))]
 PRICE_KEYS = ("input_usd_per_1k", "output_usd_per_1k")
@@ -86,7 +78,7 @@ def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
             writer.writerow(row)
 
 
-class UsageError(ValueError):
+class UsageError(InputError):
     """A command-line argument that cannot be used as given."""
 
 
@@ -173,6 +165,8 @@ def _load_prices(path: str | None) -> dict:
     """The ``--prices`` table: {model: {input_usd_per_1k, output_usd_per_1k}}."""
     if path is None:
         return {}
+    from .llm.client import LLMConfigError, read_json_file
+
     prices = read_json_file(path)
     if not isinstance(prices, dict):
         raise LLMConfigError(f"{path}: expected a JSON object mapping models to prices")
@@ -184,6 +178,8 @@ def _load_prices(path: str | None) -> dict:
 
 
 def _make_client(args: argparse.Namespace):
+    from .llm import CassetteClient, HttpChatClient, LLMConfigError, LLMEndpointConfig
+
     inner = None
     if args.llm_config:
         inner = HttpChatClient(LLMEndpointConfig.from_file(args.llm_config))
@@ -204,9 +200,16 @@ def cmd_posr(args: argparse.Namespace, out: Path) -> None:
     usages: list[TokenUsage] = []
     failed: list[str] = []
     if llm_mode:
-        results = run_posr_llm_batch(
-            _make_client(args), args.model,
-            [(e.transcript, e.worksheet) for e in corpus.entries], LLM_METHODS[args.method])
+        from .llm import CassetteClient, PromptKind, run_posr_llm_batch
+
+        client = _make_client(args)
+        try:
+            results = run_posr_llm_batch(
+                client, args.model, [(e.transcript, e.worksheet) for e in corpus.entries],
+                PromptKind(LLM_METHODS[args.method]))
+        finally:
+            if isinstance(client, CassetteClient):
+                client.close()  # writes the cassette once, for the whole run
         preds = [r.labeling for r in results]
         usages = [r.usage for r in results]
         failed = [e.transcript.id for e, r in zip(corpus.entries, results)
@@ -240,6 +243,8 @@ def cmd_posr(args: argparse.Namespace, out: Path) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace, out: Path) -> None:
+    from .analysis import AnalysisError, quartile_language_compare, talk_time
+
     corpus = load_corpus(load_manifest(args.manifest)).annotated()
     if not corpus.entries:
         raise AnalysisError("analyze needs annotated transcripts")
@@ -342,8 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out = _out_dir(args.out) if args.out else None
         args.func(args, out)
-    except (UsageError, CorpusError, LLMConfigError, SegmentationError, RetrievalError,
-            MetricError, AnalysisError) as exc:
+    except InputError as exc:
         # input that cannot be used as written: a usage error, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

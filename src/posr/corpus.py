@@ -17,8 +17,12 @@ import json
 import logging
 import random
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import ge, itemgetter
 from pathlib import Path
+from typing import NoReturn
 
+from .errors import InputError
 from .model import (
     Labeling,
     Line,
@@ -32,7 +36,7 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 
-class CorpusError(ValueError):
+class CorpusError(InputError):
     """Raised on malformed corpus files."""
 
 
@@ -78,7 +82,9 @@ def _read_text(path: Path) -> str:
         raise CorpusError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+# the decoder's C scanner: (value, end) of the JSON value at an index, or
+# StopIteration when none starts there
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _decode_line(raw: str):
@@ -87,8 +93,8 @@ def _decode_line(raw: str):
     syntax error) goes to ``json.loads`` itself, so the accepted lines, the
     values and the error messages are all its own."""
     try:
-        value, end = _raw_decode(raw)
-    except json.JSONDecodeError:
+        value, end = _scan_once(raw, 0)
+    except (StopIteration, json.JSONDecodeError):
         return json.loads(raw)
     return value if end == len(raw) else json.loads(raw)
 
@@ -102,10 +108,56 @@ def _text_field(rec, key: str, ids: bool = False) -> str:
     raise TypeError(f"{key} must be {kind}, not {type(value).__name__}")
 
 
-def load_transcript(path: str | Path) -> Transcript:
-    path = Path(path)
-    lines: list[Line] = []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
+def _int_field(rec, key: str) -> int:
+    """``rec[key]``: a JSON integer, not a boolean."""
+    value = rec[key]
+    if type(value) is int:
+        return value
+    raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
+
+
+_INT = frozenset({int})
+_STR = frozenset({str})
+_STR_OR_INT = frozenset({str, int})
+
+
+def _only(types: frozenset, column) -> bool:
+    """Whether every value of ``column`` has exactly one of ``types``."""
+    return types.issuperset(map(type, column))
+
+
+def _records(text: str, fields: itemgetter) -> list[tuple]:
+    """``fields`` of each non-blank line's JSON record, in one pass of C
+    calls that keeps no decoded record. A line that does not decode, or a
+    record that is not an object or lacks a field, raises; the caller then
+    words the error with a per-line loop."""
+    raws = text.splitlines()
+    return list(map(fields, map(_decode_line, compress(raws, map(str.strip, raws)))))
+
+
+_TRANSCRIPT_FIELDS = itemgetter("index", "speaker", "utterance", "start_ms", "end_ms")
+
+
+def _transcript_lines(text: str) -> tuple[Line, ...] | None:
+    """The Lines of transcript ``text``, or None when a record is malformed
+    or ends before it starts."""
+    try:
+        rows = _records(text, _TRANSCRIPT_FIELDS)
+    except (ValueError, KeyError, TypeError):
+        return None
+    index, speaker, utterance, start_ms, end_ms = zip(*rows) if rows else ((),) * 5
+    if not (_only(_INT, index) and _only(_STR, speaker) and _only(_STR, utterance)
+            and _only(_INT, start_ms) and _only(_INT, end_ms)
+            and all(map(ge, end_ms, start_ms))):
+        return None
+    # Line._make without its length check, all in C: itemgetter gives 5 fields
+    return tuple(map(tuple.__new__, repeat(Line), rows))
+
+
+def _raise_bad_transcript_line(path: Path, text: str) -> NoReturn:
+    """Raise the CorpusError for the first line of ``text`` that
+    ``_transcript_lines`` rejects."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
         try:
@@ -113,24 +165,31 @@ def load_transcript(path: str | Path) -> Transcript:
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         try:
-            lines.append(
-                Line(
-                    index=int(rec["index"]),
-                    speaker=_text_field(rec, "speaker"),
-                    utterance=_text_field(rec, "utterance"),
-                    start_ms=int(rec["start_ms"]),
-                    end_ms=int(rec["end_ms"]),
-                )
+            Line(
+                index=_int_field(rec, "index"),
+                speaker=_text_field(rec, "speaker"),
+                utterance=_text_field(rec, "utterance"),
+                start_ms=_int_field(rec, "start_ms"),
+                end_ms=_int_field(rec, "end_ms"),
             )
         except KeyError as exc:
             raise CorpusError(f"{path}:{lineno}: missing field {exc.args[0]}") from exc
         except ModelError as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
+        except TypeError as exc:
             # a record that is not an object, or a field of the wrong type
             raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
+    raise AssertionError(f"{path}: the column check and the line check disagree")
+
+
+def load_transcript(path: str | Path) -> Transcript:
+    path = Path(path)
+    text = _read_text(path)
+    lines = _transcript_lines(text)
+    if lines is None:
+        _raise_bad_transcript_line(path, text)
     try:
-        return Transcript(id=path.stem, lines=tuple(lines))
+        return Transcript(id=path.stem, lines=lines)
     except ModelError as exc:
         raise CorpusError(f"{path}: {exc}") from exc
 
@@ -176,30 +235,61 @@ def save_worksheet(worksheet: Worksheet, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def load_annotation(path: str | Path, n_lines: int) -> Labeling:
-    path = Path(path)
-    records: dict[int, tuple[int, RefLabel]] = {}
-    refs: dict[str, RefLabel] = {}  # one label per distinct raw ref
-    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
+_ANNOTATION_FIELDS = itemgetter("line_index", "segment_id", "ref")
+_SECOND = itemgetter(1)
+
+
+def _annotation_columns(text: str) -> tuple[tuple, tuple, tuple] | None:
+    """The line indexes, segment ids and raw refs of annotation ``text``, or
+    None when a record is malformed or a line index repeats."""
+    try:
+        rows = _records(text, _ANNOTATION_FIELDS)
+    except (ValueError, KeyError, TypeError):
+        return None
+    line_index, segment_id, ref = zip(*rows) if rows else ((),) * 3
+    if not (_only(_INT, line_index) and _only(_INT, segment_id) and _only(_STR_OR_INT, ref)
+            and len(set(line_index)) == len(line_index)):
+        return None
+    return line_index, segment_id, ref
+
+
+def _raise_bad_annotation_line(path: Path, text: str) -> NoReturn:
+    """Raise the CorpusError for the first line of ``text`` that
+    ``_annotation_columns`` rejects."""
+    seen: set[int] = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
         try:
             rec = _decode_line(raw)
-            line_index = int(rec["line_index"])
-            segment_id = int(rec["segment_id"])
-            raw_ref = _text_field(rec, "ref", ids=True)
-            ref = refs.get(raw_ref)
-            if ref is None:
-                ref = refs[raw_ref] = RefLabel.deserialize(raw_ref)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            line_index = _int_field(rec, "line_index")
+            _int_field(rec, "segment_id")
+            _text_field(rec, "ref", ids=True)
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-        if line_index in records:
+        if line_index in seen:
             raise CorpusError(f"{path}:{lineno}: duplicate line_index {line_index}")
-        records[line_index] = (segment_id, ref)
-    if sorted(records) != list(range(n_lines)):
+        seen.add(line_index)
+    raise AssertionError(f"{path}: the column check and the line check disagree")
+
+
+def load_annotation(path: str | Path, n_lines: int) -> Labeling:
+    path = Path(path)
+    text = _read_text(path)
+    columns = _annotation_columns(text)
+    if columns is None:
+        _raise_bad_annotation_line(path, text)
+    line_index, segment_id, raw_ref = columns
+    in_order = list(range(n_lines))
+    if sorted(line_index) != in_order:
         raise CorpusError(f"{path}: annotation does not cover lines 0..{n_lines - 1}")
+    refs = {raw: RefLabel.deserialize(raw) for raw in set(map(str, raw_ref))}
+    per_line = zip(segment_id, map(refs.__getitem__, map(str, raw_ref)))
+    if list(line_index) != in_order:
+        # each index is unique, so the sort never compares the pairs
+        per_line = map(_SECOND, sorted(zip(line_index, per_line)))
     try:
-        return Labeling(tuple(records[i] for i in range(n_lines)))
+        return Labeling(tuple(per_line))
     except ModelError as exc:
         raise CorpusError(f"{path}: {exc}") from exc
 

@@ -22,6 +22,8 @@ from pathlib import Path
 from typing import Protocol
 from urllib.parse import unquote, urlsplit, urlunsplit
 
+from ..errors import InputError
+
 logger = logging.getLogger(__name__)
 
 
@@ -29,7 +31,7 @@ class TransportError(RuntimeError):
     """Endpoint unreachable or returned a non-success status."""
 
 
-class LLMConfigError(ValueError):
+class LLMConfigError(InputError):
     """An endpoint config, price table or cassette file that cannot be used
     as written."""
 
@@ -373,22 +375,54 @@ class CassetteClient:
     """Record/replay keyed by request hash so LLM runs are testable offline.
 
     With no inner client, a cache miss is a TransportError; with one, the
-    miss is forwarded and the response recorded. Safe to share between
-    threads: the cache and the file are guarded by one lock, which is not
-    held while the inner client works. An existing cassette file that is
-    not a JSON object is an ``LLMConfigError``.
+    miss is forwarded and the response recorded. Each recording is appended
+    as one JSON line ``[key, reply]`` to a journal beside the cassette
+    (``<cassette>.journal``), so recording N misses writes O(N) bytes.
+    ``close`` writes the sorted cassette once and removes the journal.
+    Loading replays a journal left behind by a run that did not close, so a
+    crash mid-recording keeps the earlier recordings; a torn last line, cut
+    off by the crash, is dropped.
+
+    Safe to share between threads: the cache and the files are guarded by
+    one lock, which is not held while the inner client works. An existing
+    cassette that is not a JSON object, or a journal line before the last
+    that is not a recording, is an ``LLMConfigError``.
     """
 
     def __init__(self, path: str | Path, inner: ChatClient | None = None):
         self.path = Path(path)
+        self.journal = self.path.with_name(f"{self.path.name}.journal")
         self.inner = inner
         self._cache: dict[str, dict] = {}
         self._lock = threading.RLock()
+        self._journaled = False  # the journal holds recordings the cassette lacks
         if self.path.exists():
             self._cache = read_json_file(self.path)
             if not isinstance(self._cache, dict):
                 raise LLMConfigError(
                     f"{self.path}: a cassette is a JSON object mapping request keys to replies")
+        if self.journal.exists():
+            self._replay_journal()
+
+    def _replay_journal(self) -> None:
+        try:
+            data = self.journal.read_bytes()
+            whole = data[:data.rfind(b"\n") + 1]
+            if len(whole) < len(data):
+                # the last append was cut short: drop it, so the next one starts a line
+                os.truncate(self.journal, len(whole))
+        except OSError as exc:
+            raise LLMConfigError(f"{self.journal}: {exc.strerror or exc}") from exc
+        for lineno, raw in enumerate(whole.splitlines(), 1):
+            try:
+                key, rec = json.loads(raw)
+            except (ValueError, TypeError) as exc:
+                raise LLMConfigError(
+                    f"{self.journal}:{lineno}: not a [key, reply] recording: {exc}") from exc
+            if not (isinstance(key, str) and isinstance(rec, dict)):
+                raise LLMConfigError(f"{self.journal}:{lineno}: not a [key, reply] recording")
+            self._cache.setdefault(key, rec)
+        self._journaled = True  # close compacts it, even when it held nothing whole
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         key = request.key()
@@ -402,23 +436,32 @@ class CassetteClient:
             with self._lock:
                 # two threads that missed the same key both answer with the
                 # first recording, as the replay will
-                rec = self._cache.setdefault(key, {
-                    "text": response.text,
-                    "input_tokens": response.input_tokens,
-                    "output_tokens": response.output_tokens,
-                })
-                self.save()
+                rec = self._cache.get(key)
+                if rec is None:
+                    rec = self._cache[key] = {
+                        "text": response.text,
+                        "input_tokens": response.input_tokens,
+                        "output_tokens": response.output_tokens,
+                    }
+                    self._append(key, rec)
         return ChatResponse(
             text=rec["text"],
             input_tokens=int(rec.get("input_tokens", 0)),
             output_tokens=int(rec.get("output_tokens", 0)),
         )
 
+    def _append(self, key: str, rec: dict) -> None:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.journal, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([key, rec]) + "\n")
+        self._journaled = True
+
     def save(self) -> None:
         """Write to a temporary file beside the cassette, then swap it in, so
         a write that fails part-way leaves the previous recording intact.
         Keys are sorted, so the file does not depend on the order in which
-        concurrent misses were recorded."""
+        concurrent misses were recorded. The journal, whose recordings the
+        cassette now holds, is removed."""
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
@@ -428,3 +471,13 @@ class CassetteClient:
                 os.replace(tmp, self.path)
             finally:
                 tmp.unlink(missing_ok=True)
+            self.journal.unlink(missing_ok=True)
+            self._journaled = False
+
+    def close(self) -> None:
+        """Compact: ``save`` when this client recorded a miss or found a
+        journal, else nothing, so replaying a compacted cassette never
+        writes."""
+        with self._lock:
+            if self._journaled:
+                self.save()

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 from itertools import accumulate, compress, islice, repeat
 from operator import add, attrgetter, eq, itemgetter, ne, sub
 
+from .errors import InputError
 from .model import Labeling, Transcript, boundary_flags
 
 _REF = itemgetter(1)
@@ -31,7 +32,7 @@ _START_MS = attrgetter("start_ms")
 _END_MS = attrgetter("end_ms")
 
 
-class MetricError(ValueError):
+class MetricError(InputError):
     pass
 
 

@@ -9,30 +9,43 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
-from operator import itemgetter, ne
+from operator import attrgetter, itemgetter, lt, ne
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
 _SEGMENT_ID = itemgetter(0)
+_INDEX = attrgetter("index")
+_START_MS = attrgetter("start_ms")
 
 
 class ModelError(ValueError):
     """Raised when a domain object violates its invariants."""
 
 
-@dataclass(frozen=True, slots=True)
-class Line:
+class _LineFields(NamedTuple):
     index: int  # 0-based position in the transcript
     speaker: str  # e.g. "[TUTOR]", "[STUDENT]"
     utterance: str
     start_ms: int
     end_ms: int
 
-    def __post_init__(self) -> None:
-        if self.end_ms < self.start_ms:
-            raise ModelError(
-                f"line {self.index}: end_ms {self.end_ms} < start_ms {self.start_ms}"
-            )
+
+class Line(_LineFields):
+    """One timestamped utterance: an immutable tuple of its five fields.
+
+    The constructor raises ``ModelError`` when ``end_ms < start_ms``.
+    ``tuple.__new__(Line, fields)`` builds a Line from its five fields
+    without that check, as do ``Line._make`` and ``_replace``; the corpus
+    loader does so after checking whole columns at once.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, index: int, speaker: str, utterance: str, start_ms: int, end_ms: int):
+        if end_ms < start_ms:
+            raise ModelError(f"line {index}: end_ms {end_ms} < start_ms {start_ms}")
+        return tuple.__new__(cls, (index, speaker, utterance, start_ms, end_ms))
 
     @property
     def duration_ms(self) -> int:
@@ -45,16 +58,19 @@ class Transcript:
     lines: tuple[Line, ...]
 
     def __post_init__(self) -> None:
-        for pos, line in enumerate(self.lines):
-            if line.index != pos:
-                raise ModelError(
-                    f"transcript {self.id}: line at position {pos} has index {line.index}"
-                )
-        for prev, cur in zip(self.lines, self.lines[1:]):
-            if cur.start_ms < prev.start_ms:
-                raise ModelError(
-                    f"transcript {self.id}: start_ms decreases at line {cur.index}"
-                )
+        # whole-column checks in C; the loops only find the first bad line
+        indexes = list(map(_INDEX, self.lines))
+        if indexes != list(range(len(indexes))):
+            pos = next(pos for pos, index in enumerate(indexes) if index != pos)
+            raise ModelError(
+                f"transcript {self.id}: line at position {pos} has index {indexes[pos]}"
+            )
+        starts = list(map(_START_MS, self.lines))
+        if any(map(lt, islice(starts, 1, None), starts)):
+            pos = next(pos for pos in range(1, len(starts)) if starts[pos] < starts[pos - 1])
+            raise ModelError(
+                f"transcript {self.id}: start_ms decreases at line {indexes[pos]}"
+            )
 
     def __len__(self) -> int:
         return len(self.lines)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .corpus import Corpus, CorpusEntry
+from .errors import InputError
 from .model import (
     REF_NONE,
     Labeling,
@@ -49,7 +50,7 @@ BM25_K1 = 1.5
 BM25_B = 0.75
 
 
-class RetrievalError(ValueError):
+class RetrievalError(InputError):
     pass
 
 

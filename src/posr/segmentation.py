@@ -13,6 +13,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .corpus import Corpus
+from .errors import InputError
 from .model import REF_NONE, Labeling, RefLabel, Transcript, labeling_to_spans
 from .tokens import tokenize
 
@@ -20,7 +21,7 @@ from .tokens import tokenize
 METHODS = ("top10", "top20", "texttiling")
 
 
-class SegmentationError(ValueError):
+class SegmentationError(InputError):
     pass
 
 

@@ -11,7 +11,14 @@ import pytest
 import posr
 from posr.cli import LLM_METHODS, POSR_COLUMNS, main
 from posr.corpus import Corpus, CorpusEntry, load_corpus, load_manifest, write_corpus
-from posr.llm import CassetteClient, ChatRequest, ScriptedClient, TransportError, run_posr_llm
+from posr.llm import (
+    CassetteClient,
+    ChatRequest,
+    PromptKind,
+    ScriptedClient,
+    TransportError,
+    run_posr_llm,
+)
 from posr.metrics import TokenUsage, cost_per_100, evaluate
 from posr.model import REF_NONE, Labeling, Line, Problem, RefLabel, Transcript, Worksheet
 
@@ -395,14 +402,17 @@ def test_unknown_method_usage_error(synthetic_dir, tmp_path):
 
 
 def test_cli_import_does_not_load_scipy():
+    """Nor the LLM client and runner or the analyses: only the commands that
+    use them import them, so a lexical command starts without them."""
     src = str(Path(posr.__file__).resolve().parents[1])
+    unused = {"scipy", "posr.llm", "posr.analysis", "http.client", "concurrent.futures"}
     probe = subprocess.run(
         [sys.executable, "-c",
          f"import sys; sys.path.insert(0, {src!r}); import posr.cli; "
-         "print('scipy' in sys.modules)"],
+         f"print(sorted({sorted(unused)!r} & sys.modules.keys()))"],
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert probe.stdout.strip() == "False"
+    assert probe.stdout.strip() == "[]"
 
 
 # --- LLM methods through the CLI, replayed from a cassette
@@ -444,7 +454,8 @@ def sequential_reports(manifest, cassette, method) -> dict[str, bytes]:
     in order, each recorded into the cassette as it goes."""
     corpus = load_corpus(load_manifest(manifest))
     client = CassetteClient(cassette, inner=ScriptedClient(llm_responder))
-    results = [run_posr_llm(client, "m", e.transcript, e.worksheet, LLM_METHODS[method])
+    kind = PromptKind(LLM_METHODS[method])
+    results = [run_posr_llm(client, "m", e.transcript, e.worksheet, kind)
                for e in corpus.entries]
     reports = {}
     rows = []
@@ -490,7 +501,7 @@ def test_posr_llm_transport_failure_is_scored_and_flagged(llm_corpus, tmp_path):
     for entry in corpus.entries:
         if entry is not missing:
             run_posr_llm(recorder, "m", entry.transcript, entry.worksheet,
-                         LLM_METHODS["independent-llm"])
+                         PromptKind(LLM_METHODS["independent-llm"]))
     out = tmp_path / "posr"
     # replay only: the missing transcript's first request raises TransportError
     assert main(["posr", "--manifest", str(manifest), "--method", "independent-llm",
@@ -514,7 +525,7 @@ def test_posr_llm_prices_the_tokens_of_a_partly_failed_transcript(llm_corpus, tm
     manifest, prices = llm_corpus
     corpus = load_corpus(load_manifest(manifest))
     cassette = tmp_path / "cassette.json"
-    kind = LLM_METHODS["independent-llm"]
+    kind = PromptKind(LLM_METHODS["independent-llm"])
     # the first transcript whose segmentation reply parses
     partial = next(e for e in corpus.entries if not 40 <= len(e.transcript) < 50)
     recorder = CassetteClient(cassette, inner=ScriptedClient(llm_responder))

@@ -24,8 +24,11 @@ from posr.model import (
     REF_NONE,
     REF_NOT_IN_CORPUS,
     Labeling,
+    Line,
+    ModelError,
     Problem,
     RefLabel,
+    Transcript,
     Worksheet,
     labeling_to_spans,
 )
@@ -119,6 +122,13 @@ GOOD_LINE = {"index": 0, "speaker": "s", "utterance": "u", "start_ms": 0, "end_m
     {**GOOD_LINE, "speaker": True},
     {**GOOD_LINE, "utterance": ["u"]},
     {**GOOD_LINE, "utterance": 5},
+    {**GOOD_LINE, "index": "1"},
+    {**GOOD_LINE, "index": True},
+    {**GOOD_LINE, "index": 1.0},
+    {**GOOD_LINE, "start_ms": 12.7},
+    {**GOOD_LINE, "end_ms": 1500.9},
+    {**GOOD_LINE, "start_ms": False},
+    {**GOOD_LINE, "end_ms": "1000"},
 ])
 def test_load_transcript_mistyped_record_names_file_and_line(tmp_path, bad):
     path = tmp_path / "t.jsonl"
@@ -167,12 +177,41 @@ def test_load_annotation_duplicate_line_names_file_and_line(tmp_path):
     {"line_index": 1, "segment_id": 0, "ref": True},
     {"line_index": 1, "segment_id": 0, "ref": ["P1"]},
     {"line_index": 1, "segment_id": 0, "ref": 1.0},
+    {"line_index": 0.9, "segment_id": 0, "ref": "null"},
+    {"line_index": 1.0, "segment_id": 0, "ref": "null"},
+    {"line_index": True, "segment_id": 0, "ref": "null"},
+    {"line_index": "1", "segment_id": 0, "ref": "null"},
+    {"line_index": 1, "segment_id": 0.0, "ref": "null"},
+    {"line_index": 1, "segment_id": False, "ref": "null"},
+    {"line_index": 1, "segment_id": "0", "ref": "null"},
 ])
 def test_load_annotation_mistyped_record_names_file_and_line(tmp_path, bad):
     path = tmp_path / "a.jsonl"
     write_lines(path, [{"line_index": 0, "segment_id": 0, "ref": "null"}, bad])
     with pytest.raises(CorpusError, match=at(path, 2)):
         load_annotation(path, 2)
+
+
+def test_integer_fields_must_be_json_integers(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_lines(path, [{**GOOD_LINE, "index": "0", "start_ms": 12.7, "end_ms": 1500.9}])
+    with pytest.raises(CorpusError) as info:
+        load_transcript(path)
+    assert str(info.value) == f"{path}:1: malformed record: index must be an integer, not str"
+    write_lines(path, [{**GOOD_LINE, "start_ms": 12.7, "end_ms": 1500.9}])
+    with pytest.raises(CorpusError) as info:
+        load_transcript(path)
+    assert str(info.value) == f"{path}:1: malformed record: start_ms must be an integer, not float"
+
+    path = tmp_path / "a.jsonl"
+    write_lines(path, [{"line_index": 0.9, "segment_id": 0, "ref": "null"}])
+    with pytest.raises(CorpusError) as info:
+        load_annotation(path, 1)
+    assert str(info.value) == f"{path}:1: line_index must be an integer, not float"
+    write_lines(path, [{"line_index": 0, "segment_id": True, "ref": "null"}])
+    with pytest.raises(CorpusError) as info:
+        load_annotation(path, 1)
+    assert str(info.value) == f"{path}:1: segment_id must be an integer, not bool"
 
 
 def test_load_annotation_integer_ref_is_a_problem_id(tmp_path):
@@ -204,6 +243,12 @@ JSON_VALUES = st.recursive(
 )
 
 
+# values one step from a valid field: a boolean, float or digit string where
+# an integer belongs, null, or an integer out of order
+NEAR_MISSES = (st.sampled_from([True, False, 0.0, 0.9, 1.0, 12.7, "0", "1", None])
+               | st.integers(-5000, 5000))
+
+
 @st.composite
 def damaged_records(draw, records):
     """``records`` with one record damaged: a field retyped, a field
@@ -214,7 +259,7 @@ def damaged_records(draw, records):
     how = draw(st.sampled_from(["retype", "drop", "replace", "truncate", "duplicate"]))
     key = draw(st.sampled_from(sorted(records[i])))
     if how == "retype":
-        records[i][key] = draw(JSON_VALUES)
+        records[i][key] = draw(JSON_VALUES | NEAR_MISSES)
         lines[i] = json.dumps(records[i])
     elif how == "drop":
         del records[i][key]
@@ -258,6 +303,169 @@ def test_load_annotation_raises_only_corpus_error(tmp_path_factory, text):
         load_annotation(path, 3)
     except CorpusError as exc:
         assert str(exc).startswith(f"{path}:")
+
+
+# ---------------------------------------------------------------------------
+# the column loaders against a per-record reference loader
+
+
+def reference_field(rec, key, kinds, want):
+    """``rec[key]`` when its type is exactly one of ``kinds``."""
+    value = rec[key]
+    if type(value) in kinds:
+        return value
+    raise TypeError(f"{key} must be {want}, not {type(value).__name__}")
+
+
+def reference_int(rec, key):
+    return reference_field(rec, key, (int,), "an integer")
+
+
+def reference_text(rec, key):
+    return reference_field(rec, key, (str,), "a string")
+
+
+def reference_id(rec, key):
+    return str(reference_field(rec, key, (str, int), "a string or an integer"))
+
+
+def reference_load_transcript(path):
+    """One record at a time, every field checked as it is read: the loader
+    before the column pass, with integer fields required to be JSON
+    integers."""
+    lines = []
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not raw.strip():
+            continue
+        try:
+            rec = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        try:
+            lines.append(Line(
+                index=reference_int(rec, "index"),
+                speaker=reference_text(rec, "speaker"),
+                utterance=reference_text(rec, "utterance"),
+                start_ms=reference_int(rec, "start_ms"),
+                end_ms=reference_int(rec, "end_ms"),
+            ))
+        except KeyError as exc:
+            raise CorpusError(f"{path}:{lineno}: missing field {exc.args[0]}") from exc
+        except ModelError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
+    try:
+        return Transcript(id=path.stem, lines=tuple(lines))
+    except ModelError as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
+
+
+def reference_load_annotation(path, n_lines):
+    """The annotation loader before the column pass, with the same integer
+    rule."""
+    records = {}
+    refs = {}
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not raw.strip():
+            continue
+        try:
+            rec = json.loads(raw)
+            line_index = reference_int(rec, "line_index")
+            segment_id = reference_int(rec, "segment_id")
+            raw_ref = reference_id(rec, "ref")
+            ref = refs.setdefault(raw_ref, RefLabel.deserialize(raw_ref))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        if line_index in records:
+            raise CorpusError(f"{path}:{lineno}: duplicate line_index {line_index}")
+        records[line_index] = (segment_id, ref)
+    if sorted(records) != list(range(n_lines)):
+        raise CorpusError(f"{path}: annotation does not cover lines 0..{n_lines - 1}")
+    try:
+        return Labeling(tuple(records[i] for i in range(n_lines)))
+    except ModelError as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
+
+
+def load_outcome(load, *args):
+    """What ``load(*args)`` gives: the loaded value, or the CorpusError text."""
+    try:
+        return "value", load(*args)
+    except CorpusError as exc:
+        return "error", str(exc)
+
+
+BLANK_LINES = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+@st.composite
+def with_blank_lines(draw, text):
+    """``text`` with whitespace-only lines put between its lines."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(BLANK_LINES))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def shuffled_annotations(draw):
+    """Annotation text for a few lines in any order, maybe with blank lines,
+    whose segment ids and refs may break the labeling's rules, and a line
+    count that may not match."""
+    n = draw(st.integers(0, 6))
+    records = [{"line_index": i, "segment_id": draw(st.integers(0, 2)),
+                "ref": draw(st.sampled_from(["P1", "-1", "null", 3, "3"]))} for i in range(n)]
+    text = "".join(json.dumps(r) + "\n" for r in draw(st.permutations(records)))
+    return draw(with_blank_lines(text)), n + draw(st.sampled_from([0, 0, 0, -1, 1]))
+
+
+def jsonl(*records):
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+T0, T1, T2 = TRANSCRIPT_RECORDS
+A0, A1, A2 = ANNOTATION_RECORDS
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_records(TRANSCRIPT_RECORDS).flatmap(with_blank_lines))
+@example("\n")
+@example(jsonl(T0, {**T1, "end_ms": T1["start_ms"] - 1}, T2))
+@example(jsonl({**T0, "index": False}, T1, T2))
+@example(jsonl(T0, {**T1, "start_ms": 1000.0}, T2))
+@example(jsonl(T0, {**T1, "speaker": 7}, {**T2, "end_ms": 0}))
+def test_load_transcript_equals_the_per_record_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("t") / "t.jsonl"
+    path.write_text(text)
+    outcome = load_outcome(load_transcript, path)
+    assert outcome == load_outcome(reference_load_transcript, path)
+    if outcome[0] == "value":  # a tuple of the same fields would compare equal too
+        assert {type(line) for line in outcome[1].lines} <= {Line}
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_records(ANNOTATION_RECORDS).flatmap(with_blank_lines))
+@example(jsonl(A0, A1, {**A2, "ref": 1.5}))
+@example(jsonl({**A0, "line_index": False}, A1, A2))
+@example(jsonl(A0, {**A1, "segment_id": 0.0}, A2))
+@example(jsonl(A0, A1, A2, A1))
+def test_load_annotation_equals_the_per_record_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("a") / "a.jsonl"
+    path.write_text(text)
+    assert (load_outcome(load_annotation, path, 3)
+            == load_outcome(reference_load_annotation, path, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_annotations())
+@example(("", 0))
+def test_load_shuffled_annotation_equals_the_per_record_reference(tmp_path_factory, case):
+    text, n_lines = case
+    path = tmp_path_factory.mktemp("a") / "a.jsonl"
+    path.write_text(text)
+    assert (load_outcome(load_annotation, path, n_lines)
+            == load_outcome(reference_load_annotation, path, n_lines))
 
 
 @settings(max_examples=300, deadline=None)

@@ -389,7 +389,10 @@ def test_cassette_round_trip_full_run(tmp_path):
 def test_cassette_failed_save_keeps_previous_recording(tmp_path, monkeypatch):
     path = tmp_path / "cassette.json"
     first_req = ChatRequest(model="m", system="s", user="first")
-    first = CassetteClient(path, inner=ScriptedClient(lambda req: "one")).complete(first_req)
+    second_req = ChatRequest(model="m", system="s", user="second")
+    recorder = CassetteClient(path, inner=ScriptedClient(lambda req: "one"))
+    first = recorder.complete(first_req)
+    recorder.close()
 
     write_text = Path.write_text
 
@@ -399,12 +402,70 @@ def test_cassette_failed_save_keeps_previous_recording(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "write_text", torn_write)
     recorder = CassetteClient(path, inner=ScriptedClient(lambda req: "two"))
+    second = recorder.complete(second_req)  # journaled, not yet saved
     with pytest.raises(OSError):
-        recorder.complete(ChatRequest(model="m", system="s", user="second"))
+        recorder.close()
     monkeypatch.undo()
 
-    assert CassetteClient(path).complete(first_req) == first
-    assert [p.name for p in tmp_path.iterdir()] == ["cassette.json"]  # no temp file left
+    # the cassette is the first run's, the journal still holds the second reply
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cassette.json",
+                                                          "cassette.json.journal"]
+    replay = CassetteClient(path)
+    assert replay.complete(first_req) == first
+    assert replay.complete(second_req) == second
+
+
+def test_cassette_journal_compacts_to_the_bytes_of_save(tmp_path):
+    """A recording run appends each miss to the journal and writes the
+    sorted cassette once, on close; the bytes equal a save of the same
+    replies in any order."""
+    path = tmp_path / "cassette.json"
+    requests_ = [ChatRequest(model="m", system="s", user=f"u{i}") for i in range(20)]
+    recorder = CassetteClient(path, inner=ScriptedClient(lambda req: req.user.upper()))
+    for req in requests_:
+        recorder.complete(req)
+    assert not path.exists()
+    assert len(recorder.journal.read_text(encoding="utf-8").splitlines()) == len(requests_)
+    recorder.close()
+    assert [p.name for p in tmp_path.iterdir()] == ["cassette.json"]
+    expected = {req.key(): {"input_tokens": 2, "output_tokens": 1, "text": req.user.upper()}
+                for req in reversed(requests_)}
+    assert path.read_text(encoding="utf-8") == json.dumps(expected, indent=2, sort_keys=True)
+
+
+def test_cassette_replays_a_journal_with_a_torn_last_line(tmp_path):
+    path = tmp_path / "cassette.json"
+    first_req = ChatRequest(model="m", system="s", user="first")
+    second_req = ChatRequest(model="m", system="s", user="second")
+    recorder = CassetteClient(path, inner=ScriptedClient(lambda req: "one"))
+    first = recorder.complete(first_req)
+    recorder.close()
+    recorder = CassetteClient(path, inner=ScriptedClient(lambda req: "two"))
+    second = recorder.complete(second_req)
+    # a crash in the middle of the next append leaves half a line
+    with open(recorder.journal, "a", encoding="utf-8") as fh:
+        fh.write('["abc", {"text": "thr')
+    del recorder  # never closed
+
+    resumed = CassetteClient(path, inner=ScriptedClient(lambda req: "three"))
+    assert resumed.complete(first_req) == first
+    assert resumed.complete(second_req) == second
+    third_req = ChatRequest(model="m", system="s", user="third")
+    third = resumed.complete(third_req)
+    replay = CassetteClient(path)  # the new line follows the whole ones
+    assert [replay.complete(r) for r in (first_req, second_req, third_req)] == [
+        first, second, third]
+    resumed.close()
+    assert [p.name for p in tmp_path.iterdir()] == ["cassette.json"]
+    assert len(json.loads(path.read_text(encoding="utf-8"))) == 3
+
+
+def test_cassette_journal_line_that_is_not_a_recording_is_a_config_error(tmp_path):
+    path = tmp_path / "cassette.json"
+    journal = tmp_path / "cassette.json.journal"
+    journal.write_text('["k", {"text": "a"}]\n{"k": 1}\n["j", {"text": "b"}]\n', encoding="utf-8")
+    with pytest.raises(LLMConfigError, match=re.escape(f"{journal}:2: ")):
+        CassetteClient(path)
 
 
 # --- many transcripts at once
@@ -510,8 +571,9 @@ def test_concurrent_recordings_write_identical_cassettes(tmp_path):
         probe = OverlapProbe(joint_reply_by_transcript,
                              lambda req: jitter[transcript_number(req)])
         path = tmp_path / f"cassette{run}.json"
-        run_posr_llm_batch(CassetteClient(path, inner=ScriptedClient(probe)), "m", items,
-                           PromptKind.JOINT_POSR)
+        client = CassetteClient(path, inner=ScriptedClient(probe))
+        run_posr_llm_batch(client, "m", items, PromptKind.JOINT_POSR)
+        client.close()
         files.append(path.read_bytes())
     assert files[0] == files[1]
     assert len(json.loads(files[0])) == len(transcripts)
@@ -529,6 +591,9 @@ def test_cassette_loses_no_recording_under_contention(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert answers == [r.user for r in requests_]
+    replay = CassetteClient(path)  # from the journal
+    assert [replay.complete(r).text for r in requests_] == [r.user for r in requests_]
+    recorder.close()
     replay = CassetteClient(path)
     assert [replay.complete(r).text for r in requests_] == [r.user for r in requests_]
     assert [p.name for p in tmp_path.iterdir()] == ["cassette.json"]
@@ -673,8 +738,9 @@ def test_concurrent_independent_recordings_write_identical_cassettes(tmp_path):
         jitter = {(i, j): rng.random() * 0.005 for i in range(len(transcripts)) for j in range(12)}
         probe = OverlapProbe(independent_reply, lambda req: jitter[transcript_and_line(req)])
         path = tmp_path / f"cassette{run}.json"
-        run_posr_llm_batch(CassetteClient(path, inner=ScriptedClient(probe)), "m", items,
-                           PromptKind.INDEPENDENT_RETRIEVAL)
+        client = CassetteClient(path, inner=ScriptedClient(probe))
+        run_posr_llm_batch(client, "m", items, PromptKind.INDEPENDENT_RETRIEVAL)
+        client.close()
         files.append(path.read_bytes())
     assert files[0] == files[1]
     assert len(json.loads(files[0])) == sum(1 + len(segment_starts(i))
