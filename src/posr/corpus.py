@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import ge, itemgetter
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from .errors import InputError
 from .model import (
@@ -126,32 +126,37 @@ def _only(types: frozenset, column) -> bool:
     return types.issuperset(map(type, column))
 
 
-def _records(text: str, fields: itemgetter) -> list[tuple]:
-    """``fields`` of each non-blank line's JSON record, in one pass of C
-    calls that keeps no decoded record. A line that does not decode, or a
-    record that is not an object or lacks a field, raises; the caller then
-    words the error with a per-line loop."""
+def _records(text: str, fields: itemgetter) -> Iterator[tuple]:
+    """``fields`` of each non-blank line's JSON record, lazily, through C
+    calls that keep no decoded record. A line that does not decode, or a
+    record that is not an object or lacks a field, raises when it is
+    reached; the caller then words the error with a per-line loop."""
     raws = text.splitlines()
-    return list(map(fields, map(_decode_line, compress(raws, map(str.strip, raws)))))
+    return map(fields, map(_decode_line, compress(raws, map(str.strip, raws))))
 
 
+# Columns are read with one itemgetter map each, not ``zip(*rows)``: that
+# makes one iterator object per row, and the cyclic collector would run a
+# young-generation pass for every 700 of them.
 _TRANSCRIPT_FIELDS = itemgetter("index", "speaker", "utterance", "start_ms", "end_ms")
+_INDEX, _SPEAKER, _UTTERANCE, _START_MS, _END_MS = map(itemgetter, range(5))
 
 
 def _transcript_lines(text: str) -> tuple[Line, ...] | None:
     """The Lines of transcript ``text``, or None when a record is malformed
     or ends before it starts."""
     try:
-        rows = _records(text, _TRANSCRIPT_FIELDS)
+        # Line._make without its length check, all in C: itemgetter gives 5
+        # fields, and each record's field tuple is freed once its Line is made
+        lines = tuple(map(tuple.__new__, repeat(Line), _records(text, _TRANSCRIPT_FIELDS)))
     except (ValueError, KeyError, TypeError):
         return None
-    index, speaker, utterance, start_ms, end_ms = zip(*rows) if rows else ((),) * 5
-    if not (_only(_INT, index) and _only(_STR, speaker) and _only(_STR, utterance)
-            and _only(_INT, start_ms) and _only(_INT, end_ms)
-            and all(map(ge, end_ms, start_ms))):
+    if not (_only(_INT, map(_INDEX, lines)) and _only(_STR, map(_SPEAKER, lines))
+            and _only(_STR, map(_UTTERANCE, lines)) and _only(_INT, map(_START_MS, lines))
+            and _only(_INT, map(_END_MS, lines))
+            and all(map(ge, map(_END_MS, lines), map(_START_MS, lines)))):
         return None
-    # Line._make without its length check, all in C: itemgetter gives 5 fields
-    return tuple(map(tuple.__new__, repeat(Line), rows))
+    return lines
 
 
 def _raise_bad_transcript_line(path: Path, text: str) -> NoReturn:
@@ -236,6 +241,7 @@ def save_worksheet(worksheet: Worksheet, path: str | Path) -> None:
 
 
 _ANNOTATION_FIELDS = itemgetter("line_index", "segment_id", "ref")
+_ANNOTATION_COLUMNS = tuple(map(itemgetter, range(3)))
 _SECOND = itemgetter(1)
 
 
@@ -243,10 +249,10 @@ def _annotation_columns(text: str) -> tuple[tuple, tuple, tuple] | None:
     """The line indexes, segment ids and raw refs of annotation ``text``, or
     None when a record is malformed or a line index repeats."""
     try:
-        rows = _records(text, _ANNOTATION_FIELDS)
+        rows = list(_records(text, _ANNOTATION_FIELDS))
     except (ValueError, KeyError, TypeError):
         return None
-    line_index, segment_id, ref = zip(*rows) if rows else ((),) * 3
+    line_index, segment_id, ref = (tuple(map(column, rows)) for column in _ANNOTATION_COLUMNS)
     if not (_only(_INT, line_index) and _only(_INT, segment_id) and _only(_STR_OR_INT, ref)
             and len(set(line_index)) == len(line_index)):
         return None
