@@ -4,10 +4,13 @@ Three modes mirror the prompt kinds: joint (one request yielding spans
 with refs), segmentation-only (one request, refs left unset), and the
 independent pipeline (one segmentation request followed by one retrieval
 request per predicted segment). ``run_posr_llm_batch`` runs the requests of
-many transcripts on one small thread pool, so the retrieval requests of
-one transcript overlap with each other and with other transcripts'
-requests. ``run_posr_llm`` is the same run for one transcript on one
-worker, so its requests go out one after another.
+many transcripts on one pool of ``LLM_CONCURRENCY`` (16) threads, so the
+retrieval requests of one transcript overlap with each other and with
+other transcripts' requests. 16 halves the rounds of endpoint latency a
+run waits out at 8; 32 or more gained nothing on the bench and stalled
+more often on bursts of new connections. ``run_posr_llm`` is the same run
+for one transcript on one worker, so its requests go out one after
+another.
 
 Both settle every transcript to one ``LLMRunResult``. A reply that does not
 parse gives the flagged fallback (``parse_failed``). A request that raises
@@ -40,10 +43,15 @@ from .prompts import PromptKind, build_prompt
 logger = logging.getLogger(__name__)
 
 # Requests in flight at once; an HttpChatClient holds one connection per
-# worker. Enough to hide the endpoint's latency (the bench's independent-llm
-# workload ran 4.1x faster at 8 than one at a time), few enough that one run
-# stays a modest load on a shared endpoint and its rate limit.
-LLM_CONCURRENCY = 8
+# worker. A latency-bound run waits out about ceil(requests / this) rounds
+# of endpoint latency: the bench's independent-llm workload ran 1.5x faster
+# at 16 than at 8. At 32 it ran no faster and peaked 1.3% higher in memory.
+# Bursts of new connections can overflow an endpoint's listen backlog, and
+# each overflow stalls a request about a second until the SYN is resent:
+# against the bench endpoint (backlog 5) that hit 1 run in 48 at 16, 11 in
+# 48 at 32 and nearly every run at 64. 16 also keeps one run a modest load
+# on a shared endpoint and its rate limit.
+LLM_CONCURRENCY = 16
 
 
 @dataclass(frozen=True)

@@ -613,9 +613,9 @@ def is_segmentation(req: ChatRequest) -> bool:
     return "list of lists" in req.system
 
 
-def segment_starts(i: int) -> range:
-    """t<i> splits into segments of i % 3 + 1 lines (12 one-line segments for t0)."""
-    return range(0, 12, i % 3 + 1)
+def segment_starts(i: int, n_lines: int = 12) -> range:
+    """t<i> splits into segments of i % 3 + 1 lines (one-line segments for t0)."""
+    return range(0, n_lines, i % 3 + 1)
 
 
 def independent_reply(req: ChatRequest) -> str:
@@ -623,7 +623,8 @@ def independent_reply(req: ChatRequest) -> str:
     transcript and first line."""
     i, j = transcript_and_line(req)
     if is_segmentation(req):
-        return json.dumps([[s, min(s + i % 3 + 1, 12) - 1] for s in segment_starts(i)])
+        n = len(re.findall(r"transcript \d+ line \d+", req.user))
+        return json.dumps([[s, min(s + i % 3 + 1, n) - 1] for s in segment_starts(i, n)])
     return ("3", "7", "null", "-1")[(i + j) % 4]
 
 
@@ -633,7 +634,7 @@ def scripted_usage(req: ChatRequest, reply: str) -> TokenUsage:
 
 
 def test_batch_overlaps_the_retrieval_requests_of_one_transcript():
-    transcript = numbered_transcripts(1)[0]
+    transcript = numbered_transcripts(1, n_lines=2 * LLM_CONCURRENCY)[0]
     probe = OverlapProbe(independent_reply, lambda req: 0.0 if is_segmentation(req) else 0.01)
     client = ScriptedClient(probe)
     outcomes = run_posr_llm_batch(client, "m", [(transcript, WS)],
@@ -644,8 +645,31 @@ def test_batch_overlaps_the_retrieval_requests_of_one_transcript():
                                      PromptKind.INDEPENDENT_RETRIEVAL)]
 
 
+def test_batch_keeps_exactly_llm_concurrency_retrieval_requests_in_flight():
+    # 2 * LLM_CONCURRENCY one-line segments: every retrieval is ready at once
+    transcript = numbered_transcripts(1, n_lines=2 * LLM_CONCURRENCY)[0]
+    # each retrieval is held until LLM_CONCURRENCY of them are in flight; a
+    # smaller pool breaks the barrier after the timeout and fails the run
+    barrier = threading.Barrier(LLM_CONCURRENCY, timeout=5)
+
+    def held_reply(req):
+        if not is_segmentation(req):
+            barrier.wait()
+        return independent_reply(req)
+
+    probe = OverlapProbe(held_reply, lambda req: 0.0)
+    client = ScriptedClient(probe)
+    [outcome] = run_posr_llm_batch(client, "m", [(transcript, WS)],
+                                   PromptKind.INDEPENDENT_RETRIEVAL)
+    assert probe.peak == LLM_CONCURRENCY
+    assert outcome.error is None
+    assert len(client.calls) - 1 == 2 * LLM_CONCURRENCY
+    assert outcome == run_posr_llm(ScriptedClient(independent_reply), "m", transcript, WS,
+                                   PromptKind.INDEPENDENT_RETRIEVAL)
+
+
 def test_run_posr_llm_sends_one_request_at_a_time_in_segment_order():
-    transcript = numbered_transcripts(1)[0]
+    transcript = numbered_transcripts(1, n_lines=2 * LLM_CONCURRENCY)[0]
     probe = OverlapProbe(independent_reply, lambda req: 0.0 if is_segmentation(req) else 0.01)
     client = ScriptedClient(probe)
     run_posr_llm(client, "m", transcript, WS, PromptKind.INDEPENDENT_RETRIEVAL)
@@ -776,6 +800,14 @@ class Seen:
     connection: int
 
 
+class LoopbackServer(ThreadingHTTPServer):
+    # a batch opens up to LLM_CONCURRENCY connections at once; with the
+    # default listen backlog of 5 a burst can overflow it, and the client
+    # then waits about a second for the kernel to resend its SYN
+    request_queue_size = 2 * LLM_CONCURRENCY
+    block_on_close = False
+
+
 class Endpoint:
     """A loopback HTTP/1.1 server that plays back a script of replies, then
     ``default`` once the script runs out, and records every request it
@@ -834,8 +866,7 @@ class Endpoint:
                     self.close_connection = True
                 self.close_connection |= reply.then_close
 
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.server.block_on_close = False
+        self.server = LoopbackServer(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1/chat"
         threading.Thread(target=self.server.serve_forever, kwargs={"poll_interval": 0.02},
                          daemon=True).start()
