@@ -15,11 +15,13 @@ import functools
 import json
 import logging
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .corpus import (
+    Corpus,
     SyntheticSpec,
     corpus_stats,
     encode_annotation,
@@ -30,16 +32,13 @@ from .corpus import (
 )
 from .errors import InputError
 from .metrics import EvalReport, TokenUsage, cost_per_100, evaluate
-from .model import REF_NONE, labeling_to_spans
+from .model import REF_NONE, Labeling, labeling_to_spans
 from .retrieval import (
     METHODS as RETRIEVAL_METHODS,
     RetrievalError,
     RetrieverConfig,
-    _accuracy_at,
-    _decision,
     calibrate_thresholds,
     clear_indexes,
-    gold_rows,
     retrieve_labeling,
 )
 from .segmentation import METHODS as SEGMENT_METHODS, segmenter
@@ -72,7 +71,7 @@ def _write_run_manifest(out: Path, args: argparse.Namespace) -> None:
 
 def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
+        writer = csv.DictWriter(fh, fieldnames=header, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
@@ -110,21 +109,31 @@ def _segmenter(args: argparse.Namespace):
     return segmenter(args.method, train)
 
 
+def _write_and_score(out: Path, corpus: Corpus, preds: Iterable[Labeling], suffix: str,
+                     write: Callable[[Path, Labeling], None]) -> list[dict]:
+    """Writes each entry's prediction to ``<transcript id><suffix>`` with
+    ``write`` as it comes, and returns the report row of every annotated
+    entry."""
+    rows = []
+    for entry, pred in zip(corpus.entries, preds):
+        tid = entry.transcript.id
+        write(out / f"{tid}{suffix}", pred)
+        if entry.gold is not None:
+            rows.append({"transcript_id": tid,
+                         **evaluate(pred, entry.gold, entry.transcript).as_row()})
+    return rows
+
+
+def _write_spans(path: Path, pred: Labeling) -> None:
+    _write_json(path, [{"start_line": s.start_line, "end_line": s.end_line}
+                       for s in labeling_to_spans(pred)])
+
+
 def cmd_segment(args: argparse.Namespace, out: Path) -> None:
     corpus = load_corpus(load_manifest(args.manifest))
     segment = _segmenter(args)
-    rows = []
-    for entry in corpus.entries:
-        pred = segment(entry.transcript)
-        spans = [
-            {"start_line": s.start_line, "end_line": s.end_line}
-            for s in labeling_to_spans(pred)
-        ]
-        _write_json(out / f"{entry.transcript.id}.spans.json", spans)
-        if entry.gold is not None:
-            row = {"transcript_id": entry.transcript.id,
-                   **evaluate(pred, entry.gold, entry.transcript).as_row()}
-            rows.append({col: row[col] for col in SEGMENT_COLUMNS})
+    rows = _write_and_score(out, corpus, (segment(e.transcript) for e in corpus.entries),
+                            ".spans.json", _write_spans)
     if rows:
         _write_csv(out / "segmentation_metrics.csv", SEGMENT_COLUMNS, rows)
     print(f"segmented {len(corpus)} transcripts with {args.method}")
@@ -135,15 +144,13 @@ def cmd_retrieve(args: argparse.Namespace, out: Path) -> None:
     if not corpus.entries:
         raise RetrievalError("retrieval evaluation needs annotated transcripts")
     config = RetrieverConfig(method=args.method, threshold=args.threshold)
-    rows, decisions = [], []
-    for entry, spans, by_method in gold_rows([config.method], corpus):
-        for span, row in zip(spans, by_method[config.method]):
-            pid = _decision(*row[1:], config.threshold)
-            decisions.append({"transcript_id": entry.transcript.id, "gold": span.ref.serialize(),
-                              "start_line": span.start_line, "end_line": span.end_line,
-                              "decision": REF_NONE.serialize() if pid is None else pid})
-            rows.append(row)
-    accuracy = _accuracy_at(rows, config.threshold)
+    decisions, hits = [], 0
+    for entry, span, pid in config.gold_decisions(corpus):
+        decisions.append({"transcript_id": entry.transcript.id, "gold": span.ref.serialize(),
+                          "start_line": span.start_line, "end_line": span.end_line,
+                          "decision": REF_NONE.serialize() if pid is None else pid})
+        hits += pid == span.ref.problem_id
+    accuracy = hits / len(decisions) if decisions else 0.0
     _write_csv(out / "retrieval_decisions.csv",
                ["transcript_id", "start_line", "end_line", "decision", "gold"], decisions)
     _write_json(out / "retrieval_accuracy.json",
@@ -193,7 +200,6 @@ def _make_client(args: argparse.Namespace):
 def cmd_posr(args: argparse.Namespace, out: Path) -> None:
     corpus = load_corpus(load_manifest(args.manifest))
     prices = _load_prices(args.prices)
-    rows = []
     llm_mode = args.method in LLM_METHODS
     if llm_mode and args.prices and args.model not in prices:
         raise UsageError(f"{args.prices}: no entry for --model {args.model!r}")
@@ -220,14 +226,9 @@ def cmd_posr(args: argparse.Namespace, out: Path) -> None:
         # CPU-bound under the interpreter lock: threads would not help here
         preds = (retrieve_labeling(rconf, e.transcript, segment(e.transcript), e.worksheet)
                  for e in corpus.entries)
-    for entry, pred in zip(corpus.entries, preds):
-        # an empty prediction is written as one empty line, not an empty file
-        (out / f"{entry.transcript.id}.pred.jsonl").write_text(
-            encode_annotation(pred) or "\n", encoding="utf-8")
-        if entry.gold is not None:
-            report = evaluate(pred, entry.gold, entry.transcript)
-            row = {"transcript_id": entry.transcript.id, **report.as_row()}
-            rows.append(row)
+    # an empty prediction is written as one empty line, not an empty file
+    rows = _write_and_score(out, corpus, preds, ".pred.jsonl", lambda path, pred:
+                            path.write_text(encode_annotation(pred) or "\n", encoding="utf-8"))
     cost = None
     if usages and prices:
         cost = cost_per_100(usages, args.model, prices)

@@ -347,9 +347,14 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         raise CorpusError(f"{path}: file paths must be strings")
     if not all(isinstance(t, str) for t in [*manifest.worksheets, *(manifest.annotations or {})]):
         raise CorpusError(f"{path}: transcript ids must be strings")
-    ids = {Path(p).stem for p in manifest.transcripts}
+    ids: dict[str, str] = {}  # transcript id -> its path
+    for tpath in manifest.transcripts:
+        tid = Path(tpath).stem
+        if tid in ids:
+            raise CorpusError(f"{path}: transcripts {ids[tid]} and {tpath} both have id {tid!r}")
+        ids[tid] = tpath
     if manifest.annotations:
-        missing = set(manifest.annotations) - ids
+        missing = manifest.annotations.keys() - ids.keys()
         if missing:
             raise CorpusError(f"{path}: annotations reference unknown transcripts {sorted(missing)}")
     return manifest

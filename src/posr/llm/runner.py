@@ -34,6 +34,7 @@ from ..model import (
     SegmentSpan,
     Transcript,
     Worksheet,
+    runs_to_labeling,
     spans_to_labeling,
 )
 from .client import ChatClient, ChatRequest, ChatResponse
@@ -64,7 +65,7 @@ class LLMRunResult:
 
 def fallback_labeling(n_lines: int) -> Labeling:
     """The flagged fallback: one segment with no ref over every line."""
-    return Labeling(tuple((0, REF_NONE) for _ in range(n_lines)))
+    return runs_to_labeling([0], [REF_NONE], n_lines)
 
 
 def _call(client: ChatClient, model: str, system: str,

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat
-from operator import attrgetter, itemgetter, lt, ne
+from collections.abc import Iterable, Sequence
+from itertools import chain, compress, count, islice, repeat
+from operator import attrgetter, itemgetter, lt, ne, sub
 from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
@@ -199,7 +200,7 @@ class Labeling:
 
 @dataclass(frozen=True, slots=True)
 class SegmentSpan:
-    """Inclusive line range, optionally carrying a ref.
+    """Inclusive line range and its ref (``REF_NONE`` when it has none).
 
     The span form of segmenter and LLM outputs before normalization to a
     per-line Labeling.
@@ -207,7 +208,7 @@ class SegmentSpan:
 
     start_line: int
     end_line: int
-    ref: RefLabel | None = None
+    ref: RefLabel = REF_NONE
 
     def __post_init__(self) -> None:
         if self.start_line > self.end_line:
@@ -242,36 +243,40 @@ def spans_to_labeling(spans: list[SegmentSpan], n_lines: int) -> Labeling:
     for span in spans:
         clamped = clamp_span(span.start_line, span.end_line, n_lines)
         if clamped is not None:
-            clean.append((*clamped, span.ref if span.ref is not None else REF_NONE))
+            clean.append((*clamped, span.ref))
     clean.sort(key=itemgetter(0, 1))  # stable: equal spans keep their order
 
-    per_line: list[tuple[int, RefLabel]] = []
-    seg = 0
+    runs: list[tuple[int, RefLabel]] = []  # (first line, ref) of each segment
     taken = 0  # lines below this already have a segment
     for start, end, ref in clean:
         if start > taken:  # the lines before this span that no span took
-            per_line.extend(repeat((seg, REF_NONE), start - taken))
-            seg += 1
+            runs.append((taken, REF_NONE))
             taken = start
         if end >= taken:
-            per_line.extend(repeat((seg, ref), end + 1 - taken))
-            seg += 1
+            runs.append((taken, ref))
             taken = end + 1
     if taken < n_lines:
-        per_line.extend(repeat((seg, REF_NONE), n_lines - taken))
-    return Labeling(tuple(per_line))
+        runs.append((taken, REF_NONE))
+    starts, refs = zip(*runs)  # n_lines > 0, so some span or gap made a run
+    return runs_to_labeling(starts, refs, n_lines)
+
+
+def runs_to_labeling(starts: Sequence[int], refs: Iterable[RefLabel], n_lines: int) -> Labeling:
+    """The Labeling of ``n_lines`` lines cut into segments at ``starts``
+    (ascending, the first 0), the k-th carrying the k-th of ``refs`` and
+    numbered k. The one writer of per-line pairs: it repeats each
+    segment's pair over its run, in C, with no step per line."""
+    lengths = map(sub, chain(islice(starts, 1, None), (n_lines,)), starts)
+    return Labeling(tuple(chain.from_iterable(map(repeat, zip(count(), refs), lengths))))
 
 
 def labeling_to_spans(labeling: Labeling) -> list[SegmentSpan]:
-    """Maximal runs of equal segment id, in transcript order."""
-    spans: list[SegmentSpan] = []
-    start = 0
-    pl = labeling.per_line
-    for i in range(1, len(pl) + 1):
-        if i == len(pl) or pl[i][0] != pl[start][0]:
-            spans.append(SegmentSpan(start, i - 1, pl[start][1]))
-            start = i
-    return spans
+    """Maximal runs of equal segment id, in transcript order: the one reader
+    of per-line pairs, finding the runs through ``boundary_flags``."""
+    n = len(labeling)
+    starts = [0, *compress(count(1), boundary_flags(labeling))] if n else []
+    ends = chain(map(sub, islice(starts, 1, None), repeat(1)), (n - 1,))
+    return list(map(SegmentSpan, starts, ends, [labeling.per_line[s][1] for s in starts]))
 
 
 def boundary_flags(labeling: Labeling) -> list[bool]:

@@ -16,8 +16,8 @@ distinct worksheet once; ``posr.cli.main`` clears those fits around every
 command.
 
 Each ground-truth segment becomes one row (gold id, argmax id, effective
-score) on one path. Calibration builds a segment's query once for all its
-methods; ``posr retrieve`` and ``retrieval_accuracy`` read ``gold_rows``.
+score) on one path, ``gold_rows``: calibration reads the rows of every method
+at once, ``posr retrieve`` and ``retrieval_accuracy`` their decisions.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .model import (
     Transcript,
     Worksheet,
     labeling_to_spans,
+    runs_to_labeling,
 )
 from .tokens import tokenize
 
@@ -64,6 +65,14 @@ class RetrieverConfig:
             raise RetrievalError(f"unknown method {self.method!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise RetrievalError("threshold must be in [0, 1]")
+
+    def gold_decisions(
+            self, corpus: Corpus) -> Iterator[tuple[CorpusEntry, SegmentSpan, str | None]]:
+        """Each ground-truth segment of ``corpus``, in order, with its entry
+        and its decision under this config: the problem id linked, or None."""
+        for entry, spans, by_method in gold_rows([self.method], corpus):
+            for span, (_, best_pid, best) in zip(spans, by_method[self.method]):
+                yield entry, span, _decision(best_pid, best, self.threshold)
 
 
 _NO_POSTINGS: tuple[float, tuple] = (0.0, ())
@@ -190,22 +199,18 @@ def retrieve_labeling(
     segmentation: Labeling,
     worksheet: Worksheet,
 ) -> Labeling:
-    """Fill each segment's ref by scoring its concatenated utterances."""
+    """Fill each segment's ref by scoring its concatenated utterances. The
+    segments keep their boundaries and are numbered 0, 1, ... in order."""
     if len(segmentation) != len(transcript):
         raise RetrievalError("segmentation does not cover the transcript")
     index = worksheet_index(worksheet)
+    spans = labeling_to_spans(segmentation)
+    pids = [_decision(*_best(index, config.method, _segment_query(transcript, span)),
+                      config.threshold) for span in spans]
     # one RefLabel per distinct decision, not one per segment
-    refs: dict[str | None, RefLabel] = {None: REF_NONE}
-    per_line: list[tuple[int, RefLabel]] = []
-    for span in labeling_to_spans(segmentation):
-        pid = _decision(*_best(index, config.method, _segment_query(transcript, span)),
-                        config.threshold)
-        ref = refs.get(pid)
-        if ref is None:
-            ref = refs[pid] = RefLabel.problem(pid)  # type: ignore[arg-type]
-        seg_id = segmentation.per_line[span.start_line][0]
-        per_line += [(seg_id, ref)] * (span.end_line - span.start_line + 1)
-    return Labeling(tuple(per_line))
+    refs = {pid: REF_NONE if pid is None else RefLabel.problem(pid) for pid in set(pids)}
+    return runs_to_labeling([span.start_line for span in spans], map(refs.__getitem__, pids),
+                            len(transcript))
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +234,13 @@ def gold_rows(
         queries = [_segment_query(entry.transcript, span) for span in spans]
         index = worksheet_index(entry.worksheet)
         yield entry, spans, {
-            method: [(span.ref.problem_id, *_best(index, method, query))  # type: ignore[union-attr]
+            method: [(span.ref.problem_id, *_best(index, method, query))
                      for span, query in zip(spans, queries)]
             for method in methods}
 
 
-def _accuracy_at(rows: list[Row], threshold: float) -> float:
-    correct = 0
-    for gold, best_pid, best in rows:
-        correct += _decision(best_pid, best, threshold) == gold
-    return correct / len(rows) if rows else 0.0
-
-
 def _best_grid_threshold(rows: list[Row]) -> float:
-    """The ``GRID`` value of highest ``_accuracy_at`` on ``rows``, the lowest
+    """The ``GRID`` value of highest accuracy on ``rows``, the lowest
     on ties (``GRID[0]`` for no rows), from one sort and one ascending sweep.
 
     At threshold t a row is correct when best >= t and its argmax is the
@@ -299,7 +297,8 @@ def calibrate_threshold(method: str, train: Corpus, folds: int = 5, seed: int = 
 
 
 def retrieval_accuracy(config: RetrieverConfig, corpus: Corpus) -> float:
-    """Segment-level accuracy of decisions on ground-truth segments."""
-    rows = [row for _, _, by_method in gold_rows([config.method], corpus)
-            for row in by_method[config.method]]
-    return _accuracy_at(rows, config.threshold)
+    """Segment-level accuracy of decisions on ground-truth segments: the
+    share whose decision is the gold problem id, None for warm-up and
+    off-worksheet golds."""
+    hits = [pid == span.ref.problem_id for _, span, pid in config.gold_decisions(corpus)]
+    return sum(hits) / len(hits) if hits else 0.0

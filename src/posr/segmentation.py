@@ -11,10 +11,11 @@ import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 
 from .corpus import Corpus
 from .errors import InputError
-from .model import REF_NONE, Labeling, RefLabel, Transcript, labeling_to_spans
+from .model import REF_NONE, Labeling, Transcript, labeling_to_spans, runs_to_labeling
 from .tokens import tokenize
 
 
@@ -69,13 +70,8 @@ def segment_boundary_words(model: BoundaryWordModel, transcript: Transcript) -> 
     Line 0 always opens segment 0.
     """
     vocab = set(model.words)
-    per_line: list[tuple[int, RefLabel]] = []
-    seg = -1
-    for line in transcript.lines:
-        if seg < 0 or vocab & set(tokenize(line.utterance)):
-            seg += 1
-        per_line.append((seg, REF_NONE))
-    return Labeling(tuple(per_line))
+    opens = (not vocab.isdisjoint(tokenize(line.utterance)) for line in transcript.lines[1:])
+    return runs_to_labeling([0, *compress(count(1), opens)], repeat(REF_NONE), len(transcript))
 
 
 @dataclass(frozen=True)
@@ -106,8 +102,6 @@ def segment_texttiling(params: TextTilingParams, transcript: Transcript) -> Labe
     the peaks at every gap, so the boundaries are unchanged.
     """
     n = len(transcript)
-    if n == 0:
-        return Labeling(())
     # token -> owning line, over the whole utterance stream
     stream: list[str] = []
     token_line: list[int] = []
@@ -118,7 +112,7 @@ def segment_texttiling(params: TextTilingParams, transcript: Transcript) -> Labe
 
     w = params.pseudo_sentence_size
     if len(stream) < 2 * params.block_size * w:
-        return Labeling(tuple((0, REF_NONE) for _ in range(n)))
+        return runs_to_labeling([0], repeat(REF_NONE), n)
 
     smoothed = _smooth(_gap_scores(stream, w, params.block_size), params.smoothing_width)
     depths = _depths(smoothed)
@@ -134,14 +128,7 @@ def segment_texttiling(params: TextTilingParams, transcript: Transcript) -> Labe
             line = token_line[last_tok]
             if line + 1 < n:
                 boundary_lines.add(line + 1)
-
-    per_line: list[tuple[int, RefLabel]] = []
-    seg = 0
-    for i in range(n):
-        if i in boundary_lines and i > 0:
-            seg += 1
-        per_line.append((seg, REF_NONE))
-    return Labeling(tuple(per_line))
+    return runs_to_labeling([0, *sorted(boundary_lines)], repeat(REF_NONE), n)
 
 
 def _gap_scores(stream: list[str], w: int, block_size: int) -> list[float]:

@@ -156,6 +156,16 @@ def test_load_manifest_malformed_names_file(tmp_path, text):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("paths", [["a/x.jsonl", "b/x.jsonl"], ["x.jsonl", "x.jsonl"]])
+def test_load_manifest_rejects_transcripts_sharing_an_id(tmp_path, paths):
+    # one id would give two transcripts one worksheet entry and one output file
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"transcripts": paths, "worksheets": {"x": "w.json"}}))
+    with pytest.raises(CorpusError, match=re.escape(
+            f"{path}: transcripts {paths[0]} and {paths[1]} both have id 'x'")):
+        load_manifest(path)
+
+
 def test_load_annotation_duplicate_line_names_file_and_line(tmp_path):
     path = tmp_path / "a.jsonl"
     write_lines(path, [

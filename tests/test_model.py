@@ -17,6 +17,7 @@ from posr.model import (
     boundaries,
     boundary_flags,
     labeling_to_spans,
+    runs_to_labeling,
     spans_to_labeling,
 )
 
@@ -121,14 +122,14 @@ def oracle_spans_to_labeling(spans, n_lines):
                 owner[i] = idx
     per_line = []
     for i in range(n_lines):
-        ref = REF_NONE if owner[i] is None or clean[owner[i]].ref is None else clean[owner[i]].ref
+        ref = REF_NONE if owner[i] is None else clean[owner[i]].ref
         if i == 0 or owner[i] != owner[i - 1]:
             seg = per_line[-1][0] + 1 if per_line else 0
         per_line.append((seg, ref))
     return Labeling(tuple(per_line))
 
 
-SPAN_REFS = st.sampled_from([None, REF_NONE, RefLabel("not_in_corpus"), A, B])
+SPAN_REFS = st.sampled_from([REF_NONE, RefLabel("not_in_corpus"), A, B])
 
 
 @st.composite
@@ -166,6 +167,52 @@ def test_labeling_to_spans_basic():
     lab = Labeling(((0, REF_NONE), (0, REF_NONE), (1, A), (1, A), (1, A)))
     spans = labeling_to_spans(lab)
     assert [(s.start_line, s.end_line) for s in spans] == [(0, 1), (2, 4)]
+
+
+def oracle_labeling_to_spans(labeling):
+    """Maximal runs of equal segment id, found by comparing every line with
+    the first line of its run."""
+    spans = []
+    start = 0
+    pl = labeling.per_line
+    for i in range(1, len(pl) + 1):
+        if i == len(pl) or pl[i][0] != pl[start][0]:
+            spans.append(SegmentSpan(start, i - 1, pl[start][1]))
+            start = i
+    return spans
+
+
+@st.composite
+def labelings(draw):
+    """Labelings of up to 40 lines whose segment ids are distinct arbitrary
+    integers in any order, not 0, 1, ..."""
+    lengths = draw(st.lists(st.integers(1, 6), max_size=12))
+    ids = draw(st.lists(st.integers(-50, 50), min_size=len(lengths), max_size=len(lengths),
+                        unique=True))
+    refs = draw(st.lists(SPAN_REFS, min_size=len(lengths), max_size=len(lengths)))
+    return Labeling(tuple((seg, ref) for seg, ref, length in zip(ids, refs, lengths)
+                          for _ in range(length)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(labelings())
+def test_run_reader_and_writer_equal_per_line_oracle(labeling):
+    spans = labeling_to_spans(labeling)
+    assert spans == oracle_labeling_to_spans(labeling)
+    written = runs_to_labeling([s.start_line for s in spans], [s.ref for s in spans],
+                               len(labeling))
+    # the same boundaries and refs, with the segments numbered 0, 1, ...
+    assert oracle_labeling_to_spans(written) == spans
+    assert boundary_flags(written) == boundary_flags(labeling)
+    assert written.refs == labeling.refs
+    assert written.per_line == tuple((k, s.ref) for k, s in enumerate(spans)
+                                     for _ in range(s.start_line, s.end_line + 1))
+
+
+def test_runs_to_labeling_of_no_lines():
+    assert runs_to_labeling([0], [A], 0) == Labeling(())
+    assert runs_to_labeling([], [], 0) == Labeling(())
+    assert labeling_to_spans(Labeling(())) == []
 
 
 def test_round_trip_identity():

@@ -28,6 +28,7 @@ from posr.model import (
     SegmentSpan,
     Transcript,
     Worksheet,
+    boundary_flags,
     labeling_to_spans,
 )
 from posr.retrieval import (
@@ -36,7 +37,6 @@ from posr.retrieval import (
     GRID,
     RetrievalError,
     RetrieverConfig,
-    _accuracy_at,
     _best,
     _best_grid_threshold,
     _decision,
@@ -209,6 +209,22 @@ def test_retrieve_labeling_none_when_below_threshold():
     assert retrieve_labeling(config, t, seg, WS).refs == [REF_NONE]
 
 
+def test_retrieve_labeling_keeps_the_segmentation_boundaries():
+    lines = tuple(
+        Line(i, "[TUTOR]", text, i * 1000, (i + 1) * 1000)
+        for i, text in enumerate(["a b", "a c", "x y", "z", "b d", "q"])
+    )
+    t = Transcript(id="t", lines=lines)
+    # segment ids that are neither 0, 1, ... nor ascending
+    seg = Labeling(((7, REF_NONE), (7, REF_NONE), (-3, REF_NONE), (-3, REF_NONE),
+                    (40, REF_NONE), (2, REF_NONE)))
+    out = retrieve_labeling(RetrieverConfig("jaccard", threshold=0.1), t, seg, WS)
+    assert boundary_flags(out) == boundary_flags(seg)
+    assert out.segment_ids == [0, 0, 1, 1, 2, 3]
+    assert out.refs == [RefLabel.problem("P1")] * 2 + [RefLabel.problem("P3")] * 2 + [
+        RefLabel.problem("P2"), REF_NONE]
+
+
 def test_calibrate_planted_gap():
     # positives share most tokens with their problem; negatives share none
     ws = Worksheet(id="w", problems=(
@@ -243,11 +259,17 @@ def test_calibrate_reduces_folds_to_transcript_count():
     assert 0.0 <= t <= 1.0
 
 
+def accuracy_at(rows, threshold):
+    """Share of rows whose decision at ``threshold`` is their gold id."""
+    correct = sum(_decision(best_pid, best, threshold) == gold for gold, best_pid, best in rows)
+    return correct / len(rows) if rows else 0.0
+
+
 def grid_search_oracle(rows):
-    """One ``_accuracy_at`` pass per grid value; the first best value wins."""
+    """One ``accuracy_at`` pass per grid value; the first best value wins."""
     best_t, best_acc = GRID[0], -1.0
     for t in GRID:
-        acc = _accuracy_at(rows, t)
+        acc = accuracy_at(rows, t)
         if acc > best_acc:
             best_acc, best_t = acc, t
     return best_t

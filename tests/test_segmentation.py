@@ -2,6 +2,7 @@ import math
 import random
 import time
 from collections import Counter
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +170,18 @@ def test_segmenters_output_valid_labelings():
         ):
             assert len(lab) == len(entry.transcript)
             assert all(ref == REF_NONE for ref in lab.refs)
+
+
+def test_segmenters_number_segments_from_zero():
+    corpus = generate_synthetic(SyntheticSpec(seed=21, n_transcripts=2, lines_per_segment=(30, 80)))
+    model = fit_boundary_words(corpus, k=10)
+    transcripts = [e.transcript for e in corpus.entries]
+    for t in [*transcripts, make_transcript([1000] * 3), Transcript(id="empty", lines=())]:
+        for lab in (segment_boundary_words(model, t), segment_texttiling(TextTilingParams(), t)):
+            assert [seg for seg, _ in groupby(lab.segment_ids)] == list(range(lab.num_segments()))
+    # both segmenters cut the synthetic transcripts
+    assert min(segment_boundary_words(model, t).num_segments() for t in transcripts) > 1
+    assert min(segment_texttiling(TextTilingParams(), t).num_segments() for t in transcripts) > 1
 
 
 # ---------------------------------------------------------------------------
