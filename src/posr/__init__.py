@@ -12,7 +12,6 @@ from .model import (
     SegmentSpan,
     Transcript,
     Worksheet,
-    boundaries,
     labeling_to_spans,
     spans_to_labeling,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "SegmentSpan",
     "Transcript",
     "Worksheet",
-    "boundaries",
     "labeling_to_spans",
     "spans_to_labeling",
     "__version__",

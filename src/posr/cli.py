@@ -42,6 +42,7 @@ from .retrieval import (
     retrieve_labeling,
 )
 from .segmentation import METHODS as SEGMENT_METHODS, segmenter
+from .tokens import token_column
 
 # each LLM method's posr.llm.PromptKind, by value: the LLM client and runner
 # are imported only by the commands that use them
@@ -343,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
-    # worksheet indexes are fitted once per command and never outlive it
+    # worksheet indexes and token columns are built once per command, never outliving it
     clear_indexes()
+    token_column.cache_clear()
     try:
         out = _out_dir(args.out) if args.out else None
         args.func(args, out)
@@ -354,6 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     finally:
         clear_indexes()
+        token_column.cache_clear()
     # written last, so an out directory with a manifest holds a finished run
     if out is not None:
         _write_run_manifest(out, args)

@@ -131,7 +131,7 @@ def _records(text: str, fields: itemgetter) -> Iterator[tuple]:
     calls that keep no decoded record. A line that does not decode, or a
     record that is not an object or lacks a field, raises when it is
     reached; the caller then words the error with a per-line loop."""
-    raws = text.splitlines()
+    raws = text.split("\n")  # not splitlines(): JSON strings hold U+0085, U+2028, U+2029 raw
     return map(fields, map(_decode_line, compress(raws, map(str.strip, raws))))
 
 
@@ -162,7 +162,7 @@ def _transcript_lines(text: str) -> tuple[Line, ...] | None:
 def _raise_bad_transcript_line(path: Path, text: str) -> NoReturn:
     """Raise the CorpusError for the first line of ``text`` that
     ``_transcript_lines`` rejects."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         if not raw.strip():
             continue
         try:
@@ -200,20 +200,9 @@ def load_transcript(path: str | Path) -> Transcript:
 
 
 def save_transcript(transcript: Transcript, path: str | Path) -> None:
+    """One JSON record per line: the ``Line`` fields, in their order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for line in transcript.lines:
-            fh.write(
-                json.dumps(
-                    {
-                        "index": line.index,
-                        "speaker": line.speaker,
-                        "utterance": line.utterance,
-                        "start_ms": line.start_ms,
-                        "end_ms": line.end_ms,
-                    }
-                )
-                + "\n"
-            )
+        fh.writelines(json.dumps(line._asdict()) + "\n" for line in transcript.lines)
 
 
 def load_worksheet(path: str | Path) -> Worksheet:
@@ -263,7 +252,7 @@ def _raise_bad_annotation_line(path: Path, text: str) -> NoReturn:
     """Raise the CorpusError for the first line of ``text`` that
     ``_annotation_columns`` rejects."""
     seen: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         if not raw.strip():
             continue
         try:

@@ -73,6 +73,10 @@ class Transcript:
                 f"transcript {self.id}: start_ms decreases at line {indexes[pos]}"
             )
 
+    def __hash__(self) -> int:
+        # equal transcripts have equal ids; the generated hash walks every line
+        return hash(self.id)
+
     def __len__(self) -> int:
         return len(self.lines)
 
@@ -185,17 +189,11 @@ class Labeling:
         return len(self.per_line)
 
     @property
-    def segment_ids(self) -> list[int]:
-        return [seg for seg, _ in self.per_line]
-
-    @property
     def refs(self) -> list[RefLabel]:
         return [ref for _, ref in self.per_line]
 
     def num_segments(self) -> int:
-        if not self.per_line:
-            return 0
-        return sum(boundary_flags(self)) + 1
+        return len(run_starts(self))
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,12 +268,16 @@ def runs_to_labeling(starts: Sequence[int], refs: Iterable[RefLabel], n_lines: i
     return Labeling(tuple(chain.from_iterable(map(repeat, zip(count(), refs), lengths))))
 
 
+def run_starts(labeling: Labeling) -> list[int]:
+    """The first line of each maximal run of equal segment id, in order."""
+    return [0, *compress(count(1), boundary_flags(labeling))] if len(labeling) else []
+
+
 def labeling_to_spans(labeling: Labeling) -> list[SegmentSpan]:
     """Maximal runs of equal segment id, in transcript order: the one reader
-    of per-line pairs, finding the runs through ``boundary_flags``."""
-    n = len(labeling)
-    starts = [0, *compress(count(1), boundary_flags(labeling))] if n else []
-    ends = chain(map(sub, islice(starts, 1, None), repeat(1)), (n - 1,))
+    of per-line pairs, finding the runs through ``run_starts``."""
+    starts = run_starts(labeling)
+    ends = chain(map(sub, islice(starts, 1, None), repeat(1)), (len(labeling) - 1,))
     return list(map(SegmentSpan, starts, ends, [labeling.per_line[s][1] for s in starts]))
 
 
@@ -284,7 +286,3 @@ def boundary_flags(labeling: Labeling) -> list[bool]:
     segs = list(map(_SEGMENT_ID, labeling.per_line))
     return list(map(ne, islice(segs, 1, None), segs))
 
-
-def boundaries(labeling: Labeling) -> set[int]:
-    """Positions i (1 <= i <= N-1) with a segment change between lines i-1 and i."""
-    return set(compress(count(1), boundary_flags(labeling)))

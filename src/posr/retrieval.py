@@ -28,7 +28,6 @@ import random
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .corpus import Corpus, CorpusEntry
 from .errors import InputError
@@ -40,9 +39,10 @@ from .model import (
     Transcript,
     Worksheet,
     labeling_to_spans,
+    run_starts,
     runs_to_labeling,
 )
-from .tokens import tokenize
+from .tokens import token_column, tokenize
 
 METHODS = ("jaccard", "tfidf", "bm25")
 
@@ -76,7 +76,6 @@ class RetrieverConfig:
 
 
 _NO_POSTINGS: tuple[float, tuple] = (0.0, ())
-_UTTERANCE = attrgetter("utterance")
 
 
 class WorksheetIndex:
@@ -167,10 +166,12 @@ def _decision(best_pid: str | None, best: float, threshold: float) -> str | None
     return best_pid if best >= threshold else None
 
 
-def _segment_query(transcript: Transcript, span: SegmentSpan) -> list[str] | None:
-    """The tokens of one segment's joined utterances; None if that text is blank."""
-    text = " ".join(map(_UTTERANCE, transcript.lines[span.start_line:span.end_line + 1]))
-    return tokenize(text) if text.strip() else None
+def _segment_query(transcript: Transcript, start: int, stop: int) -> list[str] | None:
+    """The token column's slice of lines start..stop-1; None if all their
+    utterances are blank (whitespace only), [] if they hold only punctuation."""
+    tokens, starts = token_column(transcript)
+    q = tokens[starts[start]:starts[stop]]
+    return q if q or any(line.utterance.strip() for line in transcript.lines[start:stop]) else None
 
 
 def _best(index: WorksheetIndex, method: str, q: list[str] | None) -> tuple[str | None, float]:
@@ -204,13 +205,13 @@ def retrieve_labeling(
     if len(segmentation) != len(transcript):
         raise RetrievalError("segmentation does not cover the transcript")
     index = worksheet_index(worksheet)
-    spans = labeling_to_spans(segmentation)
-    pids = [_decision(*_best(index, config.method, _segment_query(transcript, span)),
-                      config.threshold) for span in spans]
+    starts = run_starts(segmentation)
+    stops = [*starts[1:], len(transcript)]
+    pids = [_decision(*_best(index, config.method, _segment_query(transcript, start, stop)),
+                      config.threshold) for start, stop in zip(starts, stops)]
     # one RefLabel per distinct decision, not one per segment
     refs = {pid: REF_NONE if pid is None else RefLabel.problem(pid) for pid in set(pids)}
-    return runs_to_labeling([span.start_line for span in spans], map(refs.__getitem__, pids),
-                            len(transcript))
+    return runs_to_labeling(starts, map(refs.__getitem__, pids), len(transcript))
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +228,11 @@ def gold_rows(
 ) -> Iterator[tuple[CorpusEntry, list[SegmentSpan], dict[str, list[Row]]]]:
     """Per annotated entry of ``corpus``, in order: the entry, its
     ground-truth segments, and under each method the row of every segment.
-    Warm-up/off-worksheet golds count as None. A segment's query is built
-    once for every method, and dropped with its entry."""
+    Warm-up/off-worksheet golds count as None. A segment's query is its
+    slice of the entry's token column, taken once for every method."""
     for entry in corpus.annotated().entries:
         spans = labeling_to_spans(entry.gold)  # type: ignore[arg-type]
-        queries = [_segment_query(entry.transcript, span) for span in spans]
+        queries = [_segment_query(entry.transcript, s.start_line, s.end_line + 1) for s in spans]
         index = worksheet_index(entry.worksheet)
         yield entry, spans, {
             method: [(span.ref.problem_id, *_best(index, method, query))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -15,8 +16,8 @@ from itertools import compress, count, repeat
 
 from .corpus import Corpus
 from .errors import InputError
-from .model import REF_NONE, Labeling, Transcript, labeling_to_spans, runs_to_labeling
-from .tokens import tokenize
+from .model import REF_NONE, Labeling, Transcript, run_starts, runs_to_labeling
+from .tokens import token_column
 
 
 METHODS = ("top10", "top20", "texttiling")
@@ -58,8 +59,9 @@ def fit_boundary_words(train: Corpus, k: int) -> BoundaryWordModel:
         raise SegmentationError("train corpus has no annotations")
     counts: Counter[str] = Counter()
     for entry in annotated.entries:
-        for span in labeling_to_spans(entry.gold):  # type: ignore[arg-type]
-            counts.update(tokenize(entry.transcript.lines[span.start_line].utterance))
+        tokens, starts = token_column(entry.transcript)
+        for i in run_starts(entry.gold):  # type: ignore[arg-type]
+            counts.update(tokens[starts[i]:starts[i + 1]])
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return BoundaryWordModel(words=tuple(w for w, _ in ranked[:k]))
 
@@ -70,7 +72,8 @@ def segment_boundary_words(model: BoundaryWordModel, transcript: Transcript) -> 
     Line 0 always opens segment 0.
     """
     vocab = set(model.words)
-    opens = (not vocab.isdisjoint(tokenize(line.utterance)) for line in transcript.lines[1:])
+    tokens, starts = token_column(transcript)
+    opens = (not vocab.isdisjoint(tokens[a:b]) for a, b in zip(starts[1:], starts[2:]))
     return runs_to_labeling([0, *compress(count(1), opens)], repeat(REF_NONE), len(transcript))
 
 
@@ -102,14 +105,7 @@ def segment_texttiling(params: TextTilingParams, transcript: Transcript) -> Labe
     the peaks at every gap, so the boundaries are unchanged.
     """
     n = len(transcript)
-    # token -> owning line, over the whole utterance stream
-    stream: list[str] = []
-    token_line: list[int] = []
-    for line in transcript.lines:
-        toks = tokenize(line.utterance)
-        stream += toks
-        token_line += [line.index] * len(toks)
-
+    stream, starts = token_column(transcript)
     w = params.pseudo_sentence_size
     if len(stream) < 2 * params.block_size * w:
         return runs_to_labeling([0], repeat(REF_NONE), n)
@@ -120,15 +116,11 @@ def segment_texttiling(params: TextTilingParams, transcript: Transcript) -> Labe
     std = math.sqrt(sum((d - mean) ** 2 for d in depths) / len(depths))
     cutoff = mean - std / 2
 
-    boundary_lines: set[int] = set()
-    for i, depth in enumerate(depths):
-        if depth > cutoff and depth > 0:
-            gap = i + 1  # gap between pseudo-sentences gap-1 and gap
-            last_tok = gap * w - 1
-            line = token_line[last_tok]
-            if line + 1 < n:
-                boundary_lines.add(line + 1)
-    return runs_to_labeling([0, *sorted(boundary_lines)], repeat(REF_NONE), n)
+    # the gap between pseudo-sentences gap-1 and gap opens the line after the
+    # one holding its last token, gap * w - 1; none opens after the last line
+    opens = {bisect_right(starts, gap * w - 1) for gap, depth in enumerate(depths, 1)
+             if depth > cutoff and depth > 0}
+    return runs_to_labeling([0, *sorted(opens - {n})], repeat(REF_NONE), n)
 
 
 def _gap_scores(stream: list[str], w: int, block_size: int) -> list[float]:

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from posr.model import Labeling, Line, REF_NONE, RefLabel, Transcript
+from posr.model import Labeling, Line, REF_NONE, RefLabel, Transcript, boundary_flags
 
 
 def make_transcript(durations_ms, tid="t0", words_per_line=4, seed=0):
@@ -48,6 +48,11 @@ def random_labeling(n, rng, max_seg_len=8, ref_pool=REF_POOL):
 
 def seg_ids(labeling):
     return [seg for seg, _ in labeling.per_line]
+
+
+def boundary_set(labeling):
+    """Positions i (1 <= i <= N-1) with a segment change between lines i-1 and i."""
+    return {i for i, flag in enumerate(boundary_flags(labeling), 1) if flag}
 
 
 def oracle_line_metric(pred_ids, ref_ids, k, presence_only):

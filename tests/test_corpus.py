@@ -18,6 +18,7 @@ from posr.corpus import (
     load_transcript,
     load_worksheet,
     save_annotation,
+    save_transcript,
     write_corpus,
 )
 from posr.model import (
@@ -164,6 +165,30 @@ def test_load_manifest_rejects_transcripts_sharing_an_id(tmp_path, paths):
     with pytest.raises(CorpusError, match=re.escape(
             f"{path}: transcripts {paths[0]} and {paths[1]} both have id 'x'")):
         load_manifest(path)
+
+
+# characters str.splitlines breaks lines at, which JSON allows raw in a string
+LINE_BREAKING_CHARS = ["\u2028", "\u2029", "\x85"]
+
+
+@pytest.mark.parametrize("char", LINE_BREAKING_CHARS)
+def test_load_transcript_keeps_raw_line_breaking_characters(tmp_path, char):
+    path = tmp_path / "t.jsonl"
+    rec = {"index": 0, "speaker": "[TUTOR]", "utterance": f"one{char}two", "start_ms": 0,
+           "end_ms": 1}
+    path.write_text(json.dumps(rec, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert load_transcript(path).lines == (Line(0, "[TUTOR]", f"one{char}two", 0, 1),)
+
+
+@pytest.mark.parametrize("char", LINE_BREAKING_CHARS)
+def test_load_annotation_keeps_raw_line_breaking_characters(tmp_path, char):
+    path = tmp_path / "a.jsonl"
+    recs = [{"line_index": 0, "segment_id": 0, "ref": f"P{char}1"},
+            {"line_index": 1, "segment_id": 1, "ref": "null"}]
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in recs),
+                    encoding="utf-8")
+    assert load_annotation(path, 2).per_line == ((0, RefLabel.problem(f"P{char}1")),
+                                                 (1, REF_NONE))
 
 
 def test_load_annotation_duplicate_line_names_file_and_line(tmp_path):
@@ -344,7 +369,7 @@ def reference_load_transcript(path):
     before the column pass, with integer fields required to be JSON
     integers."""
     lines = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
         if not raw.strip():
             continue
         try:
@@ -376,7 +401,7 @@ def reference_load_annotation(path, n_lines):
     rule."""
     records = {}
     refs = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
         if not raw.strip():
             continue
         try:
@@ -536,6 +561,14 @@ def test_write_load_round_trip(tmp_path):
         assert back.transcript == orig.transcript
         assert back.worksheet == orig.worksheet
         assert back.gold == orig.gold
+
+
+def test_save_transcript_writes_the_five_fields_in_order(tmp_path):
+    line = Line(1, "[STUDENT]", 'say "caf\u00e9"\u2028', 10, 20)
+    save_transcript(Transcript("t", (Line(0, "[TUTOR]", "", 0, 5), line)), tmp_path / "t.jsonl")
+    assert (tmp_path / "t.jsonl").read_bytes().split(b"\n")[1] == (
+        b'{"index": 1, "speaker": "[STUDENT]", "utterance": "say \\"caf\\u00e9\\"\\u2028", '
+        b'"start_ms": 10, "end_ms": 20}')
 
 
 def test_corpus_stats_small():

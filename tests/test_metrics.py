@@ -17,6 +17,7 @@ from posr.model import Labeling, Line, REF_NONE, RefLabel, Transcript
 
 from conftest import (
     REF_POOL,
+    boundary_set,
     make_transcript,
     oracle_line_metric,
     oracle_srs,
@@ -347,9 +348,7 @@ def test_pk_windowdiff_agree_on_sparse_windows(rng):
         pred = random_labeling(n, rng)
         ref = random_labeling(n, rng)
         k = rng.randint(1, n - 1)
-        from posr.model import boundaries
-
-        bp, br = boundaries(pred), boundaries(ref)
+        bp, br = boundary_set(pred), boundary_set(ref)
         for j in range(n - k):
             cp = sum(1 for i in bp if j < i <= j + k)
             cr = sum(1 for i in br if j < i <= j + k)

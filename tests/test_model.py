@@ -14,14 +14,13 @@ from posr.model import (
     SegmentSpan,
     Transcript,
     Worksheet,
-    boundaries,
     boundary_flags,
     labeling_to_spans,
     runs_to_labeling,
     spans_to_labeling,
 )
 
-from conftest import random_labeling
+from conftest import boundary_set, random_labeling, seg_ids
 
 A = RefLabel.problem("A")
 B = RefLabel.problem("B")
@@ -85,7 +84,7 @@ def test_spans_to_labeling_exact_cover():
 def test_spans_to_labeling_gap_policy():
     # hand enumeration: gap before, span, gap after -> 3 segments
     lab = spans_to_labeling([SegmentSpan(2, 4, A)], 6)
-    assert lab.segment_ids == [0, 0, 1, 1, 1, 2]
+    assert seg_ids(lab) == [0, 0, 1, 1, 1, 2]
     assert lab.refs == [REF_NONE, REF_NONE, A, A, A, REF_NONE]
 
 
@@ -229,10 +228,10 @@ def test_round_trip_random_disjoint(rng):
 
 
 def test_boundaries():
-    assert boundaries(Labeling(tuple((0, REF_NONE) for _ in range(5)))) == set()
-    assert boundaries(Labeling(((0, REF_NONE), (0, REF_NONE), (1, A), (1, A)))) == {2}
+    assert boundary_set(Labeling(tuple((0, REF_NONE) for _ in range(5)))) == set()
+    assert boundary_set(Labeling(((0, REF_NONE), (0, REF_NONE), (1, A), (1, A)))) == {2}
     # enumerate adjacent pairs: changes at 1 and 2
-    assert boundaries(Labeling(((0, REF_NONE), (1, A), (2, B)))) == {1, 2}
+    assert boundary_set(Labeling(((0, REF_NONE), (1, A), (2, B)))) == {1, 2}
 
 
 def test_boundary_flags():
@@ -243,4 +242,4 @@ def test_boundary_flags():
 def test_boundary_count_matches_segment_count(rng):
     for _ in range(100):
         lab = random_labeling(rng.randint(1, 60), rng)
-        assert len(boundaries(lab)) == lab.num_segments() - 1
+        assert len(boundary_set(lab)) == lab.num_segments() - 1

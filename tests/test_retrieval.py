@@ -25,11 +25,9 @@ from posr.model import (
     REF_NONE,
     REF_NOT_IN_CORPUS,
     RefLabel,
-    SegmentSpan,
     Transcript,
     Worksheet,
     boundary_flags,
-    labeling_to_spans,
 )
 from posr.retrieval import (
     BM25_B,
@@ -46,7 +44,10 @@ from posr.retrieval import (
     retrieve_labeling,
     worksheet_index,
 )
+from posr import tokens
 from posr.tokens import tokenize
+
+from conftest import seg_ids
 
 WS = Worksheet(id="w", problems=(
     Problem("P1", "a b c"),
@@ -65,7 +66,7 @@ def all_scores(method, text, ws=WS):
 def segment_best(config, text, ws=WS):
     """(argmax problem id, effective score) of a one-line segment of ``text``."""
     transcript = Transcript(id="t", lines=(Line(0, "[TUTOR]", text, 0, 1000),))
-    query = _segment_query(transcript, SegmentSpan(0, 0))
+    query = _segment_query(transcript, 0, 1)
     return _best(worksheet_index(ws), config.method, query)
 
 
@@ -220,7 +221,7 @@ def test_retrieve_labeling_keeps_the_segmentation_boundaries():
                     (40, REF_NONE), (2, REF_NONE)))
     out = retrieve_labeling(RetrieverConfig("jaccard", threshold=0.1), t, seg, WS)
     assert boundary_flags(out) == boundary_flags(seg)
-    assert out.segment_ids == [0, 0, 1, 1, 2, 3]
+    assert seg_ids(out) == [0, 0, 1, 1, 2, 3]
     assert out.refs == [RefLabel.problem("P1")] * 2 + [RefLabel.problem("P3")] * 2 + [
         RefLabel.problem("P2"), REF_NONE]
 
@@ -392,19 +393,48 @@ def test_calibrate_tokenizes_each_gold_segment_once(tmp_path, monkeypatch):
     main(["gen-corpus", "--out", str(corpus_dir), "--seed", "4", "--n-transcripts", "5",
           "--informal-prob", "0.3"])
     corpus = load_corpus(load_manifest(corpus_dir / "manifest.json"))
+    tokenized = count_tokenize(monkeypatch)
+    assert main(["calibrate", "--manifest", str(corpus_dir / "manifest.json"),
+                 "--out", str(tmp_path / "cal")]) == 0
+    problems = corpus.entries[0].worksheet.problems
+    lines = sum(len(e.transcript) for e in corpus.entries)
+    # one fit of the shared worksheet, then each line once: every gold
+    # segment's query, under all three methods, is a slice of one column
+    assert len(tokenized) == len(problems) + lines
+
+
+def count_tokenize(monkeypatch):
+    """The texts passed to ``tokenize`` from here on, wherever it is called."""
     tokenized = []
 
     def counting_tokenize(text):
         tokenized.append(text)
         return tokenize(text)
 
+    monkeypatch.setattr(tokens, "tokenize", counting_tokenize)
     monkeypatch.setattr(retrieval, "tokenize", counting_tokenize)
-    assert main(["calibrate", "--manifest", str(corpus_dir / "manifest.json"),
-                 "--out", str(tmp_path / "cal")]) == 0
-    problems = corpus.entries[0].worksheet.problems
-    segments = sum(len(labeling_to_spans(e.gold)) for e in corpus.entries)
-    # one fit of the shared worksheet, then each segment once for all three methods
-    assert len(tokenized) == len(problems) + segments
+    return tokenized
+
+
+@pytest.mark.parametrize("argv", [
+    ["posr", "--method", "texttiling", "--retrieval", "jaccard"],
+    ["posr", "--method", "texttiling", "--retrieval", "tfidf"],
+    ["posr", "--method", "texttiling", "--retrieval", "bm25"],
+    ["calibrate"],
+])
+def test_lexical_commands_tokenize_each_text_once(tmp_path, monkeypatch, argv):
+    corpus_dir = tmp_path / "corpus"
+    main(["gen-corpus", "--out", str(corpus_dir), "--seed", "4", "--n-transcripts", "5",
+          "--informal-prob", "0.3"])
+    corpus = load_corpus(load_manifest(corpus_dir / "manifest.json"))
+    tokenized = count_tokenize(monkeypatch)
+    assert main([*argv, "--manifest", str(corpus_dir / "manifest.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    # the transcripts share one worksheet; each utterance and each problem
+    # text reaches tokenize once, alone
+    texts = [line.utterance for e in corpus.entries for line in e.transcript.lines]
+    texts += [p.text for p in corpus.entries[0].worksheet.problems]
+    assert sorted(tokenized) == sorted(texts)
 
 
 # ---------------------------------------------------------------------------

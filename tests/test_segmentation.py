@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posr.corpus import Corpus, CorpusEntry, SyntheticSpec, generate_synthetic
-from posr.model import Labeling, Line, Problem, REF_NONE, Transcript, Worksheet, boundaries
+from posr.model import Labeling, Line, Problem, REF_NONE, Transcript, Worksheet
 from posr.segmentation import (
     BoundaryWordModel,
     SegmentationError,
@@ -22,7 +22,7 @@ from posr.segmentation import (
 )
 from posr.tokens import tokenize
 
-from conftest import make_transcript
+from conftest import boundary_set, make_transcript, seg_ids
 
 WS = Worksheet(id="w", problems=(Problem("P1", "placeholder"),))
 
@@ -80,7 +80,7 @@ def test_segment_boundary_words_scan():
     ))
     model = BoundaryWordModel(words=("question",))
     lab = segment_boundary_words(model, t)
-    assert boundaries(lab) == {3}
+    assert boundary_set(lab) == {3}
 
 
 def test_segment_boundary_words_every_line_fires():
@@ -117,7 +117,7 @@ def test_texttiling_finds_junction():
     vocab_b = [f"beta{i}" for i in range(15)]
     t = _passage_transcript(vocab_a, vocab_b)
     lab = segment_texttiling(TextTilingParams(pseudo_sentence_size=12, block_size=4), t)
-    b = boundaries(lab)
+    b = boundary_set(lab)
     assert len(b) >= 1
     assert any(abs(pos - 40) <= 2 for pos in b)
 
@@ -137,7 +137,7 @@ def test_texttiling_speaker_invariant():
         Line(l.index, "[STUDENT]", l.utterance, l.start_ms, l.end_ms) for l in t.lines
     ))
     params = TextTilingParams(pseudo_sentence_size=12, block_size=4)
-    assert boundaries(segment_texttiling(params, t)) == boundaries(
+    assert boundary_set(segment_texttiling(params, t)) == boundary_set(
         segment_texttiling(params, relabeled)
     )
 
@@ -178,7 +178,7 @@ def test_segmenters_number_segments_from_zero():
     transcripts = [e.transcript for e in corpus.entries]
     for t in [*transcripts, make_transcript([1000] * 3), Transcript(id="empty", lines=())]:
         for lab in (segment_boundary_words(model, t), segment_texttiling(TextTilingParams(), t)):
-            assert [seg for seg, _ in groupby(lab.segment_ids)] == list(range(lab.num_segments()))
+            assert [seg for seg, _ in groupby(seg_ids(lab))] == list(range(lab.num_segments()))
     # both segmenters cut the synthetic transcripts
     assert min(segment_boundary_words(model, t).num_segments() for t in transcripts) > 1
     assert min(segment_texttiling(TextTilingParams(), t).num_segments() for t in transcripts) > 1

@@ -3,7 +3,9 @@ import re
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posr.tokens import bigrams, tokenize
+from posr.model import Line, Transcript
+from posr.retrieval import _segment_query
+from posr.tokens import bigrams, token_column, tokenize
 
 
 def oracle_tokenize(s):
@@ -46,3 +48,34 @@ def test_tokenize_equals_regex_definition(s):
 def test_bigrams_stay_within_one_utterance():
     assert bigrams("Add 3 and 4!") == ["add_3", "3_and", "and_4"]
     assert bigrams("one") == [] and bigrams("") == []
+
+
+# one utterance: arbitrary text, or a few tricky pieces that make it empty,
+# whitespace only (embedded newlines too), punctuation only or non-ASCII
+UTTERANCES = st.one_of(
+    st.text(max_size=12),
+    st.lists(st.sampled_from(TRICKY + ["", "\n", " \n ", "...", "(x^2-1)", "3.5"]),
+             max_size=5).map("".join),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(UTTERANCES, max_size=8))
+@example([])
+@example(["", " ", "\t\n"])
+@example(["?!", "", "Hi there", " \n", "\xe9t\xe9"])
+def test_token_column_slices_equal_the_joined_lines(utterances):
+    transcript = Transcript("t", tuple(Line(i, "[TUTOR]", u, i, i + 1)
+                                       for i, u in enumerate(utterances)))
+    tokens, starts = token_column(transcript)
+    n = len(utterances)
+    assert len(starts) == n + 1
+    # equal tokens are one string object
+    assert len(set(map(id, tokens))) == len(set(tokens))
+    for start in range(n + 1):
+        for stop in range(start, n + 1):
+            text = " ".join(utterances[start:stop])
+            assert tokens[starts[start]:starts[stop]] == tokenize(text)
+            query = _segment_query(transcript, start, stop)
+            assert (query is None) == (not text.strip())
+            assert query in (None, tokenize(text))
