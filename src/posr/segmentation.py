@@ -105,12 +105,12 @@ def segment_texttiling(params: TextTilingParams, transcript: Transcript) -> Labe
     the peaks at every gap, so the boundaries are unchanged.
     """
     n = len(transcript)
-    stream, starts = token_column(transcript)
+    tokens, starts = token_column(transcript)
     w = params.pseudo_sentence_size
-    if len(stream) < 2 * params.block_size * w:
+    if len(tokens) < 2 * params.block_size * w:
         return runs_to_labeling([0], repeat(REF_NONE), n)
 
-    smoothed = _smooth(_gap_scores(stream, w, params.block_size), params.smoothing_width)
+    smoothed = _smooth(_gap_scores(tokens, w, params.block_size), params.smoothing_width)
     depths = _depths(smoothed)
     mean = sum(depths) / len(depths)
     std = math.sqrt(sum((d - mean) ** 2 for d in depths) / len(depths))
