@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from .corpus import Corpus
 from .errors import InputError
 from .model import labeling_to_spans
-from .tokens import bigrams
+from .tokens import bigrams, token_column
 
 
 # the log-odds prior of quartile_language_compare sums to this share of its bigrams
@@ -31,10 +31,11 @@ class BigramCounts:
         return sum(self.counts.values())
 
     @staticmethod
-    def from_utterances(label: str, utterances: list[str]) -> "BigramCounts":
+    def from_lines(label: str, line_bigrams: list[list[str]]) -> "BigramCounts":
+        """Counts of the bigrams of every line, each given by ``bigrams``."""
         counts: Counter[str] = Counter()
-        for utt in utterances:
-            counts.update(bigrams(utt))
+        for grams in line_bigrams:
+            counts.update(grams)
         return BigramCounts(label=label, counts=counts)
 
 
@@ -181,25 +182,28 @@ def quartile_language_compare(corpus: Corpus, problem_id: str) -> list[tuple[str
     the whole corpus; alpha0 is the prior total scaled by ``_ALPHA0_SCALE``.
     Positive z marks bigrams distinctive of long segments.
     """
-    segments: list[tuple[float, list[str]]] = []  # (duration_s, utterances)
-    all_utterances: list[str] = []
+    segments: list[tuple[float, list[list[str]]]] = []  # (duration_s, each line's bigrams)
+    prior = BigramCounts("corpus")
     for entry in corpus.annotated().entries:
-        all_utterances.extend(l.utterance for l in entry.transcript.lines)
+        # each line's bigrams, from one read of the transcript's token column
+        tokens, starts = token_column(entry.transcript)
+        line_bigrams = [bigrams(tokens[a:b]) for a, b in zip(starts, starts[1:])]
+        for grams in line_bigrams:
+            prior.counts.update(grams)
         for span in labeling_to_spans(entry.gold):  # type: ignore[arg-type]
             if span.ref.kind != "problem" or span.ref.problem_id != problem_id:
                 continue
             lines = entry.transcript.lines[span.start_line : span.end_line + 1]
             duration = sum(l.duration_ms for l in lines) / 1000
-            segments.append((duration, [l.utterance for l in lines]))
+            segments.append((duration, line_bigrams[span.start_line : span.end_line + 1]))
     if len(segments) < 4:
         raise AnalysisError(
             f"problem {problem_id}: {len(segments)} segments, need at least 4"
         )
     durations = [d for d, _ in segments]
     q1, _, q3 = _quartiles(durations)
-    long_utts = [u for d, utts in segments if d >= q3 for u in utts]
-    short_utts = [u for d, utts in segments if d <= q1 for u in utts]
-    counts_long = BigramCounts.from_utterances("long", long_utts)
-    counts_short = BigramCounts.from_utterances("short", short_utts)
-    prior = BigramCounts.from_utterances("corpus", all_utterances)
+    counts_long = BigramCounts.from_lines("long", [grams for d, per_line in segments
+                                                   if d >= q3 for grams in per_line])
+    counts_short = BigramCounts.from_lines("short", [grams for d, per_line in segments
+                                                     if d <= q1 for grams in per_line])
     return log_odds(counts_long, counts_short, prior, alpha0=_ALPHA0_SCALE * prior.total)

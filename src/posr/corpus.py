@@ -18,7 +18,7 @@ import logging
 import random
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import ge, itemgetter
+from operator import attrgetter, ge, itemgetter
 from pathlib import Path
 from typing import Iterator, NoReturn
 
@@ -99,62 +99,62 @@ def _decode_line(raw: str):
     return value if end == len(raw) else json.loads(raw)
 
 
-def _text_field(rec, key: str, ids: bool = False) -> str:
-    """``rec[key]``: a JSON string or, for ``ids``, also a non-boolean integer."""
-    value = rec[key]
-    if type(value) is str or (ids and type(value) is int):
-        return str(value)
-    kind = "a string or an integer" if ids else "a string"
-    raise TypeError(f"{key} must be {kind}, not {type(value).__name__}")
+# Each record type's fields in check order (a transcript's in Line's field
+# order), with the JSON types each accepts, compared exactly: a boolean is
+# not an integer, nor is an integral float.
+_TRANSCRIPT = (("index", (int,)), ("speaker", (str,)), ("utterance", (str,)),
+               ("start_ms", (int,)), ("end_ms", (int,)))
+_ANNOTATION = (("line_index", (int,)), ("segment_id", (int,)), ("ref", (str, int)))
+_WORKSHEET = (("id", (str, int)),)
+_PROBLEM = (("id", (str, int)), ("text", (str,)))
+_TYPE_NAMES = {int: "an integer", str: "a string"}
 
 
-def _int_field(rec, key: str) -> int:
-    """``rec[key]``: a JSON integer, not a boolean."""
+def _field(rec, key: str, types: tuple[type, ...]):
+    """``rec[key]`` when its type is exactly one of ``types``."""
     value = rec[key]
-    if type(value) is int:
+    if type(value) in types:
         return value
-    raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
+    kinds = " or ".join(map(_TYPE_NAMES.__getitem__, types))
+    raise TypeError(f"{key} must be {kinds}, not {type(value).__name__}")
 
 
-_INT = frozenset({int})
-_STR = frozenset({str})
-_STR_OR_INT = frozenset({str, int})
-
-
-def _only(types: frozenset, column) -> bool:
-    """Whether every value of ``column`` has exactly one of ``types``."""
-    return types.issuperset(map(type, column))
-
-
-def _records(text: str, fields: itemgetter) -> Iterator[tuple]:
-    """``fields`` of each non-blank line's JSON record, lazily, through C
-    calls that keep no decoded record. A line that does not decode, or a
-    record that is not an object or lacks a field, raises when it is
-    reached; the caller then words the error with a per-line loop."""
+def _records(text: str, table: tuple) -> Iterator[tuple]:
+    """The fields of ``table`` of each non-blank line's JSON record, lazily,
+    through C calls that keep no decoded record. A line that does not
+    decode, or a record that is not an object or lacks a field, raises when
+    it is reached; the caller then words the error with a per-line loop."""
     raws = text.split("\n")  # not splitlines(): JSON strings hold U+0085, U+2028, U+2029 raw
+    fields = itemgetter(*(key for key, _ in table))
     return map(fields, map(_decode_line, compress(raws, map(str.strip, raws))))
 
 
-# Columns are read with one itemgetter map each, not ``zip(*rows)``: that
-# makes one iterator object per row, and the cyclic collector would run a
-# young-generation pass for every 700 of them.
-_TRANSCRIPT_FIELDS = itemgetter("index", "speaker", "utterance", "start_ms", "end_ms")
-_INDEX, _SPEAKER, _UTTERANCE, _START_MS, _END_MS = map(itemgetter, range(5))
+def _columns(table: tuple, rows) -> Iterator[Iterator]:
+    """Each field's column of ``rows``, in ``table`` order. One itemgetter map
+    per column, not ``zip(*rows)``: that makes one iterator object per row,
+    and the cyclic collector would run a young-generation pass for every 700
+    of them."""
+    return (map(itemgetter(i), rows) for i in range(len(table)))
+
+
+def _typed(table: tuple, columns) -> bool:
+    """Whether every value of each column has exactly one of its field's types."""
+    return all(set(types).issuperset(map(type, column))
+               for (_, types), column in zip(table, columns))
 
 
 def _transcript_lines(text: str) -> tuple[Line, ...] | None:
     """The Lines of transcript ``text``, or None when a record is malformed
     or ends before it starts."""
     try:
-        # Line._make without its length check, all in C: itemgetter gives 5
+        # Line._make without its length check, all in C: the table gives 5
         # fields, and each record's field tuple is freed once its Line is made
-        lines = tuple(map(tuple.__new__, repeat(Line), _records(text, _TRANSCRIPT_FIELDS)))
+        lines = tuple(map(tuple.__new__, repeat(Line), _records(text, _TRANSCRIPT)))
     except (ValueError, KeyError, TypeError):
         return None
-    if not (_only(_INT, map(_INDEX, lines)) and _only(_STR, map(_SPEAKER, lines))
-            and _only(_STR, map(_UTTERANCE, lines)) and _only(_INT, map(_START_MS, lines))
-            and _only(_INT, map(_END_MS, lines))
-            and all(map(ge, map(_END_MS, lines), map(_START_MS, lines)))):
+    if not (_typed(_TRANSCRIPT, _columns(_TRANSCRIPT, lines))
+            and all(map(ge, map(attrgetter("end_ms"), lines),
+                        map(attrgetter("start_ms"), lines)))):
         return None
     return lines
 
@@ -170,13 +170,7 @@ def _raise_bad_transcript_line(path: Path, text: str) -> NoReturn:
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         try:
-            Line(
-                index=_int_field(rec, "index"),
-                speaker=_text_field(rec, "speaker"),
-                utterance=_text_field(rec, "utterance"),
-                start_ms=_int_field(rec, "start_ms"),
-                end_ms=_int_field(rec, "end_ms"),
-            )
+            Line(*(_field(rec, key, types) for key, types in _TRANSCRIPT))
         except KeyError as exc:
             raise CorpusError(f"{path}:{lineno}: missing field {exc.args[0]}") from exc
         except ModelError as exc:
@@ -212,9 +206,11 @@ def load_worksheet(path: str | Path) -> Worksheet:
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        problems = tuple(Problem(_text_field(p, "id", ids=True), _text_field(p, "text"))
+        # str() gives an integer id as its digits and a string as it is
+        problems = tuple(Problem(*(str(_field(p, key, types)) for key, types in _PROBLEM))
                          for p in doc["problems"])
-        return Worksheet(id=_text_field(doc, "id", ids=True), problems=problems)
+        (worksheet_id,) = (str(_field(doc, key, types)) for key, types in _WORKSHEET)
+        return Worksheet(worksheet_id, problems)
     except (KeyError, TypeError) as exc:
         raise CorpusError(f"{path}: malformed worksheet: {exc}") from exc
     except ModelError as exc:
@@ -229,23 +225,21 @@ def save_worksheet(worksheet: Worksheet, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-_ANNOTATION_FIELDS = itemgetter("line_index", "segment_id", "ref")
-_ANNOTATION_COLUMNS = tuple(map(itemgetter, range(3)))
 _SECOND = itemgetter(1)
 
 
-def _annotation_columns(text: str) -> tuple[tuple, tuple, tuple] | None:
+def _annotation_columns(text: str) -> tuple[tuple, ...] | None:
     """The line indexes, segment ids and raw refs of annotation ``text``, or
     None when a record is malformed or a line index repeats."""
     try:
-        rows = list(_records(text, _ANNOTATION_FIELDS))
+        rows = list(_records(text, _ANNOTATION))
     except (ValueError, KeyError, TypeError):
         return None
-    line_index, segment_id, ref = (tuple(map(column, rows)) for column in _ANNOTATION_COLUMNS)
-    if not (_only(_INT, line_index) and _only(_INT, segment_id) and _only(_STR_OR_INT, ref)
-            and len(set(line_index)) == len(line_index)):
+    columns = tuple(map(tuple, _columns(_ANNOTATION, rows)))
+    line_index = columns[0]
+    if not (_typed(_ANNOTATION, columns) and len(set(line_index)) == len(line_index)):
         return None
-    return line_index, segment_id, ref
+    return columns
 
 
 def _raise_bad_annotation_line(path: Path, text: str) -> NoReturn:
@@ -257,9 +251,7 @@ def _raise_bad_annotation_line(path: Path, text: str) -> NoReturn:
             continue
         try:
             rec = _decode_line(raw)
-            line_index = _int_field(rec, "line_index")
-            _int_field(rec, "segment_id")
-            _text_field(rec, "ref", ids=True)
+            line_index, _, _ = (_field(rec, key, types) for key, types in _ANNOTATION)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from exc
         if line_index in seen:

@@ -165,14 +165,13 @@ def _ref_matches(pred: Labeling, ref: Labeling) -> list[bool]:
                     map(_REF_KEY, map(_REF, ref.per_line))))
 
 
-def _time_weighted(matches: list[bool], starts: list[int], ends: list[int]) -> float:
+def _time_weighted(matches: list[bool], starts: list[int], ends: list[int]) -> float | None:
     """Matched share of the total line duration, from exact integer sums:
-    the same float as float sums, which are exact below 2**53."""
+    the same float as float sums, which are exact below 2**53. None when
+    the lines last 0 ms in total."""
     durations = list(map(sub, ends, starts))
     total = sum(durations)
-    if total == 0:
-        raise MetricError("total time weight is zero")
-    return sum(compress(durations, matches)) / total
+    return sum(compress(durations, matches)) / total if total else None
 
 
 def srs(pred: Labeling, ref: Labeling, transcript: Transcript, weighting: str = "line") -> float:
@@ -191,7 +190,10 @@ def srs(pred: Labeling, ref: Labeling, transcript: Transcript, weighting: str = 
     matches = _ref_matches(pred, ref)
     if weighting == "line":
         return sum(matches) / n
-    return _time_weighted(matches, *_line_times(transcript))
+    score = _time_weighted(matches, *_line_times(transcript))
+    if score is None:
+        raise MetricError("total time weight is zero")
+    return score
 
 
 def segment_count_diff(pred: Labeling, ref: Labeling) -> int:
@@ -235,12 +237,14 @@ def cost_per_100(
 
 @dataclass(frozen=True)
 class EvalReport:
-    pk_line: float
-    pk_time: float
-    wd_line: float
-    wd_time: float
-    srs_line: float
-    srs_time: float
+    """One transcript's metrics; None where a metric has no value."""
+
+    pk_line: float | None
+    pk_time: float | None
+    wd_line: float | None
+    wd_time: float | None
+    srs_line: float | None
+    srs_time: float | None
     seg_count_diff: int
     cost_usd_per_100: float | None = None
 
@@ -250,34 +254,35 @@ class EvalReport:
 
 def evaluate(pred: Labeling, ref: Labeling, transcript: Transcript) -> EvalReport:
     """All metrics for one (pred, ref) pair, windows derived from ref. Each
-    labeling's boundaries are found once and shared by every metric; an
-    error names the transcript."""
+    labeling's boundaries are found once and shared by every metric. A
+    metric with no value is None: Pk and WindowDiff when the transcript is
+    no longer than the window (or empty), ``srs_time`` when its lines last
+    0 ms in total, and both SRS values when it has no lines. Labelings of
+    the wrong length raise a MetricError that names the transcript."""
     n = len(ref)
-    try:
-        if len(pred) != n or len(transcript) != n:
-            raise MetricError(f"length mismatch: pred {len(pred)}, ref {n}, "
-                              f"transcript {len(transcript)} lines")
-        starts, ends = _line_times(transcript)
-        ref_flags = boundary_flags(ref)
+    if len(pred) != n or len(transcript) != n:
+        raise MetricError(f"transcript {transcript.id}: length mismatch: pred {len(pred)}, "
+                          f"ref {n}, transcript {len(transcript)} lines")
+    starts, ends = _line_times(transcript)
+    ref_flags = boundary_flags(ref)
+    pred_prefix = _prefix_counts(boundary_flags(pred))
+    ref_prefix = _prefix_counts(ref_flags)
+    pk_line = wd_line = pk_time = wd_time = None
+    if n:
         cfg = _window_config(n, ref_flags, starts, ends)
         k = cfg.k_lines
-        _check_pair(pred, ref, k)
-        pred_prefix = _prefix_counts(boundary_flags(pred))
-        ref_prefix = _prefix_counts(ref_flags)
-        pk_line, wd_line = _window_errors(_line_counts(pred_prefix, k),
-                                          _line_counts(ref_prefix, k))
-        pk_time, wd_time = _time_window_errors(pred_prefix, ref_prefix, starts, ends,
-                                               cfg.delta_ms, k)
-        matches = _ref_matches(pred, ref)
-        srs_time = _time_weighted(matches, starts, ends)
-    except MetricError as exc:
-        raise MetricError(f"transcript {transcript.id}: {exc}") from None
+        if n > k:
+            pk_line, wd_line = _window_errors(_line_counts(pred_prefix, k),
+                                              _line_counts(ref_prefix, k))
+            pk_time, wd_time = _time_window_errors(pred_prefix, ref_prefix, starts, ends,
+                                                   cfg.delta_ms, k)
+    matches = _ref_matches(pred, ref)
     return EvalReport(
         pk_line=pk_line,
         pk_time=pk_time,
         wd_line=wd_line,
         wd_time=wd_time,
-        srs_line=sum(matches) / n,
-        srs_time=srs_time,
+        srs_line=sum(matches) / n if n else None,
+        srs_time=_time_weighted(matches, starts, ends),
         seg_count_diff=pred_prefix[n] - ref_prefix[n],
     )

@@ -21,12 +21,12 @@ def tokenize(text: str) -> list[str]:
     return text.lower().encode("ascii", "replace").translate(_ASCII_TO_SPACE).decode().split()
 
 
-def bigrams(text: str) -> list[str]:
-    """Adjacent-token bigrams within one utterance, joined with '_'.
+def bigrams(toks: list[str]) -> list[str]:
+    """Adjacent-token bigrams of one utterance's tokens, joined with '_'.
 
-    Bigrams never cross utterance boundaries; call per utterance.
+    Bigrams never cross utterance boundaries; call per line, on its slice
+    of ``token_column``.
     """
-    toks = tokenize(text)
     return [f"{a}_{b}" for a, b in zip(toks, toks[1:])]
 
 

@@ -12,8 +12,11 @@ from posr.analysis import (
     quartile_language_compare,
     talk_time,
 )
-from posr.corpus import Corpus, CorpusEntry
+from posr import tokens
+from posr.cli import main
+from posr.corpus import Corpus, CorpusEntry, load_corpus, load_manifest
 from posr.model import Labeling, Line, Problem, REF_NONE, RefLabel, Transcript, Worksheet
+from posr.tokens import tokenize
 
 
 def counts(label, **kv):
@@ -409,3 +412,24 @@ def test_quartile_compare_minimum_segments():
     corpus = _planted_corpus(n_segments=3)
     with pytest.raises(AnalysisError, match="at least 4"):
         quartile_language_compare(corpus, "A")
+
+
+def test_analyze_tokenizes_each_utterance_once(tmp_path, monkeypatch):
+    corpus_dir = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out", str(corpus_dir), "--seed", "1",
+                 "--n-transcripts", "20"]) == 0
+    corpus = load_corpus(load_manifest(corpus_dir / "manifest.json"))
+    tokenized = []
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(tokens, "tokenize", counting_tokenize)
+    assert main(["analyze", "--manifest", str(corpus_dir / "manifest.json"),
+                 "--problem", "P4", "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "logodds_P4.csv").stat().st_size > 0
+    # the corpus prior and the quartile segments read one token column per
+    # transcript: each utterance reaches tokenize once, alone
+    assert sorted(tokenized) == sorted(line.utterance for e in corpus.entries
+                                       for line in e.transcript.lines)

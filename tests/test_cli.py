@@ -10,7 +10,15 @@ import pytest
 
 import posr
 from posr.cli import LLM_METHODS, POSR_COLUMNS, main
-from posr.corpus import Corpus, CorpusEntry, load_corpus, load_manifest, write_corpus
+from posr.corpus import (
+    Corpus,
+    CorpusEntry,
+    load_corpus,
+    load_manifest,
+    load_transcript,
+    save_transcript,
+    write_corpus,
+)
 from posr.llm import (
     CassetteClient,
     ChatRequest,
@@ -324,19 +332,53 @@ def test_posr_writes_an_empty_prediction_as_one_empty_line(synthetic_dir, tmp_pa
     assert (out / f"{tid}.pred.jsonl").read_bytes() == b"\n"
 
 
-@pytest.mark.parametrize("command", [["segment", "--method", "texttiling"],
-                                     ["posr", "--method", "texttiling"]])
+SCORING_COMMANDS = [["segment", "--method", "texttiling"], ["posr", "--method", "texttiling"]]
+WINDOW_CELLS = ("pk_line", "pk_time", "wd_line", "wd_time")
+
+
+def scored_rows(command, manifest, out) -> dict[str, dict[str, str]]:
+    """Runs a scoring command, which must succeed and write its run manifest,
+    and returns its metrics rows by transcript id."""
+    assert main([*command, "--manifest", str(manifest), "--out", str(out)]) == 0
+    assert (out / "run_manifest.json").exists()
+    report = {"segment": "segmentation_metrics.csv", "posr": "posr_metrics.csv"}[command[0]]
+    with open(out / report, newline="", encoding="utf-8") as fh:
+        return {row["transcript_id"]: row for row in csv.DictReader(fh)}
+
+
+@pytest.mark.parametrize("command", SCORING_COMMANDS)
 @pytest.mark.parametrize("n_lines", [0, 1])
-def test_transcript_too_short_to_score_is_a_usage_error(synthetic_dir, tmp_path, capsys,
-                                                        command, n_lines):
+def test_transcript_too_short_to_score_gets_empty_window_cells(synthetic_dir, tmp_path,
+                                                               command, n_lines):
     doc = json.loads((synthetic_dir / "manifest.json").read_text())
     tid = Path(doc["transcripts"][1]).stem
     for path in (synthetic_dir / doc["transcripts"][1],
                  synthetic_dir / doc["annotations"][tid]):
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:n_lines]))
-    assert main([*command, "--manifest", str(synthetic_dir / "manifest.json"),
-                 "--out", str(tmp_path / "o")]) == 2
-    assert one_error_line(capsys).startswith(f"error: transcript {tid}: ")
+    rows = scored_rows(command, synthetic_dir / "manifest.json", tmp_path / "o")
+    assert list(rows) == [Path(t).stem for t in doc["transcripts"]]
+    for row_tid, row in rows.items():
+        short = row_tid == tid
+        assert [row[cell] == "" for cell in WINDOW_CELLS] == [short] * 4
+        assert row["seg_count_diff"] != ""
+        if command[0] == "posr":
+            assert [row["srs_line"] == "", row["srs_time"] == ""] == [short and n_lines == 0] * 2
+
+
+@pytest.mark.parametrize("command", SCORING_COMMANDS)
+def test_zero_duration_transcript_gets_an_empty_srs_time_cell(synthetic_dir, tmp_path, command):
+    doc = json.loads((synthetic_dir / "manifest.json").read_text())
+    path = synthetic_dir / doc["transcripts"][0]
+    lines = load_transcript(path).lines
+    save_transcript(Transcript(path.stem, tuple(line._replace(start_ms=0, end_ms=0)
+                                                for line in lines)), path)
+    rows = scored_rows(command, synthetic_dir / "manifest.json", tmp_path / "o")
+    assert list(rows) == [Path(t).stem for t in doc["transcripts"]]
+    for row_tid, row in rows.items():
+        assert "" not in [row[cell] for cell in (*WINDOW_CELLS, "seg_count_diff")]
+        if command[0] == "posr":
+            assert row["srs_line"] != ""
+            assert (row["srs_time"] == "") == (row_tid == path.stem)
 
 
 @pytest.mark.parametrize("folds", ["0", "-2"])

@@ -227,23 +227,61 @@ def test_load_annotation_mistyped_record_names_file_and_line(tmp_path, bad):
         load_annotation(path, 2)
 
 
-def test_integer_fields_must_be_json_integers(tmp_path):
+# one value of each JSON type that some field does not accept, by the name
+# the error gives its type
+WRONG_VALUES = {"bool": True, "float": 1.0, "str": "1", "NoneType": None, "list": [1]}
+# every field of each record type, with the JSON types it accepts as the
+# error words them
+FIELD_RULES = [
+    ("transcript", "index", "an integer"),
+    ("transcript", "speaker", "a string"),
+    ("transcript", "utterance", "a string"),
+    ("transcript", "start_ms", "an integer"),
+    ("transcript", "end_ms", "an integer"),
+    ("annotation", "line_index", "an integer"),
+    ("annotation", "segment_id", "an integer"),
+    ("annotation", "ref", "a string or an integer"),
+    ("worksheet", "id", "a string or an integer"),
+    ("problem", "id", "a string or an integer"),
+    ("problem", "text", "a string"),
+]
+
+
+@pytest.mark.parametrize("record, key, kinds, type_name", [
+    pytest.param(record, key, kinds, type_name, id=f"{record}-{key}-{type_name}")
+    for record, key, kinds in FIELD_RULES for type_name in WRONG_VALUES
+    if not (type_name == "str" and "string" in kinds)
+])
+def test_integer_fields_must_be_json_integers(tmp_path, record, key, kinds, type_name):
+    value = WRONG_VALUES[type_name]
+    wrong = f"{key} must be {kinds}, not {type_name}"
+    if record == "transcript":
+        path = tmp_path / "t.jsonl"
+        write_lines(path, [{**GOOD_LINE, key: value}])
+        load, want = lambda: load_transcript(path), f"{path}:1: malformed record: {wrong}"
+    elif record == "annotation":
+        path = tmp_path / "a.jsonl"
+        write_lines(path, [{"line_index": 0, "segment_id": 0, "ref": "null", key: value}])
+        load, want = lambda: load_annotation(path, 1), f"{path}:1: {wrong}"
+    else:
+        doc = {"id": "w", "problems": [{"id": "P1", "text": "a"}]}
+        (doc if record == "worksheet" else doc["problems"][0])[key] = value
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        load, want = lambda: load_worksheet(path), f"{path}: malformed worksheet: {wrong}"
+    with pytest.raises(CorpusError) as info:
+        load()
+    assert str(info.value) == want
+
+
+def test_the_first_mistyped_field_in_check_order_is_named(tmp_path):
     path = tmp_path / "t.jsonl"
-    write_lines(path, [{**GOOD_LINE, "index": "0", "start_ms": 12.7, "end_ms": 1500.9}])
+    write_lines(path, [{**GOOD_LINE, "end_ms": 1500.9, "start_ms": 12.7, "index": "0"}])
     with pytest.raises(CorpusError) as info:
         load_transcript(path)
     assert str(info.value) == f"{path}:1: malformed record: index must be an integer, not str"
-    write_lines(path, [{**GOOD_LINE, "start_ms": 12.7, "end_ms": 1500.9}])
-    with pytest.raises(CorpusError) as info:
-        load_transcript(path)
-    assert str(info.value) == f"{path}:1: malformed record: start_ms must be an integer, not float"
-
     path = tmp_path / "a.jsonl"
-    write_lines(path, [{"line_index": 0.9, "segment_id": 0, "ref": "null"}])
-    with pytest.raises(CorpusError) as info:
-        load_annotation(path, 1)
-    assert str(info.value) == f"{path}:1: line_index must be an integer, not float"
-    write_lines(path, [{"line_index": 0, "segment_id": True, "ref": "null"}])
+    write_lines(path, [{"ref": None, "segment_id": True, "line_index": 0}])
     with pytest.raises(CorpusError) as info:
         load_annotation(path, 1)
     assert str(info.value) == f"{path}:1: segment_id must be an integer, not bool"

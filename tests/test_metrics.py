@@ -317,6 +317,28 @@ def test_evaluate_perfect():
     assert report.seg_count_diff == 0
 
 
+@pytest.mark.parametrize("durations, ids, none", [
+    ([], [], {"pk_line", "pk_time", "wd_line", "wd_time", "srs_line", "srs_time"}),
+    ([1000], [0], {"pk_line", "pk_time", "wd_line", "wd_time"}),
+    ([0] * 6, [0, 0, 0, 1, 1, 1], {"srs_time"}),
+])
+def test_evaluate_gives_none_for_a_metric_without_a_value(durations, ids, none):
+    t = make_transcript(durations)
+    ref = lab(ids, {0: A, 1: B})
+    report = evaluate(ref, ref, t).as_row()
+    assert {name for name, value in report.items() if value is None} == {*none, "cost_usd_per_100"}
+    assert report["seg_count_diff"] == 0
+    # the single metrics still raise where evaluate leaves a metric out
+    single = {"pk_line": lambda: p_k(ref, ref, 1), "wd_line": lambda: window_diff(ref, ref, 1),
+              "pk_time": lambda: time_p_k(ref, ref, t, 1, 1),
+              "wd_time": lambda: time_window_diff(ref, ref, t, 1, 1),
+              "srs_line": lambda: srs(ref, ref, t, "line"),
+              "srs_time": lambda: srs(ref, ref, t, "time")}
+    for name in none:
+        with pytest.raises(MetricError):
+            single[name]()
+
+
 def test_evaluate_bounds(rng):
     for _ in range(100):
         n = rng.randint(6, 40)

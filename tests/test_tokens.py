@@ -46,8 +46,8 @@ def test_tokenize_equals_regex_definition(s):
 
 
 def test_bigrams_stay_within_one_utterance():
-    assert bigrams("Add 3 and 4!") == ["add_3", "3_and", "and_4"]
-    assert bigrams("one") == [] and bigrams("") == []
+    assert bigrams(["add", "3", "and", "4"]) == ["add_3", "3_and", "and_4"]
+    assert bigrams(["one"]) == [] and bigrams([]) == []
 
 
 # one utterance: arbitrary text, or a few tricky pieces that make it empty,
