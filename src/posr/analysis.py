@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Corpus
 from .errors import InputError
@@ -21,54 +21,37 @@ class AnalysisError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class BigramCounts:
-    label: str
-    counts: Counter = field(default_factory=Counter)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @staticmethod
-    def from_lines(label: str, line_bigrams: list[list[str]]) -> "BigramCounts":
-        """Counts of the bigrams of every line, each given by ``bigrams``."""
-        counts: Counter[str] = Counter()
-        for grams in line_bigrams:
-            counts.update(grams)
-        return BigramCounts(label=label, counts=counts)
-
-
 def log_odds(
-    counts_a: BigramCounts,
-    counts_b: BigramCounts,
-    prior: BigramCounts,
+    counts_a: Counter[str],
+    counts_b: Counter[str],
+    prior: Counter[str],
     alpha0: float,
 ) -> list[tuple[str, float]]:
-    """Z-scored log-odds-ratio with an informative Dirichlet prior.
+    """Z-scored log-odds-ratio of two bigram ``Counter``s with an
+    informative Dirichlet prior, itself a ``Counter`` of bigrams.
 
     Prior counts are rescaled so they sum to alpha0. Returns every bigram
     in the union vocabulary ranked descending by z (positive z favors
     corpus a).
     """
-    if counts_a.total == 0 or counts_b.total == 0:
+    n_a, n_b = counts_a.total(), counts_b.total()
+    if n_a == 0 or n_b == 0:
         raise AnalysisError("both corpora must be non-empty")
     if alpha0 <= 0:
         raise AnalysisError("alpha0 must be positive")
-    n_prior = prior.total
+    n_prior = prior.total()
     if n_prior == 0:
         raise AnalysisError("prior corpus must be non-empty")
-    vocab = set(counts_a.counts) | set(counts_b.counts)
-    uncovered = vocab - set(prior.counts)
+    vocab = set(counts_a) | set(counts_b)
+    uncovered = vocab - set(prior)
     if uncovered:
         raise AnalysisError(f"prior does not cover {len(uncovered)} bigrams, e.g. {next(iter(uncovered))!r}")
-    n_a, n_b = counts_a.total, counts_b.total
     scale = alpha0 / n_prior
     results: list[tuple[str, float]] = []
     for w in vocab:
-        alpha = prior.counts[w] * scale
-        y_a = counts_a.counts.get(w, 0)
-        y_b = counts_b.counts.get(w, 0)
+        alpha = prior[w] * scale
+        y_a = counts_a[w]
+        y_b = counts_b[w]
         delta = math.log((y_a + alpha) / (n_a + alpha0 - y_a - alpha)) - math.log(
             (y_b + alpha) / (n_b + alpha0 - y_b - alpha)
         )
@@ -183,13 +166,13 @@ def quartile_language_compare(corpus: Corpus, problem_id: str) -> list[tuple[str
     Positive z marks bigrams distinctive of long segments.
     """
     segments: list[tuple[float, list[list[str]]]] = []  # (duration_s, each line's bigrams)
-    prior = BigramCounts("corpus")
+    prior: Counter[str] = Counter()
     for entry in corpus.annotated().entries:
         # each line's bigrams, from one read of the transcript's token column
         tokens, starts = token_column(entry.transcript)
         line_bigrams = [bigrams(tokens[a:b]) for a, b in zip(starts, starts[1:])]
         for grams in line_bigrams:
-            prior.counts.update(grams)
+            prior.update(grams)
         for span in labeling_to_spans(entry.gold):  # type: ignore[arg-type]
             if span.ref.kind != "problem" or span.ref.problem_id != problem_id:
                 continue
@@ -202,8 +185,8 @@ def quartile_language_compare(corpus: Corpus, problem_id: str) -> list[tuple[str
         )
     durations = [d for d, _ in segments]
     q1, _, q3 = _quartiles(durations)
-    counts_long = BigramCounts.from_lines("long", [grams for d, per_line in segments
-                                                   if d >= q3 for grams in per_line])
-    counts_short = BigramCounts.from_lines("short", [grams for d, per_line in segments
-                                                     if d <= q1 for grams in per_line])
-    return log_odds(counts_long, counts_short, prior, alpha0=_ALPHA0_SCALE * prior.total)
+    counts_long = Counter(gram for d, per_line in segments if d >= q3
+                          for grams in per_line for gram in grams)
+    counts_short = Counter(gram for d, per_line in segments if d <= q1
+                           for grams in per_line for gram in grams)
+    return log_odds(counts_long, counts_short, prior, alpha0=_ALPHA0_SCALE * prior.total())

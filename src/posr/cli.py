@@ -51,7 +51,7 @@ LLM_METHODS = {
     "independent-llm": "independent_retrieval",
     "segment-llm": "independent_segmentation",
 }
-POSR_COLUMNS = ["transcript_id", *(f.name for f in fields(EvalReport))]
+POSR_COLUMNS = ["transcript_id", *(f.name for f in fields(EvalReport)), "cost_usd_per_100"]
 PRICE_KEYS = ("input_usd_per_1k", "output_usd_per_1k")
 SEGMENT_COLUMNS = ["transcript_id", "pk_line", "pk_time", "wd_line", "wd_time",
                    "seg_count_diff"]

@@ -14,7 +14,6 @@ On-disk formats (all UTF-8):
 from __future__ import annotations
 
 import json
-import logging
 import random
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -33,8 +32,6 @@ from .model import (
     Worksheet,
 )
 
-logger = logging.getLogger(__name__)
-
 
 class CorpusError(InputError):
     """Raised on malformed corpus files."""
@@ -42,10 +39,10 @@ class CorpusError(InputError):
 
 @dataclass(frozen=True)
 class CorpusManifest:
-    transcripts: tuple[str, ...]  # file paths
+    transcripts: list[str]  # file paths
     worksheets: dict[str, str]  # transcript id -> worksheet path
     annotations: dict[str, str] | None  # transcript id -> annotation path
-    split: str = "test"  # "train" | "test"
+    split: str  # "train" | "test"
     root: Path = Path(".")  # directory paths are resolved against
 
 
@@ -107,7 +104,11 @@ _TRANSCRIPT = (("index", (int,)), ("speaker", (str,)), ("utterance", (str,)),
 _ANNOTATION = (("line_index", (int,)), ("segment_id", (int,)), ("ref", (str, int)))
 _WORKSHEET = (("id", (str, int)),)
 _PROBLEM = (("id", (str, int)), ("text", (str,)))
-_TYPE_NAMES = {int: "an integer", str: "a string"}
+# a manifest's fields, in CorpusManifest's order
+_MANIFEST = (("transcripts", (list,)), ("worksheets", (dict,)),
+             ("annotations", (dict, type(None))), ("split", (str,)))
+_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object",
+               type(None): "null"}
 
 
 def _field(rec, key: str, types: tuple[type, ...]):
@@ -309,25 +310,19 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CorpusError(f"{path}: a manifest is a JSON object")
-    annotations = doc.get("annotations")
+    doc = {"annotations": None, "split": "test", **doc}  # the two optional fields
     try:
-        manifest = CorpusManifest(
-            transcripts=tuple(doc["transcripts"]),
-            worksheets=dict(doc["worksheets"]),
-            annotations=dict(annotations) if annotations is not None else None,
-            split=doc.get("split", "test"),
-            root=path.parent,
-        )
+        manifest = CorpusManifest(*(_field(doc, key, types) for key, types in _MANIFEST),
+                                  root=path.parent)
     except KeyError as exc:
         raise CorpusError(f"{path}: missing field {exc.args[0]}") from exc
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise CorpusError(f"{path}: malformed manifest: {exc}") from exc
+    # the transcript ids, the keys of JSON objects, are strings already
     files = [*manifest.transcripts, *manifest.worksheets.values(),
              *(manifest.annotations or {}).values()]
     if not all(isinstance(f, str) for f in files):
         raise CorpusError(f"{path}: file paths must be strings")
-    if not all(isinstance(t, str) for t in [*manifest.worksheets, *(manifest.annotations or {})]):
-        raise CorpusError(f"{path}: transcript ids must be strings")
     ids: dict[str, str] = {}  # transcript id -> its path
     for tpath in manifest.transcripts:
         tid = Path(tpath).stem
@@ -344,7 +339,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
     doc = {
         "split": manifest.split,
-        "transcripts": list(manifest.transcripts),
+        "transcripts": manifest.transcripts,
         "worksheets": manifest.worksheets,
     }
     if manifest.annotations is not None:
@@ -482,22 +477,25 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
     transcripts: list[str] = []
     worksheets: dict[str, str] = {}
     annotations: dict[str, str] = {}
-    written_ws: set[str] = set()
+    written_ws: dict[str, Worksheet] = {}  # worksheet id -> the worksheet in its file
     for entry in corpus.entries:
         tpath = f"{entry.transcript.id}.jsonl"
         save_transcript(entry.transcript, out / tpath)
         transcripts.append(tpath)
         wpath = f"{entry.worksheet.id}.json"
-        if entry.worksheet.id not in written_ws:
+        written = written_ws.get(entry.worksheet.id)
+        if written is None:
             save_worksheet(entry.worksheet, out / wpath)
-            written_ws.add(entry.worksheet.id)
+            written_ws[entry.worksheet.id] = entry.worksheet
+        elif written != entry.worksheet:
+            raise CorpusError(f"two different worksheets have id {entry.worksheet.id!r}")
         worksheets[entry.transcript.id] = wpath
         if entry.gold is not None:
             apath = f"{entry.transcript.id}.labels.jsonl"
             save_annotation(entry.gold, out / apath)
             annotations[entry.transcript.id] = apath
     manifest = CorpusManifest(
-        transcripts=tuple(transcripts),
+        transcripts=transcripts,
         worksheets=worksheets,
         annotations=annotations or None,
         split=corpus.split,
@@ -523,12 +521,8 @@ def corpus_stats(corpus: Corpus) -> dict[str, float | int | str]:
         raise CorpusError("empty corpus")
     stats: dict[str, float | int | str] = {"total_transcripts": n}
     speakers_per = [len({l.speaker for l in e.transcript.lines}) for e in corpus.entries]
-    all_speakers = {
-        (e.transcript.id, s)
-        for e in corpus.entries
-        for s in {l.speaker for l in e.transcript.lines}
-    }
-    stats["total_speakers"] = len(all_speakers)
+    # a speaker is counted once per transcript, and transcript ids are unique
+    stats["total_speakers"] = sum(speakers_per)
     stats["mean_speakers_per_transcript"] = sum(speakers_per) / n
     stats["mean_lines_per_transcript"] = sum(len(e.transcript) for e in corpus.entries) / n
     stats["mean_duration_mins"] = (

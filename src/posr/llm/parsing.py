@@ -1,7 +1,8 @@
 """Total parsers for model responses.
 
-Every parser either returns a value or raises ParseFailure carrying the
-raw text; callers choose the fallback (single no-ref segment, flagged).
+Every parser either returns a value or raises ParseFailure saying why the
+reply did not parse; callers choose the fallback (single no-ref segment,
+flagged).
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ _FENCE = re.compile(r"```[a-zA-Z]*\n?|```")
 
 
 class ParseFailure(Exception):
-    """A response that could not be interpreted; carries the raw text."""
-
-    def __init__(self, message: str, raw_text: str):
-        super().__init__(message)
-        self.raw_text = raw_text
+    """A response that could not be interpreted."""
 
 
 def _strip_fences(text: str) -> str:
@@ -88,7 +85,7 @@ def _extract_json_array(text: str) -> list:
             except json.JSONDecodeError:
                 pass
         start = text.find("[", start + 1)
-    raise ParseFailure("no parseable JSON array found", text)
+    raise ParseFailure("no parseable JSON array found")
 
 
 def parse_segmentation(text: str, n_lines: int) -> list[SegmentSpan]:
@@ -101,12 +98,12 @@ def parse_segmentation(text: str, n_lines: int) -> list[SegmentSpan]:
             or len(item) != 2
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
         ):
-            raise ParseFailure(f"expected [first, last] pair, got {item!r}", text)
+            raise ParseFailure(f"expected [first, last] pair, got {item!r}")
         clamped = clamp_span(item[0], item[1], n_lines)
         if clamped is not None:
             spans.append(SegmentSpan(*clamped))
     if not spans:
-        raise ParseFailure("no usable spans in response", text)
+        raise ParseFailure("no usable spans in response")
     return spans
 
 
@@ -121,7 +118,7 @@ def parse_retrieval(text: str, worksheet: Worksheet) -> RefLabel:
     for token in re.findall(r"[\w.-]+", stripped):
         if token in ids:
             return RefLabel.problem(token)
-    raise ParseFailure(f"no worksheet problem id in {stripped!r}", text)
+    raise ParseFailure(f"no worksheet problem id in {stripped!r}")
 
 
 def _to_ref(problem_id, ids: set[str]) -> RefLabel:
@@ -143,15 +140,15 @@ def parse_joint(text: str, n_lines: int, worksheet: Worksheet) -> list[SegmentSp
     spans: list[SegmentSpan] = []
     for item in value:
         if not isinstance(item, dict):
-            raise ParseFailure(f"expected JSON object, got {item!r}", text)
+            raise ParseFailure(f"expected JSON object, got {item!r}")
         try:
             start = int(item["start_line_idx"])
             end = int(item["end_line_idx"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseFailure(f"bad segment object {item!r}", text) from exc
+            raise ParseFailure(f"bad segment object {item!r}") from exc
         clamped = clamp_span(start, end, n_lines)
         if clamped is not None:
             spans.append(SegmentSpan(*clamped, _to_ref(item.get("problem_id"), ids)))
     if not spans:
-        raise ParseFailure("no usable spans in response", text)
+        raise ParseFailure("no usable spans in response")
     return spans

@@ -246,7 +246,6 @@ class EvalReport:
     srs_line: float | None
     srs_time: float | None
     seg_count_diff: int
-    cost_usd_per_100: float | None = None
 
     def as_row(self) -> dict[str, float | int | None]:
         return asdict(self)

@@ -41,17 +41,10 @@ def segmenter(method: str, train: Corpus | None) -> Callable[[Transcript], Label
                              fit_boundary_words(train, k=10 if method == "top10" else 20))
 
 
-@dataclass(frozen=True)
-class BoundaryWordModel:
-    """Top-k tokens of segment-opening lines in an annotated train set."""
-
-    words: tuple[str, ...]
-
-
-def fit_boundary_words(train: Corpus, k: int) -> BoundaryWordModel:
-    """Collect tokens from the first line of every ground-truth segment,
-    rank by frequency over those boundary lines (ties lexicographic),
-    keep the top k."""
+def fit_boundary_words(train: Corpus, k: int) -> tuple[str, ...]:
+    """The boundary words of ``train``: collect tokens from the first line
+    of every ground-truth segment, rank by frequency over those boundary
+    lines (ties lexicographic), keep the top k."""
     if k < 1:
         raise SegmentationError("k must be >= 1")
     annotated = train.annotated()
@@ -63,15 +56,15 @@ def fit_boundary_words(train: Corpus, k: int) -> BoundaryWordModel:
         for i in run_starts(entry.gold):  # type: ignore[arg-type]
             counts.update(tokens[starts[i]:starts[i + 1]])
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return BoundaryWordModel(words=tuple(w for w, _ in ranked[:k]))
+    return tuple(w for w, _ in ranked[:k])
 
 
-def segment_boundary_words(model: BoundaryWordModel, transcript: Transcript) -> Labeling:
-    """Start a new segment at every line containing any model word.
+def segment_boundary_words(words: tuple[str, ...], transcript: Transcript) -> Labeling:
+    """Start a new segment at every line containing any of ``words``.
 
     Line 0 always opens segment 0.
     """
-    vocab = set(model.words)
+    vocab = set(words)
     tokens, starts = token_column(transcript)
     opens = (not vocab.isdisjoint(tokens[a:b]) for a, b in zip(starts[1:], starts[2:]))
     return runs_to_labeling([0, *compress(count(1), opens)], repeat(REF_NONE), len(transcript))
@@ -176,10 +169,8 @@ def _gap_scores(stream: list[str], w: int, block_size: int) -> list[float]:
                 sum_l += left[tok]
             dot += sum_l
             sq_right += 2 * sum_r + w
-        if sq_left == 0 or sq_right == 0:
-            scores.append(0.0)
-        else:
-            scores.append(dot / (math.sqrt(sq_left) * math.sqrt(sq_right)))
+        # both blocks hold at least one pseudo-sentence, so neither norm is 0
+        scores.append(dot / (math.sqrt(sq_left) * math.sqrt(sq_right)))
     return scores
 
 

@@ -10,11 +10,12 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from posr.analysis import BigramCounts, cochran_q, log_odds, quartile_language_compare
+from posr.analysis import cochran_q, log_odds, quartile_language_compare
 from posr.corpus import Corpus, CorpusEntry, SyntheticSpec, generate_synthetic
 from posr.llm import (
     CassetteClient,
@@ -360,13 +361,13 @@ def _planted_quartile_corpus(seed):
 def test_analysis_sanity(announce):
     # exact antisymmetry of the log-odds z-scores
     rng = random.Random(20248)
-    a, b, prior = BigramCounts("a"), BigramCounts("b"), BigramCounts("p")
+    a, b, prior = Counter(), Counter(), Counter()
     for i in range(40):
         w = f"w{i}_x"
         ca, cb = rng.randint(0, 15), rng.randint(0, 15)
-        a.counts[w] += ca
-        b.counts[w] += cb
-        prior.counts[w] += ca + cb + 1
+        a[w] += ca
+        b[w] += cb
+        prior[w] += ca + cb + 1
     fwd = dict(log_odds(a, b, prior, alpha0=1.5))
     rev = dict(log_odds(b, a, prior, alpha0=1.5))
     for w, z in fwd.items():

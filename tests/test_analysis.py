@@ -1,11 +1,11 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from posr.analysis import (
     AnalysisError,
-    BigramCounts,
     _chi2_sf,
     cochran_q,
     log_odds,
@@ -19,27 +19,21 @@ from posr.model import Labeling, Line, Problem, REF_NONE, RefLabel, Transcript, 
 from posr.tokens import tokenize
 
 
-def counts(label, **kv):
-    bc = BigramCounts(label)
-    bc.counts.update(kv)
-    return bc
-
-
 # --- log odds
 
 
 def test_log_odds_symmetric_inputs_zero():
-    a = counts("a", x_y=5, y_z=3)
-    b = counts("b", x_y=5, y_z=3)
-    prior = counts("p", x_y=10, y_z=6)
+    a = Counter(x_y=5, y_z=3)
+    b = Counter(x_y=5, y_z=3)
+    prior = Counter(x_y=10, y_z=6)
     for _, z in log_odds(a, b, prior, alpha0=1.0):
         assert z == pytest.approx(0.0)
 
 
 def test_log_odds_exclusive_bigram_positive():
-    a = counts("a", only_here=8, shared=10)
-    b = counts("b", shared=10)
-    prior = counts("p", only_here=8, shared=20)
+    a = Counter(only_here=8, shared=10)
+    b = Counter(shared=10)
+    prior = Counter(only_here=8, shared=20)
     ranked = dict(log_odds(a, b, prior, alpha0=0.5))
     assert ranked["only_here"] > 0
 
@@ -47,14 +41,12 @@ def test_log_odds_exclusive_bigram_positive():
 def test_log_odds_antisymmetry():
     rng = random.Random(3)
     vocab = [f"b{i}_x" for i in range(30)]
-    a = BigramCounts("a")
-    b = BigramCounts("b")
-    prior = BigramCounts("p")
+    a, b, prior = Counter(), Counter(), Counter()
     for w in vocab:
         ca, cb = rng.randint(0, 20), rng.randint(0, 20)
-        a.counts[w] += ca
-        b.counts[w] += cb
-        prior.counts[w] += ca + cb + 1
+        a[w] += ca
+        b[w] += cb
+        prior[w] += ca + cb + 1
     fwd = dict(log_odds(a, b, prior, alpha0=2.0))
     rev = dict(log_odds(b, a, prior, alpha0=2.0))
     for w in fwd:
@@ -64,9 +56,9 @@ def test_log_odds_antisymmetry():
 def test_log_odds_hand_value():
     # y_a=3 of n_a=5, y_b=1 of n_b=5; prior {w_w: 4, q_q: 6}, alpha0=1
     # so alpha_w = 1 * 4/10 = 0.4
-    a = counts("a", w_w=3, q_q=2)
-    b = counts("b", w_w=1, q_q=4)
-    prior = counts("p", w_w=4, q_q=6)
+    a = Counter(w_w=3, q_q=2)
+    b = Counter(w_w=1, q_q=4)
+    prior = Counter(w_w=4, q_q=6)
     delta = math.log(3.4 / (5 + 1 - 3 - 0.4)) - math.log(1.4 / (5 + 1 - 1 - 0.4))
     z = delta / math.sqrt(1 / 3.4 + 1 / 1.4)
     got = dict(log_odds(a, b, prior, alpha0=1.0))
@@ -75,12 +67,12 @@ def test_log_odds_hand_value():
 
 def test_log_odds_rejects_empty():
     with pytest.raises(AnalysisError):
-        log_odds(BigramCounts("a"), counts("b", x_y=1), counts("p", x_y=1), 1.0)
+        log_odds(Counter(), Counter(x_y=1), Counter(x_y=1), 1.0)
 
 
 def test_log_odds_requires_prior_coverage():
     with pytest.raises(AnalysisError):
-        log_odds(counts("a", x_y=1), counts("b", q_r=1), counts("p", x_y=2), 1.0)
+        log_odds(Counter(x_y=1), Counter(q_r=1), Counter(x_y=2), 1.0)
 
 
 # --- cochran's q

@@ -556,7 +556,6 @@ def test_posr_llm_transport_failure_is_scored_and_flagged(llm_corpus, tmp_path):
     n = len(missing.transcript)
     fallback = Labeling(tuple((0, REF_NONE) for _ in range(n)))
     report = evaluate(fallback, missing.gold, missing.transcript).as_row()
-    del report["cost_usd_per_100"]  # the run's cost, shared by every row
     assert {k: rows[tid][k] for k in report} == {k: str(v) for k, v in report.items()}
     pred = [json.loads(line) for line in (out / f"{tid}.pred.jsonl").read_text().splitlines()]
     assert pred == [{"line_index": i, "segment_id": 0, "ref": "null"} for i in range(n)]

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posr.corpus import (
+    Corpus,
+    CorpusEntry,
     CorpusError,
     SyntheticSpec,
     _decode_line,
@@ -155,6 +157,34 @@ def test_load_manifest_malformed_names_file(tmp_path, text):
     path.write_text(text)
     with pytest.raises(CorpusError, match=at(path)):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("transcripts", "synthetic-1-000.jsonl", "transcripts must be a list, not str"),
+    ("worksheets", [["synthetic-1-000", "w.json"]], "worksheets must be an object, not list"),
+    ("annotations", [], "annotations must be an object or null, not list"),
+    ("split", ["x"], "split must be a string, not list"),
+    ("split", None, "split must be a string, not NoneType"),
+])
+def test_load_manifest_checks_the_type_of_each_field(tmp_path, key, value, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"transcripts": ["synthetic-1-000.jsonl"],
+                                "worksheets": {"synthetic-1-000": "w.json"}, key: value}))
+    with pytest.raises(CorpusError) as info:
+        load_manifest(path)
+    assert str(info.value) == f"{path}: malformed manifest: {message}"
+
+
+def test_load_manifest_fills_absent_annotations_and_split(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"transcripts": ["a.jsonl"], "worksheets": {"a": "w.json"},
+                                "annotations": None}))
+    manifest = load_manifest(path)
+    assert (manifest.transcripts, manifest.worksheets) == (["a.jsonl"], {"a": "w.json"})
+    assert (manifest.annotations, manifest.split) == (None, "test")
+    path.write_text(json.dumps({"transcripts": [], "worksheets": {}}))
+    manifest = load_manifest(path)
+    assert (manifest.annotations, manifest.split) == (None, "test")
 
 
 @pytest.mark.parametrize("paths", [["a/x.jsonl", "b/x.jsonl"], ["x.jsonl", "x.jsonl"]])
@@ -599,6 +629,15 @@ def test_write_load_round_trip(tmp_path):
         assert back.transcript == orig.transcript
         assert back.worksheet == orig.worksheet
         assert back.gold == orig.gold
+
+
+def test_write_corpus_rejects_two_worksheets_with_one_id(tmp_path):
+    first, second = generate_synthetic(SyntheticSpec(seed=5, n_transcripts=2)).entries
+    other = Worksheet(first.worksheet.id, first.worksheet.problems[:1])
+    corpus = Corpus((first, CorpusEntry(second.transcript, other, second.gold)))
+    with pytest.raises(CorpusError) as info:
+        write_corpus(corpus, tmp_path / "c")
+    assert str(info.value) == "two different worksheets have id 'synthetic-ws'"
 
 
 def test_save_transcript_writes_the_five_fields_in_order(tmp_path):

@@ -21,6 +21,7 @@ from posr.llm import (
     LLM_CONCURRENCY,
     CassetteClient,
     ChatRequest,
+    ChatResponse,
     HttpChatClient,
     LLMConfigError,
     LLMEndpointConfig,
@@ -184,7 +185,7 @@ def extract_json_array_oracle(text: str) -> list:
                     if isinstance(value, list):
                         return value
                     break
-    raise ParseFailure("no parseable JSON array found", text)
+    raise ParseFailure("no parseable JSON array found")
 
 
 def extraction_outcome(fn, text):
@@ -868,6 +869,15 @@ class Endpoint:
                     self.close_connection = True
                 self.close_connection |= reply.then_close
 
+            def do_CONNECT(self):  # noqa: N802 - stdlib name
+                # a proxy that records each tunnel request and refuses it
+                with endpoint._lock:
+                    endpoint.seen.append(Seen(self.path, dict(self.headers), self.number))
+                self.send_response(403)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                self.close_connection = True
+
         self.server = LoopbackServer(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1/chat"
         threading.Thread(target=self.server.serve_forever, kwargs={"poll_interval": 0.02},
@@ -950,6 +960,21 @@ def test_http_retries_a_refused_connection(endpoint_factory, monkeypatch):
 def test_http_permanent_errors_fail_at_once(endpoint_factory, status):
     endpoint = endpoint_factory(Reply(status), OK)
     with pytest.raises(TransportError, match=f"HTTP {status}"):
+        http_client(endpoint).complete(REQUEST)
+    assert len(endpoint.seen) == 1
+
+
+def test_http_reads_a_chat_completion_reply(endpoint_factory):
+    doc = {"choices": [{"message": {"role": "assistant", "content": "[[0, 3]]"}}],
+           "usage": {"prompt_tokens": 7, "completion_tokens": 2}}
+    endpoint = endpoint_factory(Reply(200, doc))
+    assert http_client(endpoint).complete(REQUEST) == ChatResponse("[[0, 3]]", 7, 2)
+
+
+def test_http_reply_without_a_choice_fails_at_once(endpoint_factory):
+    endpoint = endpoint_factory(Reply(200, {"choices": []}), OK)
+    with pytest.raises(TransportError,
+                       match=re.escape("unrecognized response shape: {'choices': []}")):
         http_client(endpoint).complete(REQUEST)
     assert len(endpoint.seen) == 1
 
@@ -1078,6 +1103,32 @@ def test_http_credentials_in_urls_go_out_as_basic_auth(endpoint_factory, monkeyp
 def test_http_proxy_other_than_http_is_a_config_error(endpoint_factory, monkeypatch):
     monkeypatch.setenv("https_proxy", "socks5://127.0.0.1:1080")
     with pytest.raises(LLMConfigError, match="only http:// proxies"):
+        http_client("https://llm.invalid/v1/chat")
+
+
+@pytest.mark.parametrize("credentials, proxy_auth", [
+    ("", None),
+    ("ann:s%40cret@", "Basic YW5uOnNAY3JldA=="),
+])
+def test_https_behind_a_proxy_goes_through_a_connect_tunnel(endpoint_factory, monkeypatch,
+                                                            credentials, proxy_auth):
+    proxy = endpoint_factory()
+    monkeypatch.setenv("https_proxy", proxy.url.rsplit("/v1/", 1)[0].replace(
+        "://", f"://{credentials}"))
+    monkeypatch.delenv("REQUESTS_CA_BUNDLE", raising=False)
+    monkeypatch.delenv("CURL_CA_BUNDLE", raising=False)
+    # the proxy refuses the tunnel, so nothing leaves the loopback interface
+    with pytest.raises(TransportError, match="all 1 attempts failed") as info:
+        http_client("https://llm.invalid/v1/chat", attempts=1).complete(REQUEST)
+    assert str(info.value.__cause__).startswith("Tunnel connection failed: 403")
+    assert [seen.target for seen in proxy.seen] == ["llm.invalid:443"]
+    assert proxy.seen[0].headers.get("Proxy-Authorization") == proxy_auth
+
+
+def test_http_unreadable_ca_bundle_is_a_config_error(endpoint_factory, monkeypatch, tmp_path):
+    bundle = tmp_path / "missing.pem"
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(bundle))
+    with pytest.raises(LLMConfigError, match=re.escape(f"CA bundle {bundle}: ")):
         http_client("https://llm.invalid/v1/chat")
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from posr.corpus import Corpus, CorpusEntry, SyntheticSpec, generate_synthetic
 from posr.model import Labeling, Line, Problem, REF_NONE, Transcript, Worksheet
 from posr.segmentation import (
-    BoundaryWordModel,
     SegmentationError,
     TextTilingParams,
     _depths,
@@ -42,22 +41,22 @@ def test_fit_boundary_words_counts_opening_lines():
         ["okay next question one", "blah blah", "okay next question two", "more talk"],
         [0, 0, 1, 1],
     )
-    model = fit_boundary_words(corpus, k=5)
-    assert set(model.words) >= {"okay", "next", "question"}
+    words = fit_boundary_words(corpus, k=5)
+    assert set(words) >= {"okay", "next", "question"}
     # "one"/"two" appear once each; frequency-2 tokens rank first
-    assert model.words[0] in {"next", "okay", "question"}
+    assert words[0] in {"next", "okay", "question"}
 
 
 def test_fit_boundary_words_tie_lexicographic():
     corpus = corpus_of(["zebra apple", "x"], [0, 0])
-    model = fit_boundary_words(corpus, k=2)
-    assert model.words == ("apple", "zebra")
+    words = fit_boundary_words(corpus, k=2)
+    assert words == ("apple", "zebra")
 
 
 def test_fit_boundary_words_k1():
     corpus = corpus_of(["go go go stop", "x"], [0, 0])
-    model = fit_boundary_words(corpus, k=1)
-    assert model.words == ("go",)
+    words = fit_boundary_words(corpus, k=1)
+    assert words == ("go",)
 
 
 def test_fit_boundary_words_requires_annotations():
@@ -68,8 +67,7 @@ def test_fit_boundary_words_requires_annotations():
 
 def test_segment_boundary_words_no_hits_single_segment():
     t = make_transcript([1000] * 6)
-    model = BoundaryWordModel(words=("zzzznope",))
-    lab = segment_boundary_words(model, t)
+    lab = segment_boundary_words(("zzzznope",), t)
     assert lab.num_segments() == 1
 
 
@@ -78,8 +76,7 @@ def test_segment_boundary_words_scan():
     t = Transcript(id="t", lines=tuple(
         Line(i, "[TUTOR]", u, i * 1000, (i + 1) * 1000) for i, u in enumerate(lines)
     ))
-    model = BoundaryWordModel(words=("question",))
-    lab = segment_boundary_words(model, t)
+    lab = segment_boundary_words(("question",), t)
     assert boundary_set(lab) == {3}
 
 
@@ -88,8 +85,7 @@ def test_segment_boundary_words_every_line_fires():
     t = Transcript(id="t", lines=tuple(
         Line(i, "[TUTOR]", u, i * 1000, (i + 1) * 1000) for i, u in enumerate(lines)
     ))
-    model = BoundaryWordModel(words=("question",))
-    lab = segment_boundary_words(model, t)
+    lab = segment_boundary_words(("question",), t)
     assert lab.num_segments() == len(lines)
 
 
@@ -98,8 +94,7 @@ def test_segment_boundary_words_case_invariant():
     t = Transcript(id="t", lines=tuple(
         Line(i, "[TUTOR]", u, i * 1000, (i + 1) * 1000) for i, u in enumerate(lines)
     ))
-    model = BoundaryWordModel(words=("question",))
-    assert segment_boundary_words(model, t).num_segments() == 2
+    assert segment_boundary_words(("question",), t).num_segments() == 2
 
 
 def _passage_transcript(vocab_a, vocab_b, lines_each=40, tokens_per_line=12, seed=0):
@@ -162,10 +157,10 @@ def test_texttiling_oversegments_random_text():
 
 def test_segmenters_output_valid_labelings():
     corpus = generate_synthetic(SyntheticSpec(seed=21, n_transcripts=3))
-    model = fit_boundary_words(corpus, k=10)
+    words = fit_boundary_words(corpus, k=10)
     for entry in corpus.entries:
         for lab in (
-            segment_boundary_words(model, entry.transcript),
+            segment_boundary_words(words, entry.transcript),
             segment_texttiling(TextTilingParams(), entry.transcript),
         ):
             assert len(lab) == len(entry.transcript)
@@ -174,13 +169,13 @@ def test_segmenters_output_valid_labelings():
 
 def test_segmenters_number_segments_from_zero():
     corpus = generate_synthetic(SyntheticSpec(seed=21, n_transcripts=2, lines_per_segment=(30, 80)))
-    model = fit_boundary_words(corpus, k=10)
+    words = fit_boundary_words(corpus, k=10)
     transcripts = [e.transcript for e in corpus.entries]
     for t in [*transcripts, make_transcript([1000] * 3), Transcript(id="empty", lines=())]:
-        for lab in (segment_boundary_words(model, t), segment_texttiling(TextTilingParams(), t)):
+        for lab in (segment_boundary_words(words, t), segment_texttiling(TextTilingParams(), t)):
             assert [seg for seg, _ in groupby(seg_ids(lab))] == list(range(lab.num_segments()))
     # both segmenters cut the synthetic transcripts
-    assert min(segment_boundary_words(model, t).num_segments() for t in transcripts) > 1
+    assert min(segment_boundary_words(words, t).num_segments() for t in transcripts) > 1
     assert min(segment_texttiling(TextTilingParams(), t).num_segments() for t in transcripts) > 1
 
 
