@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import logging
 import sys
 from collections.abc import Callable, Iterable
@@ -28,6 +27,7 @@ from .corpus import (
     generate_synthetic,
     load_corpus,
     load_manifest,
+    save_json,
     write_corpus,
 )
 from .errors import InputError
@@ -52,17 +52,13 @@ LLM_METHODS = {
     "segment-llm": "independent_segmentation",
 }
 POSR_COLUMNS = ["transcript_id", *(f.name for f in fields(EvalReport)), "cost_usd_per_100"]
+# segmentation alone has no retrieval (SRS) and no cost columns
+SEGMENT_COLUMNS = [c for c in POSR_COLUMNS if not c.startswith("srs_") and c != "cost_usd_per_100"]
 PRICE_KEYS = ("input_usd_per_1k", "output_usd_per_1k")
-SEGMENT_COLUMNS = ["transcript_id", "pk_line", "pk_time", "wd_line", "wd_time",
-                   "seg_count_diff"]
-
-
-def _write_json(path: Path, doc: object) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_run_manifest(out: Path, args: argparse.Namespace) -> None:
-    _write_json(out / "run_manifest.json", {
+    save_json(out / "run_manifest.json", {
         "command": args.command,
         "version": __version__,
         "seed": getattr(args, "seed", None),
@@ -126,8 +122,8 @@ def _write_and_score(out: Path, corpus: Corpus, preds: Iterable[Labeling], suffi
 
 
 def _write_spans(path: Path, pred: Labeling) -> None:
-    _write_json(path, [{"start_line": s.start_line, "end_line": s.end_line}
-                       for s in labeling_to_spans(pred)])
+    save_json(path, [{"start_line": s.start_line, "end_line": s.end_line}
+                     for s in labeling_to_spans(pred)])
 
 
 def cmd_segment(args: argparse.Namespace, out: Path) -> None:
@@ -146,16 +142,16 @@ def cmd_retrieve(args: argparse.Namespace, out: Path) -> None:
         raise RetrievalError("retrieval evaluation needs annotated transcripts")
     config = RetrieverConfig(method=args.method, threshold=args.threshold)
     decisions, hits = [], 0
-    for entry, span, pid in config.gold_decisions(corpus):
-        decisions.append({"transcript_id": entry.transcript.id, "gold": span.ref.serialize(),
-                          "start_line": span.start_line, "end_line": span.end_line,
+    for entry, start, stop, gold, pid in config.gold_decisions(corpus):
+        decisions.append({"transcript_id": entry.transcript.id, "gold": gold.serialize(),
+                          "start_line": start, "end_line": stop - 1,
                           "decision": REF_NONE.serialize() if pid is None else pid})
-        hits += pid == span.ref.problem_id
+        hits += pid == gold.problem_id
     accuracy = hits / len(decisions) if decisions else 0.0
     _write_csv(out / "retrieval_decisions.csv",
                ["transcript_id", "start_line", "end_line", "decision", "gold"], decisions)
-    _write_json(out / "retrieval_accuracy.json",
-                {"method": args.method, "threshold": args.threshold, "accuracy": accuracy})
+    save_json(out / "retrieval_accuracy.json",
+              {"method": args.method, "threshold": args.threshold, "accuracy": accuracy})
     print(f"{args.method} accuracy on ground-truth segments: {accuracy:.4f}")
 
 
@@ -165,8 +161,8 @@ def cmd_calibrate(args: argparse.Namespace, out: Path) -> None:
                                       train, folds=args.folds, seed=args.seed)
     for method, threshold in thresholds.items():
         print(f"{method}: {threshold:.4f}")
-    _write_json(out / "thresholds.json",
-                {"seed": args.seed, "folds": args.folds, "thresholds": thresholds})
+    save_json(out / "thresholds.json",
+              {"seed": args.seed, "folds": args.folds, "thresholds": thresholds})
 
 
 def _load_prices(path: str | None) -> dict:
@@ -238,7 +234,7 @@ def cmd_posr(args: argparse.Namespace, out: Path) -> None:
     if rows:
         _write_csv(out / "posr_metrics.csv", POSR_COLUMNS, rows)
     if failed:
-        _write_json(out / "failed_transcripts.json", failed)
+        save_json(out / "failed_transcripts.json", failed)
     print(f"evaluated {len(rows)} transcripts"
           + (f", cost/100 = ${cost:.2f}" if cost is not None else "")
           + (f", {len(failed)} flagged" if failed else ""))
@@ -272,14 +268,13 @@ def cmd_stats(args: argparse.Namespace, out: Path | None) -> None:
     for key, value in stats.items():
         print(f"{key}: {value}")
     if out is not None:
-        _write_json(out / "corpus_stats.json", stats)
+        save_json(out / "corpus_stats.json", stats)
 
 
 # parse_args never changes the parser, so one process builds it once
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="posr")
-    parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", help="write a synthetic corpus to disk")
@@ -343,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
+    logging.basicConfig()
     # worksheet indexes and token columns are built once per command, never outliving it
     clear_indexes()
     token_column.cache_clear()

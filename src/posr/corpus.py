@@ -79,6 +79,19 @@ def _read_text(path: Path) -> str:
         raise CorpusError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
+def _read_json(path: Path):
+    """The JSON document in a UTF-8 file; unreadable or invalid is a CorpusError."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def save_json(path: str | Path, doc: object) -> None:
+    """``doc`` as JSON indented by 2, with a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
 # the decoder's C scanner: (value, end) of the JSON value at an index, or
 # StopIteration when none starts there
 _scan_once = json.JSONDecoder().scan_once
@@ -202,10 +215,7 @@ def save_transcript(transcript: Transcript, path: str | Path) -> None:
 
 def load_worksheet(path: str | Path) -> Worksheet:
     path = Path(path)
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
+    doc = _read_json(path)
     try:
         # str() gives an integer id as its digits and a string as it is
         problems = tuple(Problem(*(str(_field(p, key, types)) for key, types in _PROBLEM))
@@ -219,11 +229,8 @@ def load_worksheet(path: str | Path) -> Worksheet:
 
 
 def save_worksheet(worksheet: Worksheet, path: str | Path) -> None:
-    doc = {
-        "id": worksheet.id,
-        "problems": [{"id": p.id, "text": p.text} for p in worksheet.problems],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    save_json(path, {"id": worksheet.id,
+                     "problems": [{"id": p.id, "text": p.text} for p in worksheet.problems]})
 
 
 _SECOND = itemgetter(1)
@@ -304,10 +311,7 @@ def save_annotation(labeling: Labeling, path: str | Path) -> None:
 
 def load_manifest(path: str | Path) -> CorpusManifest:
     path = Path(path)
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise CorpusError(f"{path}: a manifest is a JSON object")
     doc = {"annotations": None, "split": "test", **doc}  # the two optional fields
@@ -334,17 +338,6 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         if missing:
             raise CorpusError(f"{path}: annotations reference unknown transcripts {sorted(missing)}")
     return manifest
-
-
-def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
-    doc = {
-        "split": manifest.split,
-        "transcripts": manifest.transcripts,
-        "worksheets": manifest.worksheets,
-    }
-    if manifest.annotations is not None:
-        doc["annotations"] = manifest.annotations
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_corpus(manifest: CorpusManifest) -> Corpus:
@@ -494,16 +487,11 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
             apath = f"{entry.transcript.id}.labels.jsonl"
             save_annotation(entry.gold, out / apath)
             annotations[entry.transcript.id] = apath
-    manifest = CorpusManifest(
-        transcripts=transcripts,
-        worksheets=worksheets,
-        annotations=annotations or None,
-        split=corpus.split,
-        root=out,
-    )
-    manifest_path = out / "manifest.json"
-    save_manifest(manifest, manifest_path)
-    return manifest_path
+    manifest: dict = {"split": corpus.split, "transcripts": transcripts, "worksheets": worksheets}
+    if annotations:
+        manifest["annotations"] = annotations
+    save_json(out / "manifest.json", manifest)
+    return out / "manifest.json"
 
 
 # ---------------------------------------------------------------------------

@@ -108,16 +108,20 @@ def parse_segmentation(text: str, n_lines: int) -> list[SegmentSpan]:
 
 
 def parse_retrieval(text: str, worksheet: Worksheet) -> RefLabel:
-    """Parse the single-token retrieval answer: "null", -1, or a problem id."""
+    """Parse the retrieval answer: "null", -1, or a problem id: the earliest
+    id in the answer with no word character, ``.`` or ``-`` on either side,
+    the longest at that place, so the whole answer when it is an id. An
+    empty id never matches."""
     stripped = _strip_fences(text).strip().strip('"').strip()
     if stripped.lower() == "null":
         return REF_NONE
     if stripped == "-1":
         return REF_NOT_IN_CORPUS
-    ids = set(worksheet.problem_ids())
-    for token in re.findall(r"[\w.-]+", stripped):
-        if token in ids:
-            return RefLabel.problem(token)
+    ids = sorted(filter(None, worksheet.problem_ids()), key=len, reverse=True)
+    alternatives = "|".join(map(re.escape, ids))  # tried longest first at each place
+    found = ids and re.search(rf"(?<![\w.-])(?:{alternatives})(?![\w.-])", stripped)
+    if found:
+        return RefLabel.problem(found.group())
     raise ParseFailure(f"no worksheet problem id in {stripped!r}")
 
 

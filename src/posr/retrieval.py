@@ -15,9 +15,10 @@ other problem scores 0 under every method. ``worksheet_index`` fits each
 distinct worksheet once; ``posr.cli.main`` clears those fits around every
 command.
 
-Each ground-truth segment becomes one row (gold id, argmax id, effective
-score) on one path, ``gold_rows``: calibration reads the rows of every method
-at once, ``posr retrieve`` and ``retrieval_accuracy`` their decisions.
+Predicted and ground-truth segments take one walk, ``_segments``. Each
+ground-truth segment becomes one row (gold id, argmax id, effective score)
+in ``gold_rows``: calibration reads the rows of every method at once,
+``posr retrieve`` and ``retrieval_accuracy`` their decisions.
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ from .model import (
     REF_NONE,
     Labeling,
     RefLabel,
-    SegmentSpan,
     Transcript,
     Worksheet,
-    labeling_to_spans,
     run_starts,
     runs_to_labeling,
 )
@@ -67,12 +66,13 @@ class RetrieverConfig:
             raise RetrievalError("threshold must be in [0, 1]")
 
     def gold_decisions(
-            self, corpus: Corpus) -> Iterator[tuple[CorpusEntry, SegmentSpan, str | None]]:
-        """Each ground-truth segment of ``corpus``, in order, with its entry
-        and its decision under this config: the problem id linked, or None."""
-        for entry, spans, by_method in gold_rows([self.method], corpus):
-            for span, (_, best_pid, best) in zip(spans, by_method[self.method]):
-                yield entry, span, _decision(best_pid, best, self.threshold)
+            self, corpus: Corpus) -> Iterator[tuple[CorpusEntry, int, int, RefLabel, str | None]]:
+        """Each ground-truth segment of ``corpus``, in order: its entry, its
+        first line, one past its last line, its gold ref, and its decision
+        under this config: the problem id linked, or None."""
+        for entry, segments, by_method in gold_rows([self.method], corpus):
+            for (start, stop, gold), (_, best_pid, best) in zip(segments, by_method[self.method]):
+                yield entry, start, stop, gold, _decision(best_pid, best, self.threshold)
 
 
 _NO_POSTINGS: tuple[float, tuple] = (0.0, ())
@@ -174,6 +174,15 @@ def _segment_query(transcript: Transcript, start: int, stop: int) -> list[str] |
     return q if q or any(line.utterance.strip() for line in transcript.lines[start:stop]) else None
 
 
+def _segments(transcript: Transcript,
+              labeling: Labeling) -> tuple[list[int], list[int], list[list[str] | None]]:
+    """The first line, one past the last line, and the query of each
+    segment of ``labeling``, as three lists in transcript order."""
+    starts = run_starts(labeling)
+    stops = [*starts[1:], len(transcript)]
+    return starts, stops, [_segment_query(transcript, *run) for run in zip(starts, stops)]
+
+
 def _best(index: WorksheetIndex, method: str, q: list[str] | None) -> tuple[str | None, float]:
     """(argmax problem id, its effective score) for one segment's query; a
     blank segment is (None, 0.0), never a problem.
@@ -205,10 +214,8 @@ def retrieve_labeling(
     if len(segmentation) != len(transcript):
         raise RetrievalError("segmentation does not cover the transcript")
     index = worksheet_index(worksheet)
-    starts = run_starts(segmentation)
-    stops = [*starts[1:], len(transcript)]
-    pids = [_decision(*_best(index, config.method, _segment_query(transcript, start, stop)),
-                      config.threshold) for start, stop in zip(starts, stops)]
+    starts, _, queries = _segments(transcript, segmentation)
+    pids = [_decision(*_best(index, config.method, q), config.threshold) for q in queries]
     # one RefLabel per distinct decision, not one per segment
     refs = {pid: REF_NONE if pid is None else RefLabel.problem(pid) for pid in set(pids)}
     return runs_to_labeling(starts, map(refs.__getitem__, pids), len(transcript))
@@ -225,18 +232,18 @@ Row = tuple[str | None, str | None, float]
 
 def gold_rows(
     methods: Sequence[str], corpus: Corpus
-) -> Iterator[tuple[CorpusEntry, list[SegmentSpan], dict[str, list[Row]]]]:
-    """Per annotated entry of ``corpus``, in order: the entry, its
-    ground-truth segments, and under each method the row of every segment.
-    Warm-up/off-worksheet golds count as None. A segment's query is its
-    slice of the entry's token column, taken once for every method."""
+) -> Iterator[tuple[CorpusEntry, list[tuple[int, int, RefLabel]], dict[str, list[Row]]]]:
+    """Per annotated entry of ``corpus``, in order: the entry, the (start,
+    stop, gold ref) of each ground-truth segment, and under each method the
+    row of every segment, from one query each. Warm-up/off-worksheet golds
+    count as None."""
     for entry in corpus.annotated().entries:
-        spans = labeling_to_spans(entry.gold)  # type: ignore[arg-type]
-        queries = [_segment_query(entry.transcript, s.start_line, s.end_line + 1) for s in spans]
+        gold: Labeling = entry.gold  # type: ignore[assignment]
+        starts, stops, queries = _segments(entry.transcript, gold)
+        refs = [gold.per_line[start][1] for start in starts]
         index = worksheet_index(entry.worksheet)
-        yield entry, spans, {
-            method: [(span.ref.problem_id, *_best(index, method, query))
-                     for span, query in zip(spans, queries)]
+        yield entry, list(zip(starts, stops, refs)), {
+            method: [(ref.problem_id, *_best(index, method, q)) for ref, q in zip(refs, queries)]
             for method in methods}
 
 
@@ -301,5 +308,5 @@ def retrieval_accuracy(config: RetrieverConfig, corpus: Corpus) -> float:
     """Segment-level accuracy of decisions on ground-truth segments: the
     share whose decision is the gold problem id, None for warm-up and
     off-worksheet golds."""
-    hits = [pid == span.ref.problem_id for _, span, pid in config.gold_decisions(corpus)]
+    hits = [pid == gold.problem_id for *_, gold, pid in config.gold_decisions(corpus)]
     return sum(hits) / len(hits) if hits else 0.0

@@ -127,6 +127,62 @@ def test_parse_retrieval_values():
         parse_retrieval("the answer is unclear", WS)
 
 
+# problem ids that hold characters outside [\w.-]
+ODD_IDS = Worksheet(id="w", problems=(
+    Problem("3", "first problem"), Problem("3(b)", "part b"), Problem("Q 7", "seventh"),
+))
+
+
+@pytest.mark.parametrize("reply, pid", [
+    ("3(b)", "3(b)"),  # not problem 3
+    ("Problem ID 3(b)", "3(b)"),  # the longest id at the earliest place
+    ("Q 7", "Q 7"),  # the exact answer, spaces and all
+    ('"Q 7"', "Q 7"),
+    ("Problem ID 3", "3"),
+    ("3 (b)", "3"),
+    ("It is Q 7, then 3(b).", "Q 7"),
+])
+def test_parse_retrieval_reads_ids_outside_word_characters(reply, pid):
+    assert parse_retrieval(reply, ODD_IDS) == RefLabel.problem(pid)
+
+
+@pytest.mark.parametrize("reply", ["Q 77", "x3(b)", "Q7", "3.", "3-b"])
+def test_parse_retrieval_id_must_stand_apart(reply):
+    with pytest.raises(ParseFailure):
+        parse_retrieval(reply, ODD_IDS)
+
+
+def parse_retrieval_by_tokens(text, worksheet):
+    """The earlier rule: the first ``[\\w.-]+`` token that is a problem id."""
+    stripped = _strip_fences(text).strip().strip('"').strip()
+    if stripped.lower() == "null":
+        return REF_NONE
+    if stripped == "-1":
+        return REF_NOT_IN_CORPUS
+    ids = set(worksheet.problem_ids())
+    for token in re.findall(r"[\w.-]+", stripped):
+        if token in ids:
+            return RefLabel.problem(token)
+    raise ParseFailure("no id")
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(st.text("ab1.-_", min_size=1, max_size=3), min_size=1, max_size=5,
+                    unique=True),
+       reply=st.text("ab1.-_ (),\"`", max_size=14))
+def test_parse_retrieval_equals_token_rule_on_word_ids(ids, reply):
+    # for ids of word characters, '.' and '-' only, the rule reads what the
+    # token rule read, so every earlier reply keeps its decision
+    ws = Worksheet("w", tuple(Problem(pid, "text") for pid in ids))
+    outcomes = []
+    for parse in (parse_retrieval, parse_retrieval_by_tokens):
+        try:
+            outcomes.append(parse(reply, ws))
+        except ParseFailure:
+            outcomes.append(ParseFailure)
+    assert outcomes[0] == outcomes[1]
+
+
 def test_parse_joint_basic():
     text = '[{"start_line_idx":0,"end_line_idx":9,"problem_id":3}]'
     spans = parse_joint(text, 10, WS)

@@ -28,6 +28,7 @@ from posr.model import (
     Transcript,
     Worksheet,
     boundary_flags,
+    labeling_to_spans,
 )
 from posr.retrieval import (
     BM25_B,
@@ -361,6 +362,46 @@ def test_retrieve_off_worksheet_gold_is_written_and_counted(tmp_path):
     config = RetrieverConfig("jaccard", threshold=0.05)
     doc = json.loads((out / "retrieval_accuracy.json").read_text())
     assert doc["accuracy"] == retrieval_accuracy(config, Corpus((entry,))) == 2 / 3
+
+
+def muffle(entry, rng):
+    """``entry`` with some gold segments' utterances made blank or
+    punctuation only, whole segments or line by line."""
+    lines = list(entry.transcript.lines)
+    spans = labeling_to_spans(entry.gold)
+    for span in spans:
+        mode = rng.choice(("keep", "blank", "punctuation", "mixed"))
+        for i in range(span.start_line, span.end_line + 1):
+            line_mode = rng.choice(("keep", "blank", "punctuation")) if mode == "mixed" else mode
+            if line_mode == "blank":
+                lines[i] = lines[i]._replace(utterance=rng.choice(("", "  ", "\t")))
+            elif line_mode == "punctuation":
+                lines[i] = lines[i]._replace(utterance=rng.choice(("?!", "...", "-- ,")))
+    return CorpusEntry(Transcript(entry.transcript.id, tuple(lines)), entry.worksheet, entry.gold)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), vocab_overlap=st.floats(0.0, 1.0),
+       informal_prob=st.floats(0.0, 1.0), muffle_seed=st.integers(0, 2**32 - 1))
+def test_gold_and_predicted_segments_reach_one_decision(seed, vocab_overlap, informal_prob,
+                                                        muffle_seed):
+    spec = SyntheticSpec(n_transcripts=2, n_problems=5, vocab_overlap=vocab_overlap,
+                         informal_prob=informal_prob, seed=seed)
+    rng = random.Random(muffle_seed)
+    corpus = Corpus(tuple(muffle(e, rng) for e in generate_synthetic(spec).entries))
+    for method in retrieval.METHODS:
+        for threshold in (0.0, 0.5, 1.0):
+            config = RetrieverConfig(method, threshold)
+            preds = {e.transcript.id: retrieve_labeling(config, e.transcript, e.gold, e.worksheet)
+                     for e in corpus.entries}
+            decisions = list(config.gold_decisions(corpus))
+            # one decision per gold segment, with the segment's lines and ref
+            assert [(e.transcript.id, start, stop - 1, gold) for e, start, stop, gold, _
+                    in decisions] == [(e.transcript.id, s.start_line, s.end_line, s.ref)
+                                      for e in corpus.entries for s in labeling_to_spans(e.gold)]
+            for entry, start, _, _, pid in decisions:
+                expected = REF_NONE if pid is None else RefLabel.problem(pid)
+                assert preds[entry.transcript.id].per_line[start][1] == expected
 
 
 def test_calibrate_all_methods_equals_each_method_alone(tmp_path):
