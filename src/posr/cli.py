@@ -27,11 +27,12 @@ from .corpus import (
     generate_synthetic,
     load_corpus,
     load_manifest,
+    read_json,
     save_json,
     write_corpus,
 )
 from .errors import InputError
-from .metrics import EvalReport, TokenUsage, cost_per_100, evaluate
+from .metrics import EvalReport, cost_per_100, evaluate
 from .model import REF_NONE, Labeling, labeling_to_spans
 from .retrieval import (
     METHODS as RETRIEVAL_METHODS,
@@ -41,7 +42,7 @@ from .retrieval import (
     clear_indexes,
     retrieve_labeling,
 )
-from .segmentation import METHODS as SEGMENT_METHODS, segmenter
+from .segmentation import segmenter
 from .tokens import token_column
 
 # each LLM method's posr.llm.PromptKind, by value: the LLM client and runner
@@ -51,6 +52,12 @@ LLM_METHODS = {
     "independent-llm": "independent_retrieval",
     "segment-llm": "independent_segmentation",
 }
+# the options each segmenter reads beyond --manifest, --method and --out
+SEGMENT_OPTIONS = {"top10": ("train_manifest",), "top20": ("train_manifest",), "texttiling": ()}
+# the value a read option takes when it is not given
+OPTION_DEFAULTS = {"retrieval": "jaccard", "threshold": 0.0, "model": "default-model"}
+# --manifest, --method and --out, which every method reads, and the parser's own entries
+ALWAYS_READ = ("command", "func", "manifest", "method", "out")
 POSR_COLUMNS = ["transcript_id", *(f.name for f in fields(EvalReport)), "cost_usd_per_100"]
 # segmentation alone has no retrieval (SRS) and no cost columns
 SEGMENT_COLUMNS = [c for c in POSR_COLUMNS if not c.startswith("srs_") and c != "cost_usd_per_100"]
@@ -126,7 +133,19 @@ def _write_spans(path: Path, pred: Labeling) -> None:
                      for s in labeling_to_spans(pred)])
 
 
+def _read_options(args: argparse.Namespace, reads: tuple[str, ...]) -> None:
+    """Gives each option in ``reads`` that was not given its default. A given
+    option outside ``reads`` and ``ALWAYS_READ`` is a ``UsageError``."""
+    for name, value in vars(args).items():
+        if value is not None and name not in reads and name not in ALWAYS_READ:
+            raise UsageError(f"--{name.replace('_', '-')} is not read by --method {args.method}")
+    for name in reads:
+        if getattr(args, name) is None:
+            setattr(args, name, OPTION_DEFAULTS.get(name))
+
+
 def cmd_segment(args: argparse.Namespace, out: Path) -> None:
+    _read_options(args, SEGMENT_OPTIONS[args.method])
     corpus = load_corpus(load_manifest(args.manifest))
     segment = _segmenter(args)
     rows = _write_and_score(out, corpus, (segment(e.transcript) for e in corpus.entries),
@@ -169,9 +188,9 @@ def _load_prices(path: str | None) -> dict:
     """The ``--prices`` table: {model: {input_usd_per_1k, output_usd_per_1k}}."""
     if path is None:
         return {}
-    from .llm.client import LLMConfigError, read_json_file
+    from .llm.client import LLMConfigError
 
-    prices = read_json_file(path)
+    prices = read_json(path, LLMConfigError)
     if not isinstance(prices, dict):
         raise LLMConfigError(f"{path}: expected a JSON object mapping models to prices")
     for model, entry in prices.items():
@@ -194,35 +213,50 @@ def _make_client(args: argparse.Namespace):
     return inner
 
 
+def _lexical_predictions(args: argparse.Namespace, corpus: Corpus):
+    rconf = RetrieverConfig(method=args.retrieval, threshold=args.threshold)
+    segment = _segmenter(args)
+    # CPU-bound under the interpreter lock: threads would not help here
+    return (retrieve_labeling(rconf, e.transcript, segment(e.transcript), e.worksheet)
+            for e in corpus.entries), [], []
+
+
+def _llm_predictions(kind: str, args: argparse.Namespace, corpus: Corpus):
+    from .llm import CassetteClient, PromptKind, run_posr_llm_batch
+
+    client = _make_client(args)
+    try:
+        results = run_posr_llm_batch(
+            client, args.model, [(e.transcript, e.worksheet) for e in corpus.entries],
+            PromptKind(kind))
+    finally:
+        if isinstance(client, CassetteClient):
+            client.close()  # writes the cassette once, for the whole run
+    return ([r.labeling for r in results], [r.usage for r in results],
+            [e.transcript.id for e, r in zip(corpus.entries, results)
+             if r.parse_failed or r.error is not None])
+
+
+# each posr method: the options it reads beyond --manifest, --method and --out,
+# and its function from (args, corpus) to its labelings, token usages and
+# flagged transcript ids
+POSR_METHODS = {
+    **{method: ((*reads, "retrieval", "threshold"), _lexical_predictions)
+       for method, reads in SEGMENT_OPTIONS.items()},
+    **{method: (("model", "llm_config", "cassette", "prices"),
+                functools.partial(_llm_predictions, kind))
+       for method, kind in LLM_METHODS.items()},
+}
+
+
 def cmd_posr(args: argparse.Namespace, out: Path) -> None:
+    reads, predict = POSR_METHODS[args.method]
+    _read_options(args, reads)
     corpus = load_corpus(load_manifest(args.manifest))
     prices = _load_prices(args.prices)
-    llm_mode = args.method in LLM_METHODS
-    if llm_mode and args.prices and args.model not in prices:
+    if args.prices and args.model not in prices:
         raise UsageError(f"{args.prices}: no entry for --model {args.model!r}")
-    usages: list[TokenUsage] = []
-    failed: list[str] = []
-    if llm_mode:
-        from .llm import CassetteClient, PromptKind, run_posr_llm_batch
-
-        client = _make_client(args)
-        try:
-            results = run_posr_llm_batch(
-                client, args.model, [(e.transcript, e.worksheet) for e in corpus.entries],
-                PromptKind(LLM_METHODS[args.method]))
-        finally:
-            if isinstance(client, CassetteClient):
-                client.close()  # writes the cassette once, for the whole run
-        preds = [r.labeling for r in results]
-        usages = [r.usage for r in results]
-        failed = [e.transcript.id for e, r in zip(corpus.entries, results)
-                  if r.parse_failed or r.error is not None]
-    else:
-        rconf = RetrieverConfig(method=args.retrieval, threshold=args.threshold)
-        segment = _segmenter(args)
-        # CPU-bound under the interpreter lock: threads would not help here
-        preds = (retrieve_labeling(rconf, e.transcript, segment(e.transcript), e.worksheet)
-                 for e in corpus.entries)
+    preds, usages, failed = predict(args, corpus)
     # an empty prediction is written as one empty line, not an empty file
     rows = _write_and_score(out, corpus, preds, ".pred.jsonl", lambda path, pred:
                             path.write_text(encode_annotation(pred) or "\n", encoding="utf-8"))
@@ -289,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", help="run a segmentation baseline")
     p.add_argument("--manifest", required=True)
     p.add_argument("--train-manifest")
-    p.add_argument("--method", required=True, choices=SEGMENT_METHODS)
+    p.add_argument("--method", required=True, choices=tuple(SEGMENT_OPTIONS))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_segment)
 
@@ -311,11 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("posr", help="full segmentation+retrieval evaluation")
     p.add_argument("--manifest", required=True)
     p.add_argument("--train-manifest")
-    p.add_argument("--method", required=True,
-                   choices=SEGMENT_METHODS + tuple(LLM_METHODS))
-    p.add_argument("--retrieval", default="jaccard", choices=RETRIEVAL_METHODS)
-    p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--model", default="default-model")
+    p.add_argument("--method", required=True, choices=tuple(POSR_METHODS))
+    p.add_argument("--retrieval", choices=RETRIEVAL_METHODS)
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--model")
     p.add_argument("--llm-config")
     p.add_argument("--cassette")
     p.add_argument("--prices")

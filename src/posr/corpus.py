@@ -71,20 +71,20 @@ class Corpus:
 # loading / saving
 
 
-def _read_text(path: Path) -> str:
-    """The text of a UTF-8 file; a missing or unreadable one is a CorpusError."""
+def _read_text(path: str | Path, error: type[InputError] = CorpusError) -> str:
+    """The text of a UTF-8 file; a missing or unreadable one is an ``error``."""
     try:
-        return path.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise CorpusError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+        raise error(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def _read_json(path: Path):
-    """The JSON document in a UTF-8 file; unreadable or invalid is a CorpusError."""
+def read_json(path: str | Path, error: type[InputError] = CorpusError):
+    """The JSON document in a UTF-8 file; unreadable or invalid is an ``error``."""
     try:
-        return json.loads(_read_text(path))
+        return json.loads(_read_text(path, error))
     except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
+        raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
 def save_json(path: str | Path, doc: object) -> None:
@@ -215,7 +215,7 @@ def save_transcript(transcript: Transcript, path: str | Path) -> None:
 
 def load_worksheet(path: str | Path) -> Worksheet:
     path = Path(path)
-    doc = _read_json(path)
+    doc = read_json(path)
     try:
         # str() gives an integer id as its digits and a string as it is
         problems = tuple(Problem(*(str(_field(p, key, types)) for key, types in _PROBLEM))
@@ -311,7 +311,7 @@ def save_annotation(labeling: Labeling, path: str | Path) -> None:
 
 def load_manifest(path: str | Path) -> CorpusManifest:
     path = Path(path)
-    doc = _read_json(path)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise CorpusError(f"{path}: a manifest is a JSON object")
     doc = {"annotations": None, "split": "test", **doc}  # the two optional fields

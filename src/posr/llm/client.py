@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Protocol
 from urllib.parse import unquote, urlsplit, urlunsplit
 
+from ..corpus import read_json
 from ..errors import InputError
 
 logger = logging.getLogger(__name__)
@@ -34,17 +35,6 @@ class TransportError(RuntimeError):
 class LLMConfigError(InputError):
     """An endpoint config, price table or cassette file that cannot be used
     as written."""
-
-
-def read_json_file(path: str | Path):
-    """The JSON document in the UTF-8 file ``path``. A file that is missing,
-    unreadable, not UTF-8 or not JSON is an ``LLMConfigError`` naming it."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LLMConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise LLMConfigError(f"{path}: not JSON: {exc}") from exc
 
 
 # every request asks for up to MAX_TOKENS tokens at TEMPERATURE
@@ -144,7 +134,7 @@ class LLMEndpointConfig:
         every request. Unknown keys, an unset key variable and any value
         ``__post_init__`` rejects are errors whose message starts with
         ``path``."""
-        doc = read_json_file(path)
+        doc = read_json(path, LLMConfigError)
         if not isinstance(doc, dict) or "url" not in doc:
             raise LLMConfigError(f"{path}: expected a JSON object with a 'url'")
         unknown = sorted(set(doc) - set(CONFIG_KEYS))
@@ -397,7 +387,7 @@ class CassetteClient:
         self._lock = threading.RLock()
         self._journaled = False  # the journal holds recordings the cassette lacks
         if self.path.exists():
-            self._cache = read_json_file(self.path)
+            self._cache = read_json(self.path, LLMConfigError)
             if not isinstance(self._cache, dict):
                 raise LLMConfigError(
                     f"{self.path}: a cassette is a JSON object mapping request keys to replies")

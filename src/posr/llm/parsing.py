@@ -110,8 +110,10 @@ def parse_segmentation(text: str, n_lines: int) -> list[SegmentSpan]:
 def parse_retrieval(text: str, worksheet: Worksheet) -> RefLabel:
     """Parse the retrieval answer: "null", -1, or a problem id: the earliest
     id in the answer with no word character, ``.`` or ``-`` on either side,
-    the longest at that place, so the whole answer when it is an id. An
-    empty id never matches."""
+    the longest at that place, so the whole answer when it is an id. A ``.``
+    that ends the answer, or that no word character, ``.`` or ``-`` follows,
+    ends a sentence and so bounds the id before it: ``Problem 3.`` names 3,
+    ``3.5`` does not. An empty id never matches."""
     stripped = _strip_fences(text).strip().strip('"').strip()
     if stripped.lower() == "null":
         return REF_NONE
@@ -119,7 +121,7 @@ def parse_retrieval(text: str, worksheet: Worksheet) -> RefLabel:
         return REF_NOT_IN_CORPUS
     ids = sorted(filter(None, worksheet.problem_ids()), key=len, reverse=True)
     alternatives = "|".join(map(re.escape, ids))  # tried longest first at each place
-    found = ids and re.search(rf"(?<![\w.-])(?:{alternatives})(?![\w.-])", stripped)
+    found = ids and re.search(rf"(?<![\w.-])(?:{alternatives})(?![\w-]|\.[\w.-])", stripped)
     if found:
         return RefLabel.problem(found.group())
     raise ParseFailure(f"no worksheet problem id in {stripped!r}")

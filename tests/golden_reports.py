@@ -39,14 +39,16 @@ def commands(corpus: Path, out: Path) -> list[list[str]]:
     cmds = [["stats", "--manifest", m, "--out", str(out / "stats")],
             ["calibrate", "--manifest", m, "--out", str(out / "calibrate")],
             ["analyze", "--manifest", m, "--problem", "P4", "--out", str(out / "analyze")]]
+    # only the boundary-word segmenters read a train manifest
+    train = {"texttiling": [], "top10": ["--train-manifest", m], "top20": ["--train-manifest", m]}
     for method in ("texttiling", "top10", "top20"):
-        cmds.append(["segment", "--manifest", m, "--train-manifest", m, "--method", method,
+        cmds.append(["segment", "--manifest", m, *train[method], "--method", method,
                      "--out", str(out / f"segment-{method}")])
     for scorer in ("jaccard", "tfidf", "bm25"):
         cmds.append(["retrieve", "--manifest", m, "--method", scorer, "--threshold", "0.05",
                      "--out", str(out / f"retrieve-{scorer}")])
         for method in ("texttiling", "top10"):
-            cmds.append(["posr", "--manifest", m, "--train-manifest", m, "--method", method,
+            cmds.append(["posr", "--manifest", m, *train[method], "--method", method,
                          "--retrieval", scorer, "--threshold", "0.05",
                          "--out", str(out / f"posr-{method}-{scorer}")])
     for method in ("joint-llm", "independent-llm", "segment-llm"):

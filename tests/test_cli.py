@@ -215,7 +215,7 @@ def test_segment_and_posr_give_the_same_top10_error(
 
 
 @pytest.mark.parametrize("text, message", [
-    ("{not json", "not JSON"),
+    ("{not json", "invalid JSON"),
     ("[]", "expected a JSON object"),
     (json.dumps({"m": {"input_usd_per_1k": 0.5}}), "'m' needs numeric"),
 ])
@@ -223,7 +223,8 @@ def test_posr_bad_prices_file_is_a_usage_error(synthetic_dir, tmp_path, capsys, 
     prices = tmp_path / "prices.json"
     prices.write_text(text)
     rc = main(["posr", "--manifest", str(synthetic_dir / "manifest.json"),
-               "--method", "texttiling", "--prices", str(prices), "--out", str(tmp_path / "p")])
+               "--method", "segment-llm", "--cassette", str(tmp_path / "c.json"),
+               "--prices", str(prices), "--out", str(tmp_path / "p")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {prices}: ")
@@ -246,7 +247,7 @@ def test_prices_without_the_model_is_a_usage_error(synthetic_dir, tmp_path, caps
 
 
 @pytest.mark.parametrize("content, message", [
-    (b"{not json", "not JSON"),
+    (b"{not json", "invalid JSON"),
     (b"[]", "a cassette is a JSON object"),
     (b"\xff\xfe{}", "can't decode"),
     (None, "Is a directory"),
@@ -263,6 +264,50 @@ def test_posr_bad_cassette_is_a_usage_error(synthetic_dir, tmp_path, capsys, con
     err = one_error_line(capsys)
     assert err.startswith(f"error: {cassette}: ")
     assert message in err
+
+
+# what each posr method reads beyond --manifest, --method and --out
+POSR_READS = {
+    "texttiling": {"--retrieval", "--threshold"},
+    "top10": {"--train-manifest", "--retrieval", "--threshold"},
+    "top20": {"--train-manifest", "--retrieval", "--threshold"},
+    **{method: {"--model", "--llm-config", "--cassette", "--prices"} for method in LLM_METHODS},
+}
+# a value of each option; a file option names a file that does not exist
+POSR_OPTIONS = {"--train-manifest": "missing/train.json", "--retrieval": "bm25",
+                "--threshold": "0.5", "--model": "m", "--llm-config": "missing/llm.json",
+                "--cassette": "missing/cassette.json", "--prices": "missing/prices.json"}
+UNREAD = [("posr", method, option) for method, reads in POSR_READS.items()
+          for option in POSR_OPTIONS if option not in reads]
+UNREAD.append(("segment", "texttiling", "--train-manifest"))
+
+
+@pytest.mark.parametrize("command, method, option", UNREAD)
+def test_an_option_the_method_does_not_read_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                             command, method, option):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    # the manifest is missing too: the option is refused before any file is read
+    assert main([command, "--manifest", "missing/manifest.json", "--method", method,
+                 option, POSR_OPTIONS[option], "--out", str(out)]) == 2
+    assert one_error_line(capsys) == f"error: {option} is not read by --method {method}\n"
+    assert list(out.iterdir()) == []
+    assert not (tmp_path / "missing").exists()  # no cassette was written
+
+
+def test_run_manifest_records_the_effective_value_of_each_read_option(synthetic_dir, tmp_path):
+    m = str(synthetic_dir / "manifest.json")
+    runs = {"lexical": ["--method", "texttiling"],
+            "llm": ["--method", "segment-llm", "--cassette", str(tmp_path / "c.json")]}
+    recorded = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(["posr", "--manifest", m, *argv, "--out", str(out)]) == 0
+        recorded[name] = json.loads((out / "run_manifest.json").read_text())["args"]
+    assert {k: recorded["lexical"][k] for k in ("retrieval", "threshold", "model")} == {
+        "retrieval": "jaccard", "threshold": "0.0", "model": "None"}
+    assert {k: recorded["llm"][k] for k in ("retrieval", "threshold", "model")} == {
+        "retrieval": "None", "threshold": "None", "model": "default-model"}
 
 
 @pytest.mark.parametrize("command", [

@@ -141,19 +141,23 @@ ODD_IDS = Worksheet(id="w", problems=(
     ("Problem ID 3", "3"),
     ("3 (b)", "3"),
     ("It is Q 7, then 3(b).", "Q 7"),
+    ("3.", "3"),  # a sentence that ends with the id
+    ("Problem 3.", "3"),
+    ("3. It is about slopes", "3"),
 ])
 def test_parse_retrieval_reads_ids_outside_word_characters(reply, pid):
     assert parse_retrieval(reply, ODD_IDS) == RefLabel.problem(pid)
 
 
-@pytest.mark.parametrize("reply", ["Q 77", "x3(b)", "Q7", "3.", "3-b"])
+@pytest.mark.parametrize("reply", ["Q 77", "x3(b)", "Q7", "3.5", "3-b"])
 def test_parse_retrieval_id_must_stand_apart(reply):
     with pytest.raises(ParseFailure):
         parse_retrieval(reply, ODD_IDS)
 
 
 def parse_retrieval_by_tokens(text, worksheet):
-    """The earlier rule: the first ``[\\w.-]+`` token that is a problem id."""
+    """The token rule: the first ``[\\w.-]+`` token that is a problem id, or
+    that is one followed by the ``.`` that ends a sentence."""
     stripped = _strip_fences(text).strip().strip('"').strip()
     if stripped.lower() == "null":
         return REF_NONE
@@ -163,6 +167,8 @@ def parse_retrieval_by_tokens(text, worksheet):
     for token in re.findall(r"[\w.-]+", stripped):
         if token in ids:
             return RefLabel.problem(token)
+        if token.endswith(".") and token[:-1] in ids:
+            return RefLabel.problem(token[:-1])
     raise ParseFailure("no id")
 
 
@@ -172,7 +178,7 @@ def parse_retrieval_by_tokens(text, worksheet):
        reply=st.text("ab1.-_ (),\"`", max_size=14))
 def test_parse_retrieval_equals_token_rule_on_word_ids(ids, reply):
     # for ids of word characters, '.' and '-' only, the rule reads what the
-    # token rule read, so every earlier reply keeps its decision
+    # token rule reads
     ws = Worksheet("w", tuple(Problem(pid, "text") for pid in ids))
     outcomes = []
     for parse in (parse_retrieval, parse_retrieval_by_tokens):
