@@ -137,11 +137,11 @@ def talk_time(corpus: Corpus) -> TalkTimeTable:
     """
     per_cell: dict[tuple[str, str], float] = {}
     for entry in corpus.annotated().entries:
-        for i, (_seg, ref) in enumerate(entry.gold.per_line):  # type: ignore[union-attr]
+        for line, ref in zip(entry.transcript.lines, entry.gold.refs):  # type: ignore[union-attr]
             if ref.kind != "problem":
                 continue
             key = (ref.problem_id, entry.transcript.id)  # type: ignore[arg-type]
-            per_cell[key] = per_cell.get(key, 0.0) + entry.transcript.lines[i].duration_ms / 1000
+            per_cell[key] = per_cell.get(key, 0.0) + line.duration_ms / 1000
     by_problem: dict[str, list[float]] = {}
     for (pid, _tid), secs in per_cell.items():
         by_problem.setdefault(pid, []).append(secs)

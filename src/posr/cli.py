@@ -52,10 +52,12 @@ LLM_METHODS = {
     "independent-llm": "independent_retrieval",
     "segment-llm": "independent_segmentation",
 }
-# the options each segmenter reads beyond --manifest, --method and --out
-SEGMENT_OPTIONS = {"top10": ("train_manifest",), "top20": ("train_manifest",), "texttiling": ()}
-# the value a read option takes when it is not given
-OPTION_DEFAULTS = {"retrieval": "jaccard", "threshold": 0.0, "model": "default-model"}
+# the default of a read option that must be given
+REQUIRED = object()
+# the options each segmenter reads beyond --manifest, --method and --out, each
+# with the value it takes when not given
+TRAINED = {"train_manifest": REQUIRED}
+SEGMENT_OPTIONS = {"top10": TRAINED, "top20": TRAINED, "texttiling": {}}
 # --manifest, --method and --out, which every method reads, and the parser's own entries
 ALWAYS_READ = ("command", "func", "manifest", "method", "out")
 POSR_COLUMNS = ["transcript_id", *(f.name for f in fields(EvalReport)), "cost_usd_per_100"]
@@ -69,7 +71,7 @@ def _write_run_manifest(out: Path, args: argparse.Namespace) -> None:
         "command": args.command,
         "version": __version__,
         "seed": getattr(args, "seed", None),
-        "args": {k: str(v) for k, v in vars(args).items() if k != "func"},
+        "args": {k: v for k, v in vars(args).items() if k != "func"},
     })
 
 
@@ -108,7 +110,7 @@ def cmd_gen_corpus(args: argparse.Namespace, out: Path) -> None:
 
 
 def _segmenter(args: argparse.Namespace):
-    """The ``--method`` segmenter, trained on ``--train-manifest`` if given."""
+    """The ``--method`` segmenter, trained on ``--train-manifest`` if it reads one."""
     train = load_corpus(load_manifest(args.train_manifest)) if args.train_manifest else None
     return segmenter(args.method, train)
 
@@ -133,15 +135,18 @@ def _write_spans(path: Path, pred: Labeling) -> None:
                      for s in labeling_to_spans(pred)])
 
 
-def _read_options(args: argparse.Namespace, reads: tuple[str, ...]) -> None:
-    """Gives each option in ``reads`` that was not given its default. A given
-    option outside ``reads`` and ``ALWAYS_READ`` is a ``UsageError``."""
+def _read_options(args: argparse.Namespace, reads: dict[str, object]) -> None:
+    """Gives each option in ``reads`` that was not given its default there. A
+    given option outside ``reads`` and ``ALWAYS_READ``, or a ``REQUIRED`` one
+    not given, is a ``UsageError``."""
     for name, value in vars(args).items():
         if value is not None and name not in reads and name not in ALWAYS_READ:
             raise UsageError(f"--{name.replace('_', '-')} is not read by --method {args.method}")
-    for name in reads:
+    for name, default in reads.items():
         if getattr(args, name) is None:
-            setattr(args, name, OPTION_DEFAULTS.get(name))
+            if default is REQUIRED:
+                raise UsageError(f"--method {args.method} needs --{name.replace('_', '-')}")
+            setattr(args, name, default)
 
 
 def cmd_segment(args: argparse.Namespace, out: Path) -> None:
@@ -238,12 +243,12 @@ def _llm_predictions(kind: str, args: argparse.Namespace, corpus: Corpus):
 
 
 # each posr method: the options it reads beyond --manifest, --method and --out,
-# and its function from (args, corpus) to its labelings, token usages and
-# flagged transcript ids
+# each with the value it takes when not given, and its function from (args,
+# corpus) to its labelings, token usages and flagged transcript ids
 POSR_METHODS = {
-    **{method: ((*reads, "retrieval", "threshold"), _lexical_predictions)
+    **{method: ({**reads, "retrieval": "jaccard", "threshold": 0.0}, _lexical_predictions)
        for method, reads in SEGMENT_OPTIONS.items()},
-    **{method: (("model", "llm_config", "cassette", "prices"),
+    **{method: ({"model": "default-model", "llm_config": None, "cassette": None, "prices": None},
                 functools.partial(_llm_predictions, kind))
        for method, kind in LLM_METHODS.items()},
 }

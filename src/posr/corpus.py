@@ -522,7 +522,7 @@ def corpus_stats(corpus: Corpus) -> dict[str, float | int | str]:
         stats["total_segments"] = sum(seg_counts)
         stats["mean_segments_per_transcript"] = sum(seg_counts) / n
         prob_counts = [
-            len({r.problem_id for r in e.gold.refs if r.kind == "problem"})  # type: ignore[union-attr]
+            len({r.problem_id for r in e.gold.run_refs if r.kind == "problem"})  # type: ignore[union-attr]
             for e in annotated
         ]
         stats["mean_problems_per_transcript"] = sum(prob_counts) / n

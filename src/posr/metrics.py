@@ -20,12 +20,11 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from itertools import accumulate, compress, islice, repeat
-from operator import add, attrgetter, eq, itemgetter, ne, sub
+from operator import add, attrgetter, eq, ne, sub
 
 from .errors import InputError
 from .model import Labeling, Transcript, boundary_flags
 
-_REF = itemgetter(1)
 # the fields the generated RefLabel.__eq__ compares, as one tuple
 _REF_KEY = attrgetter("kind", "problem_id")
 _START_MS = attrgetter("start_ms")
@@ -161,8 +160,7 @@ def time_p_k(
 
 def _ref_matches(pred: Labeling, ref: Labeling) -> list[bool]:
     """Per line, whether the refs are equal, compared by ``_REF_KEY``."""
-    return list(map(eq, map(_REF_KEY, map(_REF, pred.per_line)),
-                    map(_REF_KEY, map(_REF, ref.per_line))))
+    return list(map(eq, map(_REF_KEY, pred.refs), map(_REF_KEY, ref.refs)))
 
 
 def _time_weighted(matches: list[bool], starts: list[int], ends: list[int]) -> float | None:

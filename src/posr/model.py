@@ -1,4 +1,4 @@
-"""Core data model: transcripts, worksheets, per-line labelings, and spans.
+"""Core data model: transcripts, worksheets, labelings, and spans.
 
 Everything here is immutable after construction so evaluation workers can
 share instances freely.
@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, itemgetter, lt, ne, sub
 from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
-_SEGMENT_ID = itemgetter(0)
 _INDEX = attrgetter("index")
 _START_MS = attrgetter("start_ms")
 
@@ -157,43 +156,59 @@ REF_NONE = RefLabel("none")
 REF_NOT_IN_CORPUS = RefLabel("not_in_corpus")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Labeling:
-    """Per-line (segment id, ref) assignment over a whole transcript.
+    """A transcript of ``n_lines`` lines cut into segments: segment k starts
+    at line ``starts[k]`` (ascending, the first 0) and carries ``run_refs[k]``.
 
-    Segment ids are arbitrary integers; only the run structure matters.
-    Lines sharing a segment id must share a ref, and a segment id may not
-    recur after a different id intervenes.
+    ``Labeling(per_line)`` reads one (segment id, ref) pair per line. The ids
+    are arbitrary integers, of which only the runs are kept. Lines sharing an
+    id must share a ref, and an id may not recur after a different id.
     """
 
-    per_line: tuple[tuple[int, RefLabel], ...]
+    starts: tuple[int, ...]
+    run_refs: tuple[RefLabel, ...]
+    n_lines: int
 
-    def __post_init__(self) -> None:
-        seen_done: set[int] = set()
-        prev_seg: int | None = None
-        seg_ref: dict[int, RefLabel] = {}
-        for i, (seg, ref) in enumerate(self.per_line):
-            if seg != prev_seg:
-                if seg in seen_done:
-                    raise ModelError(f"segment id {seg} recurs non-contiguously at line {i}")
-                if prev_seg is not None:
-                    seen_done.add(prev_seg)
-                prev_seg = seg
-            known = seg_ref.setdefault(seg, ref)
-            # identity first: the generated __eq__ is slow, and most lines of
-            # a segment share one RefLabel object
-            if known is not ref and known != ref:
+    def __init__(self, per_line: Sequence[tuple[int, RefLabel]]) -> None:
+        segs, refs = list(map(itemgetter(0), per_line)), list(map(itemgetter(1), per_line))
+        starts = [0, *compress(count(1), map(ne, islice(segs, 1, None), segs))] if segs else []
+        seen: set[int] = set()
+        for start, stop in zip(starts, [*starts[1:], len(segs)]):
+            seg, ref, run = segs[start], refs[start], refs[start:stop]
+            if seg in seen:
+                raise ModelError(f"segment id {seg} recurs non-contiguously at line {start}")
+            seen.add(seg)
+            if run.count(ref) != len(run):  # identity first, then the slow generated __eq__
+                i = start + next(i for i, other in enumerate(run) if other != ref)
                 raise ModelError(f"segment {seg} has conflicting refs at line {i}")
+        self._set_runs(starts, map(refs.__getitem__, starts), len(segs))
+
+    def _set_runs(self, starts: Sequence[int], refs: Iterable[RefLabel], n_lines: int) -> None:
+        starts = tuple(starts) if n_lines else ()
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "run_refs", tuple(islice(refs, len(starts))))
+        object.__setattr__(self, "n_lines", n_lines)
 
     def __len__(self) -> int:
-        return len(self.per_line)
+        return self.n_lines
+
+    def _over_lines(self, values: Iterable) -> Iterator:
+        """The k-th of ``values`` once for each line of segment k."""
+        lengths = map(sub, chain(islice(self.starts, 1, None), (self.n_lines,)), self.starts)
+        return chain.from_iterable(map(repeat, values, lengths))
 
     @property
     def refs(self) -> list[RefLabel]:
-        return [ref for _, ref in self.per_line]
+        return list(self._over_lines(self.run_refs))
+
+    @property
+    def per_line(self) -> tuple[tuple[int, RefLabel], ...]:
+        """The (segment id, ref) pair of each line, the segments numbered 0, 1, ..."""
+        return tuple(self._over_lines(zip(count(), self.run_refs)))
 
     def num_segments(self) -> int:
-        return len(run_starts(self))
+        return len(self.starts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,7 +216,7 @@ class SegmentSpan:
     """Inclusive line range and its ref (``REF_NONE`` when it has none).
 
     The span form of segmenter and LLM outputs before normalization to a
-    per-line Labeling.
+    Labeling.
     """
 
     start_line: int
@@ -261,28 +276,21 @@ def spans_to_labeling(spans: list[SegmentSpan], n_lines: int) -> Labeling:
 
 def runs_to_labeling(starts: Sequence[int], refs: Iterable[RefLabel], n_lines: int) -> Labeling:
     """The Labeling of ``n_lines`` lines cut into segments at ``starts``
-    (ascending, the first 0), the k-th carrying the k-th of ``refs`` and
-    numbered k. The one writer of per-line pairs: it repeats each
-    segment's pair over its run, in C, with no step per line."""
-    lengths = map(sub, chain(islice(starts, 1, None), (n_lines,)), starts)
-    return Labeling(tuple(chain.from_iterable(map(repeat, zip(count(), refs), lengths))))
-
-
-def run_starts(labeling: Labeling) -> list[int]:
-    """The first line of each maximal run of equal segment id, in order."""
-    return [0, *compress(count(1), boundary_flags(labeling))] if len(labeling) else []
+    (ascending, the first 0), the k-th carrying the k-th of ``refs``: the
+    runs as given, with no step per line. Refs past the last start are unread."""
+    labeling = object.__new__(Labeling)
+    labeling._set_runs(starts, refs, n_lines)
+    return labeling
 
 
 def labeling_to_spans(labeling: Labeling) -> list[SegmentSpan]:
-    """Maximal runs of equal segment id, in transcript order: the one reader
-    of per-line pairs, finding the runs through ``run_starts``."""
-    starts = run_starts(labeling)
+    """The segments of ``labeling`` as spans, in transcript order."""
+    starts = labeling.starts
     ends = chain(map(sub, islice(starts, 1, None), repeat(1)), (len(labeling) - 1,))
-    return list(map(SegmentSpan, starts, ends, [labeling.per_line[s][1] for s in starts]))
+    return list(map(SegmentSpan, starts, ends, labeling.run_refs))
 
 
 def boundary_flags(labeling: Labeling) -> list[bool]:
     """``flags[i - 1]`` tells whether a boundary sits at position i, 1 <= i < N."""
-    segs = list(map(_SEGMENT_ID, labeling.per_line))
-    return list(map(ne, islice(segs, 1, None), segs))
-
+    opens = set(islice(labeling.starts, 1, None))
+    return list(map(opens.__contains__, range(1, len(labeling))))

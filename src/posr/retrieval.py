@@ -38,7 +38,6 @@ from .model import (
     RefLabel,
     Transcript,
     Worksheet,
-    run_starts,
     runs_to_labeling,
 )
 from .tokens import token_column, tokenize
@@ -175,10 +174,10 @@ def _segment_query(transcript: Transcript, start: int, stop: int) -> list[str] |
 
 
 def _segments(transcript: Transcript,
-              labeling: Labeling) -> tuple[list[int], list[int], list[list[str] | None]]:
+              labeling: Labeling) -> tuple[Sequence[int], list[int], list[list[str] | None]]:
     """The first line, one past the last line, and the query of each
-    segment of ``labeling``, as three lists in transcript order."""
-    starts = run_starts(labeling)
+    segment of ``labeling``, in transcript order."""
+    starts = labeling.starts
     stops = [*starts[1:], len(transcript)]
     return starts, stops, [_segment_query(transcript, *run) for run in zip(starts, stops)]
 
@@ -240,7 +239,7 @@ def gold_rows(
     for entry in corpus.annotated().entries:
         gold: Labeling = entry.gold  # type: ignore[assignment]
         starts, stops, queries = _segments(entry.transcript, gold)
-        refs = [gold.per_line[start][1] for start in starts]
+        refs = gold.run_refs
         index = worksheet_index(entry.worksheet)
         yield entry, list(zip(starts, stops, refs)), {
             method: [(ref.problem_id, *_best(index, method, q)) for ref, q in zip(refs, queries)]

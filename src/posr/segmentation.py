@@ -16,7 +16,7 @@ from itertools import compress, count, repeat
 
 from .corpus import Corpus
 from .errors import InputError
-from .model import REF_NONE, Labeling, Transcript, run_starts, runs_to_labeling
+from .model import REF_NONE, Labeling, Transcript, runs_to_labeling
 from .tokens import token_column
 
 
@@ -53,7 +53,7 @@ def fit_boundary_words(train: Corpus, k: int) -> tuple[str, ...]:
     counts: Counter[str] = Counter()
     for entry in annotated.entries:
         tokens, starts = token_column(entry.transcript)
-        for i in run_starts(entry.gold):  # type: ignore[arg-type]
+        for i in entry.gold.starts:  # type: ignore[union-attr]
             counts.update(tokens[starts[i]:starts[i + 1]])
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return tuple(w for w, _ in ranked[:k])

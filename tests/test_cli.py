@@ -295,6 +295,18 @@ def test_an_option_the_method_does_not_read_is_a_usage_error(tmp_path, capsys, m
     assert not (tmp_path / "missing").exists()  # no cassette was written
 
 
+@pytest.mark.parametrize("command, method", [("posr", "top10"), ("segment", "top20")])
+def test_a_trained_method_without_train_manifest_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                                  command, method):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    # the manifest is missing too: the absence is refused before any file is read
+    assert main([command, "--manifest", "missing/manifest.json", "--method", method,
+                 "--out", str(out)]) == 2
+    assert one_error_line(capsys) == f"error: --method {method} needs --train-manifest\n"
+    assert list(out.iterdir()) == []
+
+
 def test_run_manifest_records_the_effective_value_of_each_read_option(synthetic_dir, tmp_path):
     m = str(synthetic_dir / "manifest.json")
     runs = {"lexical": ["--method", "texttiling"],
@@ -305,9 +317,9 @@ def test_run_manifest_records_the_effective_value_of_each_read_option(synthetic_
         assert main(["posr", "--manifest", m, *argv, "--out", str(out)]) == 0
         recorded[name] = json.loads((out / "run_manifest.json").read_text())["args"]
     assert {k: recorded["lexical"][k] for k in ("retrieval", "threshold", "model")} == {
-        "retrieval": "jaccard", "threshold": "0.0", "model": "None"}
+        "retrieval": "jaccard", "threshold": 0.0, "model": None}
     assert {k: recorded["llm"][k] for k in ("retrieval", "threshold", "model")} == {
-        "retrieval": "None", "threshold": "None", "model": "default-model"}
+        "retrieval": None, "threshold": None, "model": "default-model"}
 
 
 @pytest.mark.parametrize("command", [

@@ -221,6 +221,19 @@ def test_load_annotation_keeps_raw_line_breaking_characters(tmp_path, char):
                                                  (1, REF_NONE))
 
 
+def test_annotation_with_arbitrary_segment_ids_round_trips(tmp_path):
+    path = tmp_path / "a.jsonl"
+    recs = [(2, -3, "P2"), (0, 7, "P1"), (1, 7, "P1"), (3, 42, "null"), (4, 42, "null")]
+    path.write_text("".join(json.dumps({"line_index": i, "segment_id": seg, "ref": ref}) + "\n"
+                            for i, seg, ref in recs), encoding="utf-8")
+    loaded = load_annotation(path, 5)
+    save_annotation(loaded, tmp_path / "b.jsonl")
+    assert load_annotation(tmp_path / "b.jsonl", 5) == loaded
+    # written as runs, numbered 0, 1, ...
+    assert [json.loads(raw)["segment_id"] for raw in encode_annotation(loaded).splitlines()] == \
+        [0, 0, 1, 2, 2]
+
+
 def test_load_annotation_duplicate_line_names_file_and_line(tmp_path):
     path = tmp_path / "a.jsonl"
     write_lines(path, [

@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +207,40 @@ def test_run_reader_and_writer_equal_per_line_oracle(labeling):
     assert written.refs == labeling.refs
     assert written.per_line == tuple((k, s.ref) for k, s in enumerate(spans)
                                      for _ in range(s.start_line, s.end_line + 1))
+
+
+@st.composite
+def runs(draw):
+    """Runs drawn as ``runs_to_labeling`` takes them (starts ascending from 0,
+    one ref each, some equal to another run's but a distinct object, any
+    n_lines >= 0), and the same runs one (segment id, ref) pair per line
+    under distinct arbitrary ids."""
+    lengths = draw(st.lists(st.integers(1, 6), max_size=12))
+    starts = [sum(lengths[:k]) for k in range(len(lengths))]
+    if not lengths and draw(st.booleans()):
+        starts = [0]  # a start, and no lines to cut
+    refs = draw(st.lists(SPAN_REFS | st.sampled_from("AB").map(RefLabel.problem),
+                         min_size=len(starts), max_size=len(starts)))
+    ids = draw(st.lists(st.integers(-50, 50), min_size=len(lengths), max_size=len(lengths),
+                        unique=True))
+    per_line = tuple((seg, ref) for seg, ref, length in zip(ids, refs, lengths)
+                     for _ in range(length))
+    return starts, refs, sum(lengths), per_line
+
+
+@settings(max_examples=500, deadline=None)
+@given(runs())
+def test_runs_to_labeling_equals_the_labeling_of_its_lines(case):
+    starts, refs, n_lines, per_line = case
+    written = runs_to_labeling(starts, refs, n_lines)
+    read = Labeling(per_line)
+    assert written == read and hash(written) == hash(read)
+    spans = oracle_labeling_to_spans(SimpleNamespace(per_line=per_line))
+    assert labeling_to_spans(written) == spans
+    # the ids are not kept: the segments are numbered 0, 1, ...
+    assert written.per_line == tuple((k, s.ref) for k, s in enumerate(spans)
+                                     for _ in range(s.start_line, s.end_line + 1))
+    assert boundary_flags(written) == [a[0] != b[0] for a, b in zip(per_line, per_line[1:])]
 
 
 def test_runs_to_labeling_of_no_lines():
