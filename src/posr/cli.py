@@ -190,18 +190,20 @@ def cmd_calibrate(args: argparse.Namespace, out: Path) -> None:
 
 
 def _load_prices(path: str | None) -> dict:
-    """The ``--prices`` table: {model: {input_usd_per_1k, output_usd_per_1k}}."""
+    """The ``--prices`` table: {model: {input_usd_per_1k, output_usd_per_1k}},
+    each price a finite number >= 0, not a boolean."""
     if path is None:
         return {}
-    from .llm.client import LLMConfigError
+    from .llm.client import LLMConfigError, _number
 
     prices = read_json(path, LLMConfigError)
     if not isinstance(prices, dict):
         raise LLMConfigError(f"{path}: expected a JSON object mapping models to prices")
     for model, entry in prices.items():
         if not (isinstance(entry, dict)
-                and all(isinstance(entry.get(key), (int, float)) for key in PRICE_KEYS)):
-            raise LLMConfigError(f"{path}: {model!r} needs numeric {' and '.join(PRICE_KEYS)}")
+                and all(_number(entry.get(key)) and entry[key] >= 0 for key in PRICE_KEYS)):
+            raise LLMConfigError(f"{path}: {model!r} needs numeric {' and '.join(PRICE_KEYS)}"
+                                 ", each finite and >= 0")
     return prices
 
 

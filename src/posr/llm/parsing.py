@@ -88,16 +88,17 @@ def _extract_json_array(text: str) -> list:
     raise ParseFailure("no parseable JSON array found")
 
 
+def _is_index(value) -> bool:
+    """A line index is a JSON integer, not a boolean: never 2.9, true or "5"."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_segmentation(text: str, n_lines: int) -> list[SegmentSpan]:
     """Parse the list-of-[first, last] output of the segmentation prompt."""
     value = _extract_json_array(text)
     spans: list[SegmentSpan] = []
     for item in value:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-        ):
+        if not (isinstance(item, list) and len(item) == 2 and all(map(_is_index, item))):
             raise ParseFailure(f"expected [first, last] pair, got {item!r}")
         clamped = clamp_span(item[0], item[1], n_lines)
         if clamped is not None:
@@ -147,11 +148,9 @@ def parse_joint(text: str, n_lines: int, worksheet: Worksheet) -> list[SegmentSp
     for item in value:
         if not isinstance(item, dict):
             raise ParseFailure(f"expected JSON object, got {item!r}")
-        try:
-            start = int(item["start_line_idx"])
-            end = int(item["end_line_idx"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseFailure(f"bad segment object {item!r}") from exc
+        start, end = item.get("start_line_idx"), item.get("end_line_idx")
+        if not (_is_index(start) and _is_index(end)):
+            raise ParseFailure(f"bad segment object {item!r}")
         clamped = clamp_span(start, end, n_lines)
         if clamped is not None:
             spans.append(SegmentSpan(*clamped, _to_ref(item.get("problem_id"), ids)))

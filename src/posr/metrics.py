@@ -37,7 +37,8 @@ class MetricError(InputError):
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Window sizes derived from the reference segmentation."""
+    """Window sizes: k lines for the line windows, delta ms for the time
+    windows. ``derive_window_config`` derives them from the reference."""
 
     k_lines: int
     delta_ms: int
@@ -76,15 +77,6 @@ def derive_window_config(ref: Labeling, transcript: Transcript) -> WindowConfig:
     return _window_config(len(ref), boundary_flags(ref), *_line_times(transcript))
 
 
-def _check_pair(pred: Labeling, ref: Labeling, k: int) -> int:
-    n = len(ref)
-    if len(pred) != n:
-        raise MetricError(f"length mismatch: pred {len(pred)} vs ref {n}")
-    if n <= k:
-        raise MetricError("transcript shorter than window")
-    return n
-
-
 def _window_errors(cp: list[int], cr: list[int]) -> tuple[float, float]:
     """(Pk, WindowDiff) from each window's boundary count in pred and in ref."""
     pk = sum(map(ne, map(bool, cp), map(bool, cr)))
@@ -117,47 +109,6 @@ def _time_window_errors(
     return _window_errors(counts(pred_prefix), counts(ref_prefix))
 
 
-def _line_errors(pred: Labeling, ref: Labeling, k: int) -> tuple[float, float]:
-    _check_pair(pred, ref, k)
-    return _window_errors(_line_counts(_prefix_counts(boundary_flags(pred)), k),
-                          _line_counts(_prefix_counts(boundary_flags(ref)), k))
-
-
-def _time_errors(
-    pred: Labeling, ref: Labeling, transcript: Transcript, delta_ms: int, k: int
-) -> tuple[float, float]:
-    n = _check_pair(pred, ref, k)
-    if len(transcript) != n:
-        raise MetricError("transcript length mismatch")
-    return _time_window_errors(_prefix_counts(boundary_flags(pred)),
-                               _prefix_counts(boundary_flags(ref)),
-                               *_line_times(transcript), delta_ms, k)
-
-
-def window_diff(pred: Labeling, ref: Labeling, k: int) -> float:
-    """Fraction of length-k windows whose boundary counts differ."""
-    return _line_errors(pred, ref, k)[1]
-
-
-def p_k(pred: Labeling, ref: Labeling, k: int) -> float:
-    """Fraction of length-k windows where exactly one labeling has a boundary."""
-    return _line_errors(pred, ref, k)[0]
-
-
-def time_window_diff(
-    pred: Labeling, ref: Labeling, transcript: Transcript, delta_ms: int, k: int
-) -> float:
-    """Duration-windowed WindowDiff; k fixes the summation count N-k."""
-    return _time_errors(pred, ref, transcript, delta_ms, k)[1]
-
-
-def time_p_k(
-    pred: Labeling, ref: Labeling, transcript: Transcript, delta_ms: int, k: int
-) -> float:
-    """Duration-windowed Pk."""
-    return _time_errors(pred, ref, transcript, delta_ms, k)[0]
-
-
 def _ref_matches(pred: Labeling, ref: Labeling) -> list[bool]:
     """Per line, whether the refs are equal, compared by ``_REF_KEY``."""
     return list(map(eq, map(_REF_KEY, pred.refs), map(_REF_KEY, ref.refs)))
@@ -170,33 +121,6 @@ def _time_weighted(matches: list[bool], starts: list[int], ends: list[int]) -> f
     durations = list(map(sub, ends, starts))
     total = sum(durations)
     return sum(compress(durations, matches)) / total if total else None
-
-
-def srs(pred: Labeling, ref: Labeling, transcript: Transcript, weighting: str = "line") -> float:
-    """Weighted fraction of lines whose ref matches the gold ref.
-
-    weighting "line" counts every line equally; "time" weights by line
-    duration. No-ref matches no-ref; off-worksheet matches off-worksheet.
-    """
-    n = len(ref)
-    if len(pred) != n or len(transcript) != n:
-        raise MetricError("length mismatch")
-    if weighting not in ("line", "time"):
-        raise MetricError(f"unknown weighting {weighting!r}")
-    if n == 0:
-        raise MetricError("empty labeling")
-    matches = _ref_matches(pred, ref)
-    if weighting == "line":
-        return sum(matches) / n
-    score = _time_weighted(matches, *_line_times(transcript))
-    if score is None:
-        raise MetricError("total time weight is zero")
-    return score
-
-
-def segment_count_diff(pred: Labeling, ref: Labeling) -> int:
-    """Signed (#predicted segments) - (#reference segments)."""
-    return pred.num_segments() - ref.num_segments()
 
 
 @dataclass(frozen=True)
@@ -235,7 +159,14 @@ def cost_per_100(
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One transcript's metrics; None where a metric has no value."""
+    """One transcript's metrics; None where a metric has no value.
+
+    Pk is the fraction of windows where exactly one labeling has a boundary,
+    WindowDiff the fraction whose boundary counts differ; the time windows
+    are as many as the line windows, N-k. SRS is the share of lines, or of
+    line duration, whose ref equals the gold ref: no-ref matches no-ref and
+    off-worksheet matches off-worksheet. ``seg_count_diff`` is the number
+    of predicted segments minus the number of reference segments."""
 
     pk_line: float | None
     pk_time: float | None
@@ -249,13 +180,17 @@ class EvalReport:
         return asdict(self)
 
 
-def evaluate(pred: Labeling, ref: Labeling, transcript: Transcript) -> EvalReport:
-    """All metrics for one (pred, ref) pair, windows derived from ref. Each
-    labeling's boundaries are found once and shared by every metric. A
-    metric with no value is None: Pk and WindowDiff when the transcript is
-    no longer than the window (or empty), ``srs_time`` when its lines last
-    0 ms in total, and both SRS values when it has no lines. Labelings of
-    the wrong length raise a MetricError that names the transcript."""
+def evaluate(
+    pred: Labeling, ref: Labeling, transcript: Transcript, window: WindowConfig | None = None
+) -> EvalReport:
+    """All metrics for one (pred, ref) pair: the one scoring entry. ``window``
+    sets k and delta; None derives them from ref, as ``derive_window_config``
+    does. Each labeling's boundaries are found once and shared by every
+    metric. A metric with no value is None: Pk and WindowDiff when the
+    transcript is no longer than the window (or empty), ``srs_time`` when
+    its lines last 0 ms in total, and both SRS values when it has no lines.
+    Labelings of the wrong length raise a MetricError that names the
+    transcript."""
     n = len(ref)
     if len(pred) != n or len(transcript) != n:
         raise MetricError(f"transcript {transcript.id}: length mismatch: pred {len(pred)}, "
@@ -266,7 +201,7 @@ def evaluate(pred: Labeling, ref: Labeling, transcript: Transcript) -> EvalRepor
     ref_prefix = _prefix_counts(ref_flags)
     pk_line = wd_line = pk_time = wd_time = None
     if n:
-        cfg = _window_config(n, ref_flags, starts, ends)
+        cfg = window or _window_config(n, ref_flags, starts, ends)
         k = cfg.k_lines
         if n > k:
             pk_line, wd_line = _window_errors(_line_counts(pred_prefix, k),

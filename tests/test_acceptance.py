@@ -23,7 +23,7 @@ from posr.llm import (
     ScriptedClient,
     run_posr_llm,
 )
-from posr.metrics import TokenUsage, cost_per_100, p_k, srs, time_p_k, time_window_diff, window_diff
+from posr.metrics import TokenUsage, WindowConfig, cost_per_100, evaluate
 from posr.model import (
     Labeling,
     Line,
@@ -99,15 +99,14 @@ def test_metric_oracle_equivalence(announce):
         starts = [l.start_ms for l in t.lines]
         ends = [l.end_ms for l in t.lines]
         p, r = seg_ids(pred), seg_ids(ref)
-        assert abs(p_k(pred, ref, k) - oracle_line_metric(p, r, k, True)) <= 1e-9
-        assert abs(window_diff(pred, ref, k) - oracle_line_metric(p, r, k, False)) <= 1e-9
+        report = evaluate(pred, ref, t, WindowConfig(k, delta))
+        assert abs(report.pk_line - oracle_line_metric(p, r, k, True)) <= 1e-9
+        assert abs(report.wd_line - oracle_line_metric(p, r, k, False)) <= 1e-9
         assert abs(
-            time_p_k(pred, ref, t, delta, k)
-            - oracle_time_metric(p, r, starts, ends, delta, k, True)
+            report.pk_time - oracle_time_metric(p, r, starts, ends, delta, k, True)
         ) <= 1e-9
         assert abs(
-            time_window_diff(pred, ref, t, delta, k)
-            - oracle_time_metric(p, r, starts, ends, delta, k, False)
+            report.wd_time - oracle_time_metric(p, r, starts, ends, delta, k, False)
         ) <= 1e-9
     assert time.perf_counter() - started < 30.0
 
@@ -126,8 +125,9 @@ def test_uniform_duration_reduction(announce):
         pred = random_labeling(n, rng)
         ref = random_labeling(n, rng)
         k = rng.randint(1, n - 1)
-        assert abs(time_window_diff(pred, ref, t, k * d, k) - window_diff(pred, ref, k)) <= 1e-9
-        assert abs(time_p_k(pred, ref, t, k * d, k) - p_k(pred, ref, k)) <= 1e-9
+        report = evaluate(pred, ref, t, WindowConfig(k, k * d))
+        assert abs(report.wd_time - report.wd_line) <= 1e-9
+        assert abs(report.pk_time - report.pk_line) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +142,10 @@ def test_srs_correctness(announce):
         t = make_transcript([rng.randint(500, 60_000) for _ in range(n)])
         pred = random_labeling(n, rng)
         ref = random_labeling(n, rng)
-        assert srs(pred, ref, t, "line") == oracle_srs(pred, ref, [1.0] * n)
+        report = evaluate(pred, ref, t)
+        assert report.srs_line == oracle_srs(pred, ref, [1.0] * n)
         weights = [l.duration_ms for l in t.lines]
-        assert srs(pred, ref, t, "time") == pytest.approx(
+        assert report.srs_time == pytest.approx(
             oracle_srs(pred, ref, weights), abs=1e-12
         )
     # perfect prediction identities
@@ -153,10 +154,11 @@ def test_srs_correctness(announce):
         t = make_transcript([rng.randint(500, 60_000) for _ in range(n)])
         ref = random_labeling(n, rng)
         k = rng.randint(1, n - 1)
-        assert srs(ref, ref, t, "line") == 1.0
-        assert srs(ref, ref, t, "time") == 1.0
-        assert p_k(ref, ref, k) == 0.0
-        assert window_diff(ref, ref, k) == 0.0
+        report = evaluate(ref, ref, t, WindowConfig(k, 1000))
+        assert report.srs_line == 1.0
+        assert report.srs_time == 1.0
+        assert report.pk_line == 0.0
+        assert report.wd_line == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +288,7 @@ def test_prompt_round_trip(announce, tmp_path):
     assert joint.labeling.refs == list(gold.refs)
     assert seg_ids(joint.labeling) == seg_ids(gold)
     assert joint.usage.n_requests == 1
-    assert srs(joint.labeling, gold, t, "line") == 1.0
+    assert evaluate(joint.labeling, gold, t).srs_line == 1.0
     replayed = run_posr_llm(CassetteClient(cassette), "m", t, WS, PromptKind.JOINT_POSR)
     assert replayed.labeling == joint.labeling
 
@@ -295,7 +297,7 @@ def test_prompt_round_trip(announce, tmp_path):
     indep = run_posr_llm(client, "m", t, WS, PromptKind.INDEPENDENT_RETRIEVAL)
     assert indep.labeling.refs == list(gold.refs)
     assert len(client.calls) == 1 + 3
-    assert srs(indep.labeling, gold, t, "line") == 1.0
+    assert evaluate(indep.labeling, gold, t).srs_line == 1.0
 
     # segmentation-only: boundaries reproduced, refs all empty
     client = ScriptedClient(responder)
@@ -303,7 +305,7 @@ def test_prompt_round_trip(announce, tmp_path):
     assert seg_ids(seg_only.labeling) == seg_ids(gold)
     assert len(client.calls) == 1
     no_ref_gold = Labeling(tuple((s, REF_NONE) for s in seg_ids(gold)))
-    assert srs(seg_only.labeling, no_ref_gold, t, "line") == 1.0
+    assert evaluate(seg_only.labeling, no_ref_gold, t).srs_line == 1.0
 
 
 # ---------------------------------------------------------------------------

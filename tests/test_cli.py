@@ -218,17 +218,21 @@ def test_segment_and_posr_give_the_same_top10_error(
     ("{not json", "invalid JSON"),
     ("[]", "expected a JSON object"),
     (json.dumps({"m": {"input_usd_per_1k": 0.5}}), "'m' needs numeric"),
+    *(('{"m": {"input_usd_per_1k": %s, "output_usd_per_1k": 1}}' % price, "'m' needs numeric")
+      for price in ("true", "NaN", "Infinity", "-5")),
 ])
 def test_posr_bad_prices_file_is_a_usage_error(synthetic_dir, tmp_path, capsys, text, message):
     prices = tmp_path / "prices.json"
     prices.write_text(text)
+    out = tmp_path / "p"
     rc = main(["posr", "--manifest", str(synthetic_dir / "manifest.json"),
-               "--method", "segment-llm", "--cassette", str(tmp_path / "c.json"),
-               "--prices", str(prices), "--out", str(tmp_path / "p")])
+               "--method", "segment-llm", "--model", "m", "--cassette", str(tmp_path / "c.json"),
+               "--prices", str(prices), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {prices}: ")
     assert message in err
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("method", list(LLM_METHODS))

@@ -39,7 +39,7 @@ from posr.llm import (
 )
 from posr.llm import client as client_module
 from posr.llm.parsing import _extract_json_array, _strip_fences
-from posr.metrics import TokenUsage, srs
+from posr.metrics import TokenUsage, evaluate
 from posr.model import (
     Labeling,
     Line,
@@ -201,6 +201,18 @@ def test_parse_joint_basic():
     assert parse_joint(text, 5, WS)[0].ref == REF_NONE
 
 
+@pytest.mark.parametrize("index", ["2.9", "2.0", "true", '"5"'])
+def test_parsers_take_only_json_integers_as_line_indexes(index):
+    joint = '[{"start_line_idx": 0, "end_line_idx": %s, "problem_id": 3}]' % index
+    with pytest.raises(ParseFailure):
+        parse_joint(joint, 12, WS)
+    with pytest.raises(ParseFailure):
+        parse_segmentation(f"[[0, {index}]]", 12)
+    result = run_posr_llm(ScriptedClient(lambda req: joint), "m", gold_transcript(), WS,
+                          PromptKind.JOINT_POSR)
+    assert result.parse_failed
+
+
 def test_parsers_total_on_garbage():
     for garbage in ("", "{}", "[1, 2", "[[true, false]]", "[{}]", "\x00\xff"):
         for fn in (lambda s: parse_segmentation(s, 5),
@@ -357,7 +369,7 @@ def test_independent_round_trip_call_count():
     assert result.labeling.refs == list(gold.refs)
     assert len(client.calls) == 1 + 3  # one segmentation + one per segment
     t = gold_transcript()
-    assert srs(result.labeling, gold, t, "line") == 1.0
+    assert evaluate(result.labeling, gold, t).srs_line == 1.0
 
 
 def test_segmentation_only_mode():

@@ -3,15 +3,10 @@ import pytest
 from posr.metrics import (
     MetricError,
     TokenUsage,
+    WindowConfig,
     cost_per_100,
     derive_window_config,
     evaluate,
-    p_k,
-    segment_count_diff,
-    srs,
-    time_p_k,
-    time_window_diff,
-    window_diff,
 )
 from posr.model import Labeling, Line, REF_NONE, RefLabel, Transcript
 
@@ -39,23 +34,23 @@ def lab(ids, refs=None):
 def test_identity_scores_zero():
     l = lab([0, 0, 1, 1, 2, 2, 2])
     t = make_transcript([1000] * 7)
-    assert window_diff(l, l, 2) == 0.0
-    assert p_k(l, l, 2) == 0.0
-    assert time_window_diff(l, l, t, 2000, 2) == 0.0
-    assert time_p_k(l, l, t, 2000, 2) == 0.0
+    report = evaluate(l, l, t, WindowConfig(2, 2000))
+    assert report.wd_line == report.pk_line == report.wd_time == report.pk_time == 0.0
 
 
 def test_window_diff_hand_case():
     # ref [0,0,1,1] pred [0,1,1,1], k=1: windows (0,1),(1,2),(2,3)
     # pred boundary {1}, ref boundary {2} -> mismatches at j=0 and j=1
-    assert window_diff(lab([0, 1, 1, 1]), lab([0, 0, 1, 1]), 1) == pytest.approx(2 / 3)
+    report = evaluate(lab([0, 1, 1, 1]), lab([0, 0, 1, 1]), make_transcript([1000] * 4),
+                      WindowConfig(1, 1000))
+    assert report.wd_line == pytest.approx(2 / 3)
 
 
 def test_window_diff_total_disagreement():
     n = 8
     pred = lab([0] * n)
     ref = lab(list(range(n)))
-    assert window_diff(pred, ref, 1) == 1.0
+    assert evaluate(pred, ref, make_transcript([1000] * n), WindowConfig(1, 1000)).wd_line == 1.0
 
 
 def test_pk_vs_window_diff_count_difference():
@@ -63,9 +58,9 @@ def test_pk_vs_window_diff_count_difference():
     # (both present) but mismatches for WindowDiff (counts differ)
     pred = lab([0, 1, 2, 2])
     ref = lab([0, 0, 1, 1])
-    k = 3
-    assert p_k(pred, ref, k) == 0.0
-    assert window_diff(pred, ref, k) == 1.0
+    report = evaluate(pred, ref, make_transcript([1000] * 4), WindowConfig(3, 1000))
+    assert report.pk_line == 0.0
+    assert report.wd_line == 1.0
 
 
 def test_window_metrics_match_oracle(rng):
@@ -74,10 +69,11 @@ def test_window_metrics_match_oracle(rng):
         pred = random_labeling(n, rng)
         ref = random_labeling(n, rng)
         k = rng.randint(1, n - 1)
-        assert window_diff(pred, ref, k) == pytest.approx(
+        report = evaluate(pred, ref, make_transcript([1000] * n), WindowConfig(k, 1000))
+        assert report.wd_line == pytest.approx(
             oracle_line_metric(seg_ids(pred), seg_ids(ref), k, False), abs=1e-12
         )
-        assert p_k(pred, ref, k) == pytest.approx(
+        assert report.pk_line == pytest.approx(
             oracle_line_metric(seg_ids(pred), seg_ids(ref), k, True), abs=1e-12
         )
 
@@ -92,11 +88,12 @@ def test_time_metrics_match_oracle(rng):
         delta = rng.randint(1000, 120000)
         starts = [l.start_ms for l in t.lines]
         ends = [l.end_ms for l in t.lines]
-        assert time_window_diff(pred, ref, t, delta, k) == pytest.approx(
+        report = evaluate(pred, ref, t, WindowConfig(k, delta))
+        assert report.wd_time == pytest.approx(
             oracle_time_metric(seg_ids(pred), seg_ids(ref), starts, ends, delta, k, False),
             abs=1e-12,
         )
-        assert time_p_k(pred, ref, t, delta, k) == pytest.approx(
+        assert report.pk_time == pytest.approx(
             oracle_time_metric(seg_ids(pred), seg_ids(ref), starts, ends, delta, k, True),
             abs=1e-12,
         )
@@ -124,9 +121,10 @@ def test_time_metrics_match_oracle_on_ties(rng):
         delta = rng.choice([500, 1000, 1500, 2500])
         starts = [l.start_ms for l in t.lines]
         ends = [l.end_ms for l in t.lines]
-        assert time_window_diff(pred, ref, t, delta, k) == oracle_time_metric(
+        report = evaluate(pred, ref, t, WindowConfig(k, delta))
+        assert report.wd_time == oracle_time_metric(
             seg_ids(pred), seg_ids(ref), starts, ends, delta, k, False)
-        assert time_p_k(pred, ref, t, delta, k) == oracle_time_metric(
+        assert report.pk_time == oracle_time_metric(
             seg_ids(pred), seg_ids(ref), starts, ends, delta, k, True)
 
 
@@ -158,10 +156,12 @@ def test_window_metrics_match_oracle_dense(rng):
     n = 500
     pred = random_labeling(n, rng, max_seg_len=2)
     ref = random_labeling(n, rng, max_seg_len=2)
+    t = make_transcript([1000] * n)
     for k in (1, 2, 7, 60, n - 1):
-        assert window_diff(pred, ref, k) == oracle_line_metric(
+        report = evaluate(pred, ref, t, WindowConfig(k, 1000))
+        assert report.wd_line == oracle_line_metric(
             seg_ids(pred), seg_ids(ref), k, False)
-        assert p_k(pred, ref, k) == oracle_line_metric(
+        assert report.pk_line == oracle_line_metric(
             seg_ids(pred), seg_ids(ref), k, True)
 
 
@@ -173,12 +173,9 @@ def test_uniform_duration_reduction(rng):
         pred = random_labeling(n, rng)
         ref = random_labeling(n, rng)
         k = rng.randint(1, n - 1)
-        assert time_window_diff(pred, ref, t, k * d, k) == pytest.approx(
-            window_diff(pred, ref, k), abs=1e-12
-        )
-        assert time_p_k(pred, ref, t, k * d, k) == pytest.approx(
-            p_k(pred, ref, k), abs=1e-12
-        )
+        report = evaluate(pred, ref, t, WindowConfig(k, k * d))
+        assert report.wd_time == pytest.approx(report.wd_line, abs=1e-12)
+        assert report.pk_time == pytest.approx(report.pk_line, abs=1e-12)
 
 
 def test_time_wd_amplifies_missed_long_segment():
@@ -190,10 +187,8 @@ def test_time_wd_amplifies_missed_long_segment():
     t = make_transcript(durations)
     ref = lab(ids_ref)
     pred = lab(ids_pred)
-    cfg = derive_window_config(ref, t)
-    wd_time = time_window_diff(pred, ref, t, cfg.delta_ms, cfg.k_lines)
-    wd_line = window_diff(pred, ref, cfg.k_lines)
-    assert wd_time > wd_line
+    report = evaluate(pred, ref, t)
+    assert report.wd_time > report.wd_line
 
 
 def test_time_pk_soft_on_oversegmentation():
@@ -204,32 +199,26 @@ def test_time_pk_soft_on_oversegmentation():
     t = make_transcript(durations)
     ref = lab(ids_ref)
     pred = lab(ids_pred)
-    cfg = derive_window_config(ref, t)
-    assert time_p_k(pred, ref, t, cfg.delta_ms, cfg.k_lines) <= p_k(pred, ref, cfg.k_lines)
-
-
-def test_short_transcript_errors():
-    l = lab([0, 1])
-    with pytest.raises(MetricError):
-        window_diff(l, l, 2)
+    report = evaluate(pred, ref, t)
+    assert report.pk_time <= report.pk_line
 
 
 def test_srs_examples():
     ref = lab([0] * 5 + [1] * 5, {0: A, 1: B})
     pred = lab([0] * 6 + [1] * 4, {0: A, 1: B})
     t = make_transcript([1000] * 10)
-    assert srs(pred, ref, t, "line") == pytest.approx(0.9)
+    assert evaluate(pred, ref, t).srs_line == pytest.approx(0.9)
 
     durations = [1000] * 5 + [91000] + [1000] * 4
     t_weighted = make_transcript(durations)
-    assert srs(pred, ref, t_weighted, "time") == pytest.approx(9 / 100)
+    assert evaluate(pred, ref, t_weighted).srs_time == pytest.approx(9 / 100)
 
 
 def test_srs_perfect_is_one():
     ref = lab([0, 0, 1, 1], {0: A, 1: B})
     t = make_transcript([1000] * 4)
-    assert srs(ref, ref, t, "line") == 1.0
-    assert srs(ref, ref, t, "time") == 1.0
+    report = evaluate(ref, ref, t)
+    assert report.srs_line == report.srs_time == 1.0
 
 
 def test_srs_matches_oracle(rng):
@@ -238,9 +227,10 @@ def test_srs_matches_oracle(rng):
         t = make_transcript([rng.randint(500, 60000) for _ in range(n)])
         pred = random_labeling(n, rng)
         ref = random_labeling(n, rng)
-        assert srs(pred, ref, t, "line") == oracle_srs(pred, ref, [1.0] * n)
+        report = evaluate(pred, ref, t)
+        assert report.srs_line == oracle_srs(pred, ref, [1.0] * n)
         weights = [l.duration_ms for l in t.lines]
-        assert srs(pred, ref, t, "time") == pytest.approx(
+        assert report.srs_time == pytest.approx(
             oracle_srs(pred, ref, weights), abs=1e-12
         )
 
@@ -258,12 +248,10 @@ def test_srs_and_evaluate_match_oracle_on_equal_distinct_refs(rng):
         for pred in (random_labeling(n, rng, ref_pool=fresh_pool), copy):
             assert not any(p is r for p, r in zip(pred.refs, ref.refs))
             line, time = oracle_srs(pred, ref, [1.0] * n), oracle_srs(pred, ref, weights)
-            assert srs(pred, ref, t, "line") == line
-            assert srs(pred, ref, t, "time") == time
-            if derive_window_config(ref, t).k_lines < n:
-                report = evaluate(pred, ref, t)
-                assert (report.srs_line, report.srs_time) == (line, time)
-        assert srs(copy, ref, t, "line") == srs(copy, ref, t, "time") == 1.0
+            report = evaluate(pred, ref, t)
+            assert (report.srs_line, report.srs_time) == (line, time)
+        report = evaluate(copy, ref, t)
+        assert report.srs_line == report.srs_time == 1.0
 
 
 def test_srs_invariant_to_segment_id_relabeling(rng):
@@ -273,21 +261,22 @@ def test_srs_invariant_to_segment_id_relabeling(rng):
         pred = random_labeling(n, rng)
         ref = random_labeling(n, rng)
         shifted = Labeling(tuple((seg + 100, ref_) for seg, ref_ in pred.per_line))
-        assert srs(shifted, ref, t, "line") == srs(pred, ref, t, "line")
+        assert evaluate(shifted, ref, t).srs_line == evaluate(pred, ref, t).srs_line
 
 
 def test_srs_distinguishes_none_from_off_worksheet():
     ref = lab([0, 0], {0: RefLabel("not_in_corpus")})
     pred = lab([0, 0], {0: REF_NONE})
     t = make_transcript([1000] * 2)
-    assert srs(pred, ref, t, "line") == 0.0
-    assert srs(ref, ref, t, "line") == 1.0
+    assert evaluate(pred, ref, t).srs_line == 0.0
+    assert evaluate(ref, ref, t).srs_line == 1.0
 
 
 def test_segment_count_diff():
-    assert segment_count_diff(lab([0, 0, 1]), lab([0, 0, 1])) == 0
-    assert segment_count_diff(lab([0, 1, 2, 3, 4]), lab([0, 0, 1, 1, 2])) == 2
-    assert segment_count_diff(lab([0, 0, 0]), lab([0, 1, 2])) == -2
+    for pred, ref, diff in (([0, 0, 1], [0, 0, 1], 0), ([0, 1, 2, 3, 4], [0, 0, 1, 1, 2], 2),
+                            ([0, 0, 0], [0, 1, 2], -2)):
+        t = make_transcript([1000] * len(ref))
+        assert evaluate(lab(pred), lab(ref), t).seg_count_diff == diff
 
 
 PRICES = {"m": {"input_usd_per_1k": 0.01, "output_usd_per_1k": 0.03}}
@@ -328,15 +317,17 @@ def test_evaluate_gives_none_for_a_metric_without_a_value(durations, ids, none):
     report = evaluate(ref, ref, t).as_row()
     assert {name for name, value in report.items() if value is None} == none
     assert report["seg_count_diff"] == 0
-    # the single metrics still raise where evaluate leaves a metric out
-    single = {"pk_line": lambda: p_k(ref, ref, 1), "wd_line": lambda: window_diff(ref, ref, 1),
-              "pk_time": lambda: time_p_k(ref, ref, t, 1, 1),
-              "wd_time": lambda: time_window_diff(ref, ref, t, 1, 1),
-              "srs_line": lambda: srs(ref, ref, t, "line"),
-              "srs_time": lambda: srs(ref, ref, t, "time")}
-    for name in none:
-        with pytest.raises(MetricError):
-            single[name]()
+
+
+def test_evaluate_default_window_is_the_derived_window(rng):
+    for i in range(200):
+        n = 1 if i % 4 == 0 else rng.randint(2, 40)
+        durations = [0] * n if i % 3 == 0 else [rng.choice([0, 500, 1000, 60000])
+                                                for _ in range(n)]
+        t = make_transcript(durations)
+        pred = random_labeling(n, rng)
+        ref = random_labeling(n, rng)
+        assert evaluate(pred, ref, t) == evaluate(pred, ref, t, derive_window_config(ref, t))
 
 
 def test_evaluate_bounds(rng):
