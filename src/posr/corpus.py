@@ -17,9 +17,9 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import attrgetter, ge, itemgetter
+from operator import ge, itemgetter
 from pathlib import Path
-from typing import Iterator, NoReturn
+from typing import Callable, Iterator, TypeVar
 
 from .errors import InputError
 from .model import (
@@ -31,6 +31,9 @@ from .model import (
     Transcript,
     Worksheet,
 )
+
+
+_Rows = TypeVar("_Rows")
 
 
 class CorpusError(InputError):
@@ -81,9 +84,10 @@ def _read_text(path: str | Path, error: type[InputError] = CorpusError) -> str:
 
 def read_json(path: str | Path, error: type[InputError] = CorpusError):
     """The JSON document in a UTF-8 file; unreadable or invalid is an ``error``."""
+    text = _read_text(path, error)
     try:
-        return json.loads(_read_text(path, error))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -115,7 +119,7 @@ def _decode_line(raw: str):
 _TRANSCRIPT = (("index", (int,)), ("speaker", (str,)), ("utterance", (str,)),
                ("start_ms", (int,)), ("end_ms", (int,)))
 _ANNOTATION = (("line_index", (int,)), ("segment_id", (int,)), ("ref", (str, int)))
-_WORKSHEET = (("id", (str, int)),)
+_WORKSHEET = (("id", (str, int)), ("problems", (list,)))
 _PROBLEM = (("id", (str, int)), ("text", (str,)))
 # a manifest's fields, in CorpusManifest's order
 _MANIFEST = (("transcripts", (list,)), ("worksheets", (dict,)),
@@ -131,6 +135,16 @@ def _field(rec, key: str, types: tuple[type, ...]):
         return value
     kinds = " or ".join(map(_TYPE_NAMES.__getitem__, types))
     raise TypeError(f"{key} must be {kinds}, not {type(value).__name__}")
+
+
+def _object_fields(path: Path, doc: dict, table: tuple, kind: str) -> list:
+    """The fields of ``table`` in ``doc``, an object in a ``kind`` file."""
+    try:
+        return [_field(doc, key, types) for key, types in table]
+    except KeyError as exc:
+        raise CorpusError(f"{path}: missing field {exc.args[0]}") from exc
+    except TypeError as exc:
+        raise CorpusError(f"{path}: malformed {kind}: {exc}") from exc
 
 
 def _records(text: str, table: tuple) -> Iterator[tuple]:
@@ -157,34 +171,33 @@ def _typed(table: tuple, columns) -> bool:
                for (_, types), column in zip(table, columns))
 
 
-def _transcript_lines(text: str) -> tuple[Line, ...] | None:
-    """The Lines of transcript ``text``, or None when a record is malformed
-    or ends before it starts."""
+def _read_records(path: Path, text: str, table: tuple, make: Callable[[Iterator[tuple]], _Rows],
+                  columns_ok: Callable[[tuple[tuple, ...]], bool],
+                  check: Callable[..., object]) -> tuple[_Rows, tuple[tuple, ...]]:
+    """The rows that ``make`` builds from the field tuples (in ``table``
+    order) of JSONL ``text``'s records, and the file's columns, one tuple per
+    field. One column pass checks the whole file: the field types, then
+    ``columns_ok(columns)``. Only when it rejects the file does a line loop
+    find the first bad line, where ``check(*fields)`` raises the
+    ``ModelError`` of a record that breaks ``columns_ok``. The error names
+    the file and the line."""
     try:
-        # Line._make without its length check, all in C: the table gives 5
-        # fields, and each record's field tuple is freed once its Line is made
-        lines = tuple(map(tuple.__new__, repeat(Line), _records(text, _TRANSCRIPT)))
+        rows = make(_records(text, table))
     except (ValueError, KeyError, TypeError):
-        return None
-    if not (_typed(_TRANSCRIPT, _columns(_TRANSCRIPT, lines))
-            and all(map(ge, map(attrgetter("end_ms"), lines),
-                        map(attrgetter("start_ms"), lines)))):
-        return None
-    return lines
-
-
-def _raise_bad_transcript_line(path: Path, text: str) -> NoReturn:
-    """Raise the CorpusError for the first line of ``text`` that
-    ``_transcript_lines`` rejects."""
+        pass
+    else:
+        columns = tuple(map(tuple, _columns(table, rows)))
+        if _typed(table, columns) and columns_ok(columns):
+            return rows, columns
     for lineno, raw in enumerate(text.split("\n"), 1):
         if not raw.strip():
             continue
         try:
             rec = _decode_line(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         try:
-            Line(*(_field(rec, key, types) for key, types in _TRANSCRIPT))
+            check(*(_field(rec, key, types) for key, types in table))
         except KeyError as exc:
             raise CorpusError(f"{path}:{lineno}: missing field {exc.args[0]}") from exc
         except ModelError as exc:
@@ -195,12 +208,21 @@ def _raise_bad_transcript_line(path: Path, text: str) -> NoReturn:
     raise AssertionError(f"{path}: the column check and the line check disagree")
 
 
+def _lines(records: Iterator[tuple]) -> tuple[Line, ...]:
+    # Line._make without its length check, all in C: the table gives 5
+    # fields, and each record's field tuple is freed once its Line is made
+    return tuple(map(tuple.__new__, repeat(Line), records))
+
+
+def _ends_after_starts(columns: tuple[tuple, ...]) -> bool:
+    _, _, _, start_ms, end_ms = columns
+    return all(map(ge, end_ms, start_ms))
+
+
 def load_transcript(path: str | Path) -> Transcript:
     path = Path(path)
-    text = _read_text(path)
-    lines = _transcript_lines(text)
-    if lines is None:
-        _raise_bad_transcript_line(path, text)
+    lines, _ = _read_records(path, _read_text(path), _TRANSCRIPT, _lines, _ends_after_starts,
+                             Line)
     try:
         return Transcript(id=path.stem, lines=lines)
     except ModelError as exc:
@@ -216,14 +238,17 @@ def save_transcript(transcript: Transcript, path: str | Path) -> None:
 def load_worksheet(path: str | Path) -> Worksheet:
     path = Path(path)
     doc = read_json(path)
+    if type(doc) is not dict:
+        raise CorpusError(f"{path}: a worksheet is a JSON object")
+    worksheet_id, problems = _object_fields(path, doc, _WORKSHEET, "worksheet")
+    for p in problems:
+        if type(p) is not dict:
+            raise CorpusError(f"{path}: malformed worksheet: each problem must be an object, "
+                              f"not {type(p).__name__}")
     try:
         # str() gives an integer id as its digits and a string as it is
-        problems = tuple(Problem(*(str(_field(p, key, types)) for key, types in _PROBLEM))
-                         for p in doc["problems"])
-        (worksheet_id,) = (str(_field(doc, key, types)) for key, types in _WORKSHEET)
-        return Worksheet(worksheet_id, problems)
-    except (KeyError, TypeError) as exc:
-        raise CorpusError(f"{path}: malformed worksheet: {exc}") from exc
+        return Worksheet(str(worksheet_id), tuple(
+            Problem(*map(str, _object_fields(path, p, _PROBLEM, "worksheet"))) for p in problems))
     except ModelError as exc:
         raise CorpusError(f"{path}: {exc}") from exc
 
@@ -236,45 +261,25 @@ def save_worksheet(worksheet: Worksheet, path: str | Path) -> None:
 _SECOND = itemgetter(1)
 
 
-def _annotation_columns(text: str) -> tuple[tuple, ...] | None:
-    """The line indexes, segment ids and raw refs of annotation ``text``, or
-    None when a record is malformed or a line index repeats."""
-    try:
-        rows = list(_records(text, _ANNOTATION))
-    except (ValueError, KeyError, TypeError):
-        return None
-    columns = tuple(map(tuple, _columns(_ANNOTATION, rows)))
-    line_index = columns[0]
-    if not (_typed(_ANNOTATION, columns) and len(set(line_index)) == len(line_index)):
-        return None
-    return columns
+def _unique_line_indexes(columns: tuple[tuple, ...]) -> bool:
+    return len(set(columns[0])) == len(columns[0])
 
 
-def _raise_bad_annotation_line(path: Path, text: str) -> NoReturn:
-    """Raise the CorpusError for the first line of ``text`` that
-    ``_annotation_columns`` rejects."""
+def _no_repeated_line_index() -> Callable[..., None]:
+    """A per-record check that raises on a line index seen before."""
     seen: set[int] = set()
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        if not raw.strip():
-            continue
-        try:
-            rec = _decode_line(raw)
-            line_index, _, _ = (_field(rec, key, types) for key, types in _ANNOTATION)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+
+    def check(line_index: int, segment_id: int, ref: str | int) -> None:
         if line_index in seen:
-            raise CorpusError(f"{path}:{lineno}: duplicate line_index {line_index}")
+            raise ModelError(f"duplicate line_index {line_index}")
         seen.add(line_index)
-    raise AssertionError(f"{path}: the column check and the line check disagree")
+    return check
 
 
 def load_annotation(path: str | Path, n_lines: int) -> Labeling:
     path = Path(path)
-    text = _read_text(path)
-    columns = _annotation_columns(text)
-    if columns is None:
-        _raise_bad_annotation_line(path, text)
-    line_index, segment_id, raw_ref = columns
+    _, (line_index, segment_id, raw_ref) = _read_records(
+        path, _read_text(path), _ANNOTATION, list, _unique_line_indexes, _no_repeated_line_index())
     in_order = list(range(n_lines))
     if sorted(line_index) != in_order:
         raise CorpusError(f"{path}: annotation does not cover lines 0..{n_lines - 1}")
@@ -315,13 +320,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     if not isinstance(doc, dict):
         raise CorpusError(f"{path}: a manifest is a JSON object")
     doc = {"annotations": None, "split": "test", **doc}  # the two optional fields
-    try:
-        manifest = CorpusManifest(*(_field(doc, key, types) for key, types in _MANIFEST),
-                                  root=path.parent)
-    except KeyError as exc:
-        raise CorpusError(f"{path}: missing field {exc.args[0]}") from exc
-    except TypeError as exc:
-        raise CorpusError(f"{path}: malformed manifest: {exc}") from exc
+    manifest = CorpusManifest(*_object_fields(path, doc, _MANIFEST, "manifest"), root=path.parent)
     # the transcript ids, the keys of JSON objects, are strings already
     files = [*manifest.transcripts, *manifest.worksheets.values(),
              *(manifest.annotations or {}).values()]
@@ -332,6 +331,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         tid = Path(tpath).stem
         if tid in ids:
             raise CorpusError(f"{path}: transcripts {ids[tid]} and {tpath} both have id {tid!r}")
+        if tid not in manifest.worksheets:
+            raise CorpusError(f"{path}: no worksheet mapped for transcript {tid}")
         ids[tid] = tpath
     if manifest.annotations:
         missing = manifest.annotations.keys() - ids.keys()
@@ -345,9 +346,7 @@ def load_corpus(manifest: CorpusManifest) -> Corpus:
     worksheet_cache: dict[str, Worksheet] = {}
     for tpath in manifest.transcripts:
         transcript = load_transcript(manifest.root / tpath)
-        wpath = manifest.worksheets.get(transcript.id)
-        if wpath is None:
-            raise CorpusError(f"no worksheet mapped for transcript {transcript.id}")
+        wpath = manifest.worksheets[transcript.id]
         if wpath not in worksheet_cache:
             worksheet_cache[wpath] = load_worksheet(manifest.root / wpath)
         gold = None

@@ -26,7 +26,7 @@ def _load_template(name: str) -> str:
     return ref.read_text(encoding="utf-8").rstrip("\n")
 
 
-def render_transcript_lines(transcript: Transcript) -> str:
+def render_numbered_lines(transcript: Transcript) -> str:
     return "\n".join(f"{l.index} {l.speaker}: {l.utterance}" for l in transcript.lines)
 
 
@@ -62,7 +62,7 @@ def build_prompt(
     if any(value is None for value in required.values()):
         raise ValueError(f"{kind.value} prompt requires {', '.join(required)}")
     lines = (render_segment_lines(transcript, *segment) if retrieval  # type: ignore[misc]
-             else render_transcript_lines(transcript))
+             else render_numbered_lines(transcript))
     # {transcript} first: a "{problems}" inside the transcript is filled too
     user = _load_template(f"{kind.value}.user.txt").replace("{transcript}", lines)
     if with_problems:

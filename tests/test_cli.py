@@ -139,6 +139,31 @@ def one_error_line(capsys) -> str:
     return err
 
 
+def test_unmapped_transcript_fails_at_the_manifest(synthetic_dir, capsys):
+    manifest = synthetic_dir / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    del doc["worksheets"]["synthetic-7-002"]
+    manifest.write_text(json.dumps(doc))
+    for tpath in doc["transcripts"]:  # the manifest is rejected before any is read
+        (synthetic_dir / tpath).unlink()
+    assert main(["stats", "--manifest", str(manifest)]) == 2
+    assert one_error_line(capsys) == (
+        f"error: {manifest}: no worksheet mapped for transcript synthetic-7-002\n")
+
+
+def test_annotation_record_without_line_index_is_a_usage_error(synthetic_dir, tmp_path, capsys):
+    path = synthetic_dir / "synthetic-7-001.labels.jsonl"
+    records = path.read_text().splitlines(keepends=True)
+    records[3] = json.dumps({k: v for k, v in json.loads(records[3]).items()
+                             if k != "line_index"}) + "\n"
+    path.write_text("".join(records))
+    out = tmp_path / "p"
+    assert main(["posr", "--manifest", str(synthetic_dir / "manifest.json"),
+                 "--method", "texttiling", "--out", str(out)]) == 2
+    assert one_error_line(capsys) == f"error: {path}:4: missing field line_index\n"
+    assert not (out / "run_manifest.json").exists()
+
+
 @pytest.mark.parametrize("damage", ["missing", "not utf-8"])
 @pytest.mark.parametrize("kind", ["manifest", "transcript", "worksheet", "annotation"])
 def test_unreadable_corpus_file_is_a_usage_error(synthetic_dir, capsys, kind, damage):

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -148,6 +149,7 @@ def test_load_transcript_mistyped_record_names_file_and_line(tmp_path, bad):
     '{"transcripts": [5], "worksheets": {}}',
     '{"transcripts": ["a.jsonl"], "worksheets": {"a": 5}}',
     '{"transcripts": ["a.jsonl"], "worksheets": {"a": "w.json"}, "annotations": {"a": null}}',
+    '{"transcripts": ["a.jsonl"], "worksheets": {}}',
     '["a.jsonl"]',
     '{"transcripts": ["a.jsonl"], ',
     "",
@@ -305,7 +307,7 @@ def test_integer_fields_must_be_json_integers(tmp_path, record, key, kinds, type
     elif record == "annotation":
         path = tmp_path / "a.jsonl"
         write_lines(path, [{"line_index": 0, "segment_id": 0, "ref": "null", key: value}])
-        load, want = lambda: load_annotation(path, 1), f"{path}:1: {wrong}"
+        load, want = lambda: load_annotation(path, 1), f"{path}:1: malformed record: {wrong}"
     else:
         doc = {"id": "w", "problems": [{"id": "P1", "text": "a"}]}
         (doc if record == "worksheet" else doc["problems"][0])[key] = value
@@ -327,7 +329,7 @@ def test_the_first_mistyped_field_in_check_order_is_named(tmp_path):
     write_lines(path, [{"ref": None, "segment_id": True, "line_index": 0}])
     with pytest.raises(CorpusError) as info:
         load_annotation(path, 1)
-    assert str(info.value) == f"{path}:1: segment_id must be an integer, not bool"
+    assert str(info.value) == f"{path}:1: malformed record: segment_id must be an integer, not bool"
 
 
 def test_load_annotation_integer_ref_is_a_problem_id(tmp_path):
@@ -350,6 +352,79 @@ def test_load_worksheet_mistyped_field_names_file(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(CorpusError, match=at(path) + " malformed worksheet"):
         load_worksheet(path)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1], "a worksheet is a JSON object"),
+    ({"id": "w"}, "missing field problems"),
+    ({"problems": [{"id": "P1", "text": "a"}]}, "missing field id"),
+    ({"id": "w", "problems": "abc"}, "malformed worksheet: problems must be a list, not str"),
+    ({"id": "w", "problems": {"id": "P1"}}, "malformed worksheet: problems must be a list, not dict"),
+    ({"id": "w", "problems": 3}, "malformed worksheet: problems must be a list, not int"),
+    ({"id": "w", "problems": [{"id": "P1", "text": "a"}, ["P2", "b"]]},
+     "malformed worksheet: each problem must be an object, not list"),
+    ({"id": "w", "problems": [{"id": "P1"}]}, "missing field text"),
+])
+def test_load_worksheet_malformed_structure_names_file(tmp_path, doc, message):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorpusError) as info:
+        load_worksheet(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+# one malformation each: the bad line's text made from a good record and the
+# name of its first field, and the error text after "path:line: "
+MALFORMATIONS = [
+    pytest.param(lambda rec, first: json.dumps({k: v for k, v in rec.items() if k != first}),
+                 "missing field {first}", id="missing-field"),
+    pytest.param(lambda rec, first: json.dumps(rec)[:-1] + ",",
+                 "invalid JSON: Expecting property name enclosed in double quotes: "
+                 "line 1 column {end} (char {end_char})", id="invalid-json"),
+    pytest.param(lambda rec, first: json.dumps(list(rec.values())),
+                 "malformed record: list indices must be integers or slices, not str",
+                 id="not-an-object"),
+    pytest.param(lambda rec, first: json.dumps({**rec, first: str(rec[first])}),
+                 "malformed record: {first} must be an integer, not str", id="mistyped-field"),
+]
+
+
+@pytest.mark.parametrize("blank_lines", [0, 2])
+@pytest.mark.parametrize("damage, message", MALFORMATIONS)
+def test_transcript_and_annotation_word_one_malformation_alike(tmp_path, damage, message,
+                                                               blank_lines):
+    for name, first, good, load in [
+            ("t.jsonl", "index", GOOD_LINE, load_transcript),
+            ("a.jsonl", "line_index", {"line_index": 0, "segment_id": 0, "ref": "null"},
+             lambda path: load_annotation(path, 2))]:
+        path = tmp_path / name
+        bad = damage(good, first)
+        path.write_text(json.dumps(good) + "\n" + " \n" * blank_lines + bad + "\n")
+        with pytest.raises(CorpusError) as info:
+            load(path)
+        want = message.format(first=first, end=len(bad) + 1, end_char=len(bad))
+        assert str(info.value) == f"{path}:{2 + blank_lines}: {want}"
+
+
+LONG_INT = "1" + "0" * 5000  # past Python's limit on the digits int() converts
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int digits")
+@pytest.mark.parametrize("name, text, load", [
+    ("t.jsonl", f'{{"index": {LONG_INT}, "speaker": "a", "utterance": "b", "start_ms": 0, '
+                f'"end_ms": 1}}', load_transcript),
+    ("a.jsonl", f'{{"line_index": {LONG_INT}, "segment_id": 0, "ref": "null"}}',
+     lambda path: load_annotation(path, 1)),
+    ("w.json", f'{{"id": {LONG_INT}, "problems": []}}', load_worksheet),
+    ("m.json", f'{{"transcripts": [], "worksheets": {{}}, "split": {LONG_INT}}}', load_manifest),
+], ids=["transcript", "annotation", "worksheet", "manifest"])
+def test_an_integer_json_cannot_convert_is_invalid_json(tmp_path, name, text, load):
+    path = tmp_path / name
+    path.write_text(text + "\n")
+    where = f"{path}:1:" if name.endswith(".jsonl") else f"{path}:"
+    with pytest.raises(CorpusError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{where} invalid JSON: ")
 
 
 JSON_VALUES = st.recursive(
@@ -487,12 +562,17 @@ def reference_load_annotation(path, n_lines):
             continue
         try:
             rec = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        try:
             line_index = reference_int(rec, "line_index")
             segment_id = reference_int(rec, "segment_id")
             raw_ref = reference_id(rec, "ref")
             ref = refs.setdefault(raw_ref, RefLabel.deserialize(raw_ref))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        except KeyError as exc:
+            raise CorpusError(f"{path}:{lineno}: missing field {exc.args[0]}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
         if line_index in records:
             raise CorpusError(f"{path}:{lineno}: duplicate line_index {line_index}")
         records[line_index] = (segment_id, ref)
