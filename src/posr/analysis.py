@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .corpus import Corpus
 from .errors import InputError
-from .model import labeling_to_spans
+from .model import Labeling
 from .tokens import bigrams, token_column
 
 
@@ -131,17 +131,20 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def talk_time(corpus: Corpus) -> TalkTimeTable:
-    """Sum line durations per (worksheet problem, transcript).
+    """Sum line durations per (worksheet problem, transcript) over the gold
+    segments, one line at a time: a per-segment sum would round differently.
 
     Problems never discussed are absent from the table.
     """
     per_cell: dict[tuple[str, str], float] = {}
     for entry in corpus.annotated().entries:
-        for line, ref in zip(entry.transcript.lines, entry.gold.refs):  # type: ignore[union-attr]
+        gold: Labeling = entry.gold  # type: ignore[assignment]
+        for start, stop, ref in zip(gold.starts, gold.stops(), gold.run_refs):
             if ref.kind != "problem":
                 continue
             key = (ref.problem_id, entry.transcript.id)  # type: ignore[arg-type]
-            per_cell[key] = per_cell.get(key, 0.0) + line.duration_ms / 1000
+            for line in entry.transcript.lines[start:stop]:
+                per_cell[key] = per_cell.get(key, 0.0) + line.duration_ms / 1000
     by_problem: dict[str, list[float]] = {}
     for (pid, _tid), secs in per_cell.items():
         by_problem.setdefault(pid, []).append(secs)
@@ -173,20 +176,20 @@ def quartile_language_compare(corpus: Corpus, problem_id: str) -> list[tuple[str
         line_bigrams = [bigrams(tokens[a:b]) for a, b in zip(starts, starts[1:])]
         for grams in line_bigrams:
             prior.update(grams)
-        for span in labeling_to_spans(entry.gold):  # type: ignore[arg-type]
-            if span.ref.kind != "problem" or span.ref.problem_id != problem_id:
+        gold: Labeling = entry.gold  # type: ignore[assignment]
+        for start, stop, ref in zip(gold.starts, gold.stops(), gold.run_refs):
+            if ref.kind != "problem" or ref.problem_id != problem_id:
                 continue
-            lines = entry.transcript.lines[span.start_line : span.end_line + 1]
-            duration = sum(l.duration_ms for l in lines) / 1000
-            segments.append((duration, line_bigrams[span.start_line : span.end_line + 1]))
+            duration = sum(l.duration_ms for l in entry.transcript.lines[start:stop]) / 1000
+            segments.append((duration, line_bigrams[start:stop]))
     if len(segments) < 4:
         raise AnalysisError(
             f"problem {problem_id}: {len(segments)} segments, need at least 4"
         )
     durations = [d for d, _ in segments]
     q1, _, q3 = _quartiles(durations)
-    counts_long = Counter(gram for d, per_line in segments if d >= q3
-                          for grams in per_line for gram in grams)
-    counts_short = Counter(gram for d, per_line in segments if d <= q1
-                           for grams in per_line for gram in grams)
+    counts_long = Counter(gram for d, line_grams in segments if d >= q3
+                          for grams in line_grams for gram in grams)
+    counts_short = Counter(gram for d, line_grams in segments if d <= q1
+                           for grams in line_grams for gram in grams)
     return log_odds(counts_long, counts_short, prior, alpha0=_ALPHA0_SCALE * prior.total())

@@ -10,6 +10,7 @@ the same seed and cassette are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import logging
@@ -382,12 +383,16 @@ def main(argv: list[str] | None = None) -> int:
     # worksheet indexes and token columns are built once per command, never outliving it
     clear_indexes()
     token_column.cache_clear()
+    made_out = bool(args.out) and not Path(args.out).exists()
     try:
         out = _out_dir(args.out) if args.out else None
         args.func(args, out)
     except InputError as exc:
         # input that cannot be used as written: a usage error, not a traceback
         print(f"error: {exc}", file=sys.stderr)
+        if made_out:  # a refused run leaves no --out it made, unless it wrote there
+            with contextlib.suppress(OSError):
+                Path(args.out).rmdir()
         return 2
     finally:
         clear_indexes()

@@ -30,6 +30,8 @@ from .model import (
     RefLabel,
     Transcript,
     Worksheet,
+    columns_to_labeling,
+    runs_to_labeling,
 )
 
 
@@ -258,9 +260,6 @@ def save_worksheet(worksheet: Worksheet, path: str | Path) -> None:
                      "problems": [{"id": p.id, "text": p.text} for p in worksheet.problems]})
 
 
-_SECOND = itemgetter(1)
-
-
 def _unique_line_indexes(columns: tuple[tuple, ...]) -> bool:
     return len(set(columns[0])) == len(columns[0])
 
@@ -283,13 +282,11 @@ def load_annotation(path: str | Path, n_lines: int) -> Labeling:
     in_order = list(range(n_lines))
     if sorted(line_index) != in_order:
         raise CorpusError(f"{path}: annotation does not cover lines 0..{n_lines - 1}")
+    if list(line_index) != in_order:  # the indexes are unique: the sort compares only them
+        _, segment_id, raw_ref = zip(*sorted(zip(line_index, segment_id, raw_ref)))
     refs = {raw: RefLabel.deserialize(raw) for raw in set(map(str, raw_ref))}
-    per_line = zip(segment_id, map(refs.__getitem__, map(str, raw_ref)))
-    if list(line_index) != in_order:
-        # each index is unique, so the sort never compares the pairs
-        per_line = map(_SECOND, sorted(zip(line_index, per_line)))
     try:
-        return Labeling(tuple(per_line))
+        return columns_to_labeling(segment_id, list(map(refs.__getitem__, map(str, raw_ref))))
     except ModelError as exc:
         raise CorpusError(f"{path}: {exc}") from exc
 
@@ -297,16 +294,14 @@ def load_annotation(path: str | Path, n_lines: int) -> Labeling:
 def encode_annotation(labeling: Labeling) -> str:
     """The annotation JSONL of ``labeling``: one ``{"line_index", "segment_id",
     "ref"}`` record per line, each ending in a newline, with the bytes of
-    ``json.dumps`` on the record. Segment ids are ints; ``json.dumps`` runs
-    once per distinct ref, not once per line."""
-    refs: dict[str, str] = {}
+    ``json.dumps`` on the record. The segments are numbered 0, 1, ...;
+    ``json.dumps`` runs once per segment, not once per line."""
     records = []
-    for i, (seg, ref) in enumerate(labeling.per_line):
-        raw_ref = ref.serialize()
-        ref_json = refs.get(raw_ref)
-        if ref_json is None:
-            ref_json = refs[raw_ref] = json.dumps(raw_ref)
-        records.append(f'{{"line_index": {i}, "segment_id": {seg}, "ref": {ref_json}}}\n')
+    runs = zip(labeling.starts, labeling.stops(), labeling.run_refs)
+    for seg, (start, stop, ref) in enumerate(runs):
+        ref_json = json.dumps(ref.serialize())
+        records.extend(f'{{"line_index": {i}, "segment_id": {seg}, "ref": {ref_json}}}\n'
+                       for i in range(start, stop))
     return "".join(records)
 
 
@@ -423,11 +418,12 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
     for t in range(spec.n_transcripts):
         n_segments = rng.randint(*spec.segments_per_transcript)
         lines: list[Line] = []
-        per_line: list[tuple[int, RefLabel]] = []
+        starts: list[int] = []
+        refs: list[RefLabel] = []
         clock = 0
         problem_order = list(range(spec.n_problems))
         rng.shuffle(problem_order)
-        for s in range(n_segments):
+        for _ in range(n_segments):
             if rng.random() < spec.informal_prob or not problem_order:
                 ref = RefLabel("none")
                 base_vocab = chatter_vocab
@@ -435,8 +431,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
                 p = problem_order.pop()
                 ref = RefLabel.problem(problems[p].id)
                 base_vocab = problems[p].text.split()
-            n_lines = rng.randint(*spec.lines_per_segment)
-            for _ in range(n_lines):
+            starts.append(len(lines))
+            refs.append(ref)
+            for _ in range(rng.randint(*spec.lines_per_segment)):
                 n_tokens = rng.randint(*TOKENS_PER_LINE)
                 toks = [
                     rng.choice(shared_vocab)
@@ -455,10 +452,10 @@ def generate_synthetic(spec: SyntheticSpec) -> Corpus:
                         end_ms=clock + duration,
                     )
                 )
-                per_line.append((s, ref))
                 clock += duration
         transcript = Transcript(id=f"synthetic-{spec.seed}-{t:03d}", lines=tuple(lines))
-        entries.append(CorpusEntry(transcript, worksheet, Labeling(tuple(per_line))))
+        gold = runs_to_labeling(starts, refs, len(lines))
+        entries.append(CorpusEntry(transcript, worksheet, gold))
     return Corpus(tuple(entries), split="train")
 
 

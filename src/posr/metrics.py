@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, attrgetter, eq, ne, sub
 
 from .errors import InputError
-from .model import Labeling, Transcript, boundary_flags
+from .model import Labeling, Transcript
 
 # the fields the generated RefLabel.__eq__ compares, as one tuple
 _REF_KEY = attrgetter("kind", "problem_id")
@@ -44,29 +44,11 @@ class WindowConfig:
     delta_ms: int
 
 
-def _prefix_counts(flags: list[bool]) -> list[int]:
-    """``P[x]``, the number of boundaries at positions below x, for 0 <= x <= N
-    (N >= 1)."""
-    return [0, *accumulate(flags, initial=0)]
-
-
-def _line_times(transcript: Transcript) -> tuple[list[int], list[int]]:
-    lines = transcript.lines
-    return list(map(_START_MS, lines)), list(map(_END_MS, lines))
-
-
-def _window_config(
-    n: int, ref_flags: list[bool], starts: list[int], ends: list[int]
-) -> WindowConfig:
-    """``derive_window_config`` from the reference's ``boundary_flags``."""
-    if n == 0:
-        raise MetricError("empty reference labeling")
-    n_segments = sum(ref_flags) + 1
-    k = max(1, int(n / n_segments / 2 + 0.5))
-    # a segment runs from the start of its first line to the end of its last
-    total_ms = (sum(compress(ends, [*ref_flags, True]))
-                - sum(compress(starts, [True, *ref_flags])))
-    return WindowConfig(k_lines=k, delta_ms=max(1, int(total_ms / n_segments / 2)))
+def _prefix_counts(labeling: Labeling) -> list[int]:
+    """``P[x]``, the number of boundaries at positions below x, for 0 <= x <= N:
+    k for each x in (starts[k], stops[k]], past the k boundaries at starts[1..k]."""
+    lengths = map(sub, labeling.stops(), labeling.starts)
+    return [0, *chain.from_iterable(map(repeat, count(), lengths))]
 
 
 def derive_window_config(ref: Labeling, transcript: Transcript) -> WindowConfig:
@@ -74,7 +56,15 @@ def derive_window_config(ref: Labeling, transcript: Transcript) -> WindowConfig:
     delta = half the mean reference segment duration."""
     if len(transcript) != len(ref):
         raise MetricError("transcript length mismatch")
-    return _window_config(len(ref), boundary_flags(ref), *_line_times(transcript))
+    n_segments = ref.num_segments()
+    if n_segments == 0:
+        raise MetricError("empty reference labeling")
+    k = max(1, int(len(ref) / n_segments / 2 + 0.5))
+    # a segment runs from the start of its first line to the end of its last
+    lines = transcript.lines
+    total_ms = (sum(lines[stop - 1].end_ms for stop in ref.stops())
+                - sum(lines[start].start_ms for start in ref.starts))
+    return WindowConfig(k_lines=k, delta_ms=max(1, int(total_ms / n_segments / 2)))
 
 
 def _window_errors(cp: list[int], cr: list[int]) -> tuple[float, float]:
@@ -109,18 +99,34 @@ def _time_window_errors(
     return _window_errors(counts(pred_prefix), counts(ref_prefix))
 
 
-def _ref_matches(pred: Labeling, ref: Labeling) -> list[bool]:
-    """Per line, whether the refs are equal, compared by ``_REF_KEY``."""
-    return list(map(eq, map(_REF_KEY, pred.refs), map(_REF_KEY, ref.refs)))
+def _overlaps(pred: Labeling, ref: Labeling) -> tuple[list[int], list[int], list, list]:
+    """The merge of two labelings' runs: the first line, stop, pred ref and
+    gold ref of each overlap of a pred run and a gold run, in line order, as
+    four columns. A labeling's run holding an overlap is the one opened by
+    the last of its starts at or before the overlap's first line."""
+    firsts = sorted(set(pred.starts).union(ref.starts))
+
+    def refs(labeling: Labeling) -> list:
+        opens = accumulate(map(set(labeling.starts).__contains__, firsts))
+        return list(map(labeling.run_refs.__getitem__, map(sub, opens, repeat(1))))
+
+    return firsts, [*firsts[1:], len(ref)] if firsts else [], refs(pred), refs(ref)
 
 
-def _time_weighted(matches: list[bool], starts: list[int], ends: list[int]) -> float | None:
-    """Matched share of the total line duration, from exact integer sums:
-    the same float as float sums, which are exact below 2**53. None when
-    the lines last 0 ms in total."""
-    durations = list(map(sub, ends, starts))
-    total = sum(durations)
-    return sum(compress(durations, matches)) / total if total else None
+def _srs(pred: Labeling, ref: Labeling, starts: list[int],
+         ends: list[int]) -> tuple[float | None, float | None]:
+    """(line SRS, time SRS): the share of the lines, and of their duration,
+    in overlaps whose refs are equal by ``_REF_KEY``. Each is an exact
+    integer sum, the time one over a prefix sum of line durations, divided
+    once: the float of summing line by line, as float sums are exact below
+    2**53. None for a total of 0."""
+    firsts, stops, pred_refs, ref_refs = _overlaps(pred, ref)
+    matches = list(map(eq, map(_REF_KEY, pred_refs), map(_REF_KEY, ref_refs)))
+    elapsed = [0, *accumulate(map(sub, ends, starts))]
+    held_ms = map(sub, map(elapsed.__getitem__, stops), map(elapsed.__getitem__, firsts))
+    n, total_ms = len(ref), elapsed[-1]
+    return (sum(compress(map(sub, stops, firsts), matches)) / n if n else None,
+            sum(compress(held_ms, matches)) / total_ms if total_ms else None)
 
 
 @dataclass(frozen=True)
@@ -195,26 +201,26 @@ def evaluate(
     if len(pred) != n or len(transcript) != n:
         raise MetricError(f"transcript {transcript.id}: length mismatch: pred {len(pred)}, "
                           f"ref {n}, transcript {len(transcript)} lines")
-    starts, ends = _line_times(transcript)
-    ref_flags = boundary_flags(ref)
-    pred_prefix = _prefix_counts(boundary_flags(pred))
-    ref_prefix = _prefix_counts(ref_flags)
+    lines = transcript.lines
+    starts, ends = list(map(_START_MS, lines)), list(map(_END_MS, lines))
+    pred_prefix = _prefix_counts(pred)
+    ref_prefix = _prefix_counts(ref)
     pk_line = wd_line = pk_time = wd_time = None
     if n:
-        cfg = window or _window_config(n, ref_flags, starts, ends)
+        cfg = window or derive_window_config(ref, transcript)
         k = cfg.k_lines
         if n > k:
             pk_line, wd_line = _window_errors(_line_counts(pred_prefix, k),
                                               _line_counts(ref_prefix, k))
             pk_time, wd_time = _time_window_errors(pred_prefix, ref_prefix, starts, ends,
                                                    cfg.delta_ms, k)
-    matches = _ref_matches(pred, ref)
+    srs_line, srs_time = _srs(pred, ref, starts, ends)
     return EvalReport(
         pk_line=pk_line,
         pk_time=pk_time,
         wd_line=wd_line,
         wd_time=wd_time,
-        srs_line=sum(matches) / n if n else None,
-        srs_time=_time_weighted(matches, starts, ends),
-        seg_count_diff=pred_prefix[n] - ref_prefix[n],
+        srs_line=srs_line,
+        srs_time=srs_time,
+        seg_count_diff=pred.num_segments() - ref.num_segments(),
     )

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, compress, count, islice, repeat
+from collections.abc import Iterable, Sequence
+from itertools import compress, count, islice, repeat
 from operator import attrgetter, itemgetter, lt, ne, sub
 from typing import NamedTuple
 
@@ -158,12 +158,12 @@ REF_NOT_IN_CORPUS = RefLabel("not_in_corpus")
 
 @dataclass(frozen=True, slots=True, init=False)
 class Labeling:
-    """A transcript of ``n_lines`` lines cut into segments: segment k starts
-    at line ``starts[k]`` (ascending, the first 0) and carries ``run_refs[k]``.
+    """A transcript of ``n_lines`` lines cut into segments: segment k runs
+    from line ``starts[k]`` (ascending, the first 0) up to ``stops()[k]``
+    and carries ``run_refs[k]``.
 
-    ``Labeling(per_line)`` reads one (segment id, ref) pair per line. The ids
-    are arbitrary integers, of which only the runs are kept. Lines sharing an
-    id must share a ref, and an id may not recur after a different id.
+    ``Labeling(per_line)`` reads one (segment id, ref) pair per line, as
+    ``columns_to_labeling`` reads the two columns, with the same checks.
     """
 
     starts: tuple[int, ...]
@@ -171,18 +171,9 @@ class Labeling:
     n_lines: int
 
     def __init__(self, per_line: Sequence[tuple[int, RefLabel]]) -> None:
-        segs, refs = list(map(itemgetter(0), per_line)), list(map(itemgetter(1), per_line))
-        starts = [0, *compress(count(1), map(ne, islice(segs, 1, None), segs))] if segs else []
-        seen: set[int] = set()
-        for start, stop in zip(starts, [*starts[1:], len(segs)]):
-            seg, ref, run = segs[start], refs[start], refs[start:stop]
-            if seg in seen:
-                raise ModelError(f"segment id {seg} recurs non-contiguously at line {start}")
-            seen.add(seg)
-            if run.count(ref) != len(run):  # identity first, then the slow generated __eq__
-                i = start + next(i for i, other in enumerate(run) if other != ref)
-                raise ModelError(f"segment {seg} has conflicting refs at line {i}")
-        self._set_runs(starts, map(refs.__getitem__, starts), len(segs))
+        read = columns_to_labeling(list(map(itemgetter(0), per_line)),
+                                   list(map(itemgetter(1), per_line)))
+        self._set_runs(read.starts, read.run_refs, read.n_lines)
 
     def _set_runs(self, starts: Sequence[int], refs: Iterable[RefLabel], n_lines: int) -> None:
         starts = tuple(starts) if n_lines else ()
@@ -193,19 +184,9 @@ class Labeling:
     def __len__(self) -> int:
         return self.n_lines
 
-    def _over_lines(self, values: Iterable) -> Iterator:
-        """The k-th of ``values`` once for each line of segment k."""
-        lengths = map(sub, chain(islice(self.starts, 1, None), (self.n_lines,)), self.starts)
-        return chain.from_iterable(map(repeat, values, lengths))
-
-    @property
-    def refs(self) -> list[RefLabel]:
-        return list(self._over_lines(self.run_refs))
-
-    @property
-    def per_line(self) -> tuple[tuple[int, RefLabel], ...]:
-        """The (segment id, ref) pair of each line, the segments numbered 0, 1, ..."""
-        return tuple(self._over_lines(zip(count(), self.run_refs)))
+    def stops(self) -> list[int]:
+        """The line after each segment: the next one's start, or ``n_lines``."""
+        return [*islice(self.starts, 1, None), self.n_lines] if self.starts else []
 
     def num_segments(self) -> int:
         return len(self.starts)
@@ -283,14 +264,25 @@ def runs_to_labeling(starts: Sequence[int], refs: Iterable[RefLabel], n_lines: i
     return labeling
 
 
+def columns_to_labeling(segs: Sequence[int], refs: Sequence[RefLabel]) -> Labeling:
+    """The runs of the segment id and the ref of each line. The ids are
+    arbitrary integers, of which only the runs are kept. Lines sharing an id
+    must share a ref, and an id may not recur after a different id."""
+    starts = [0, *compress(count(1), map(ne, islice(segs, 1, None), segs))] if segs else []
+    labeling = runs_to_labeling(starts, map(refs.__getitem__, starts), len(segs))
+    seen: set[int] = set()
+    for start, stop, ref in zip(starts, labeling.stops(), labeling.run_refs):
+        seg, run = segs[start], refs[start:stop]
+        if seg in seen:
+            raise ModelError(f"segment id {seg} recurs non-contiguously at line {start}")
+        seen.add(seg)
+        if run.count(ref) != len(run):  # identity first, then the slow generated __eq__
+            i = start + next(i for i, other in enumerate(run) if other != ref)
+            raise ModelError(f"segment {seg} has conflicting refs at line {i}")
+    return labeling
+
+
 def labeling_to_spans(labeling: Labeling) -> list[SegmentSpan]:
     """The segments of ``labeling`` as spans, in transcript order."""
-    starts = labeling.starts
-    ends = chain(map(sub, islice(starts, 1, None), repeat(1)), (len(labeling) - 1,))
-    return list(map(SegmentSpan, starts, ends, labeling.run_refs))
-
-
-def boundary_flags(labeling: Labeling) -> list[bool]:
-    """``flags[i - 1]`` tells whether a boundary sits at position i, 1 <= i < N."""
-    opens = set(islice(labeling.starts, 1, None))
-    return list(map(opens.__contains__, range(1, len(labeling))))
+    ends = map(sub, labeling.stops(), repeat(1))
+    return list(map(SegmentSpan, labeling.starts, ends, labeling.run_refs))

@@ -15,7 +15,7 @@ other problem scores 0 under every method. ``worksheet_index`` fits each
 distinct worksheet once; ``posr.cli.main`` clears those fits around every
 command.
 
-Predicted and ground-truth segments take one walk, ``_segments``. Each
+Predicted and ground-truth segments take one walk, ``_queries``. Each
 ground-truth segment becomes one row (gold id, argmax id, effective score)
 in ``gold_rows``: calibration reads the rows of every method at once,
 ``posr retrieve`` and ``retrieval_accuracy`` their decisions.
@@ -173,13 +173,9 @@ def _segment_query(transcript: Transcript, start: int, stop: int) -> list[str] |
     return q if q or any(line.utterance.strip() for line in transcript.lines[start:stop]) else None
 
 
-def _segments(transcript: Transcript,
-              labeling: Labeling) -> tuple[Sequence[int], list[int], list[list[str] | None]]:
-    """The first line, one past the last line, and the query of each
-    segment of ``labeling``, in transcript order."""
-    starts = labeling.starts
-    stops = [*starts[1:], len(transcript)]
-    return starts, stops, [_segment_query(transcript, *run) for run in zip(starts, stops)]
+def _queries(transcript: Transcript, labeling: Labeling) -> list[list[str] | None]:
+    """The query of each segment of ``labeling``, in transcript order."""
+    return [_segment_query(transcript, *run) for run in zip(labeling.starts, labeling.stops())]
 
 
 def _best(index: WorksheetIndex, method: str, q: list[str] | None) -> tuple[str | None, float]:
@@ -213,11 +209,11 @@ def retrieve_labeling(
     if len(segmentation) != len(transcript):
         raise RetrievalError("segmentation does not cover the transcript")
     index = worksheet_index(worksheet)
-    starts, _, queries = _segments(transcript, segmentation)
-    pids = [_decision(*_best(index, config.method, q), config.threshold) for q in queries]
+    pids = [_decision(*_best(index, config.method, q), config.threshold)
+            for q in _queries(transcript, segmentation)]
     # one RefLabel per distinct decision, not one per segment
     refs = {pid: REF_NONE if pid is None else RefLabel.problem(pid) for pid in set(pids)}
-    return runs_to_labeling(starts, map(refs.__getitem__, pids), len(transcript))
+    return runs_to_labeling(segmentation.starts, map(refs.__getitem__, pids), len(transcript))
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +234,9 @@ def gold_rows(
     count as None."""
     for entry in corpus.annotated().entries:
         gold: Labeling = entry.gold  # type: ignore[assignment]
-        starts, stops, queries = _segments(entry.transcript, gold)
-        refs = gold.run_refs
+        refs, queries = gold.run_refs, _queries(entry.transcript, gold)
         index = worksheet_index(entry.worksheet)
-        yield entry, list(zip(starts, stops, refs)), {
+        yield entry, list(zip(gold.starts, gold.stops(), refs)), {
             method: [(ref.problem_id, *_best(index, method, q)) for ref, q in zip(refs, queries)]
             for method in methods}
 

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from posr.model import Labeling, Line, REF_NONE, RefLabel, Transcript, boundary_flags
+from posr.model import Labeling, Line, REF_NONE, RefLabel, Transcript
 
 
 def make_transcript(durations_ms, tid="t0", words_per_line=4, seed=0):
@@ -46,13 +46,29 @@ def random_labeling(n, rng, max_seg_len=8, ref_pool=REF_POOL):
     return Labeling(tuple(per_line))
 
 
+def line_pairs(labeling):
+    """The (segment number, ref) of each line, the segments numbered 0, 1, ...:
+    a plain loop over the runs, independent of the library's run arithmetic."""
+    pairs = []
+    for k, (start, ref) in enumerate(zip(labeling.starts, labeling.run_refs)):
+        stop = labeling.starts[k + 1] if k + 1 < len(labeling.starts) else labeling.n_lines
+        for _ in range(start, stop):
+            pairs.append((k, ref))
+    return tuple(pairs)
+
+
+def line_refs(labeling):
+    return [ref for _, ref in line_pairs(labeling)]
+
+
 def seg_ids(labeling):
-    return [seg for seg, _ in labeling.per_line]
+    return [seg for seg, _ in line_pairs(labeling)]
 
 
 def boundary_set(labeling):
     """Positions i (1 <= i <= N-1) with a segment change between lines i-1 and i."""
-    return {i for i, flag in enumerate(boundary_flags(labeling), 1) if flag}
+    ids = seg_ids(labeling)
+    return {i for i in range(1, len(ids)) if ids[i] != ids[i - 1]}
 
 
 def oracle_line_metric(pred_ids, ref_ids, k, presence_only):
@@ -91,7 +107,7 @@ def oracle_time_metric(pred_ids, ref_ids, starts, ends, delta_ms, k, presence_on
 def oracle_srs(pred, ref, weights):
     total = sum(weights)
     hit = sum(
-        w for w, (p, r) in zip(weights, zip(pred.refs, ref.refs)) if p == r
+        w for w, (p, r) in zip(weights, zip(line_refs(pred), line_refs(ref))) if p == r
     )
     return hit / total
 

@@ -45,6 +45,7 @@ from conftest import (
     make_transcript,
     oracle_line_metric,
     oracle_srs,
+    line_refs,
     oracle_time_metric,
     random_labeling,
     seg_ids,
@@ -216,9 +217,7 @@ def test_synthetic_end_to_end(announce):
         gt_accs.append(retrieval_accuracy(config, corpus))
         over = []
         for e in corpus.entries:
-            per_line = tuple(
-                (i, e.gold.per_line[i][1]) for i in range(len(e.transcript))
-            )
+            per_line = tuple((i, ref) for i, ref in enumerate(line_refs(e.gold)))
             over.append(CorpusEntry(e.transcript, e.worksheet, Labeling(per_line)))
         over_accs.append(retrieval_accuracy(config, Corpus(tuple(over))))
     assert sum(over_accs) / 20 < sum(gt_accs) / 20
@@ -285,7 +284,7 @@ def test_prompt_round_trip(announce, tmp_path):
     cassette = tmp_path / "cassette.json"
     recorder = CassetteClient(cassette, inner=ScriptedClient(responder))
     joint = run_posr_llm(recorder, "m", t, WS, PromptKind.JOINT_POSR)
-    assert joint.labeling.refs == list(gold.refs)
+    assert line_refs(joint.labeling) == list(line_refs(gold))
     assert seg_ids(joint.labeling) == seg_ids(gold)
     assert joint.usage.n_requests == 1
     assert evaluate(joint.labeling, gold, t).srs_line == 1.0
@@ -295,7 +294,7 @@ def test_prompt_round_trip(announce, tmp_path):
     # independent retrieval: one segmentation call + one per segment
     client = ScriptedClient(responder)
     indep = run_posr_llm(client, "m", t, WS, PromptKind.INDEPENDENT_RETRIEVAL)
-    assert indep.labeling.refs == list(gold.refs)
+    assert line_refs(indep.labeling) == list(line_refs(gold))
     assert len(client.calls) == 1 + 3
     assert evaluate(indep.labeling, gold, t).srs_line == 1.0
 

@@ -30,6 +30,8 @@ from posr.llm import (
 from posr.metrics import TokenUsage, cost_per_100, evaluate
 from posr.model import REF_NONE, Labeling, Line, Problem, RefLabel, Transcript, Worksheet
 
+from conftest import line_pairs
+
 
 @pytest.fixture
 def synthetic_dir(tmp_path):
@@ -164,6 +166,17 @@ def test_annotation_record_without_line_index_is_a_usage_error(synthetic_dir, tm
     assert not (out / "run_manifest.json").exists()
 
 
+def test_a_refused_run_leaves_no_out_directory_it_made(synthetic_dir, tmp_path, capsys):
+    (synthetic_dir / "synthetic-7-001.labels.jsonl").write_text("{}\n")
+    argv = ["posr", "--manifest", str(synthetic_dir / "manifest.json"), "--method", "texttiling"]
+    assert main([*argv, "--out", str(tmp_path / "p")]) == 2
+    assert not (tmp_path / "p").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main([*argv, "--out", str(kept)]) == 2
+    assert kept.is_dir()
+
+
 @pytest.mark.parametrize("damage", ["missing", "not utf-8"])
 @pytest.mark.parametrize("kind", ["manifest", "transcript", "worksheet", "annotation"])
 def test_unreadable_corpus_file_is_a_usage_error(synthetic_dir, capsys, kind, damage):
@@ -257,7 +270,7 @@ def test_posr_bad_prices_file_is_a_usage_error(synthetic_dir, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {prices}: ")
     assert message in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method", list(LLM_METHODS))
@@ -320,7 +333,7 @@ def test_an_option_the_method_does_not_read_is_a_usage_error(tmp_path, capsys, m
     assert main([command, "--manifest", "missing/manifest.json", "--method", method,
                  option, POSR_OPTIONS[option], "--out", str(out)]) == 2
     assert one_error_line(capsys) == f"error: {option} is not read by --method {method}\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
     assert not (tmp_path / "missing").exists()  # no cassette was written
 
 
@@ -333,7 +346,7 @@ def test_a_trained_method_without_train_manifest_is_a_usage_error(tmp_path, caps
     assert main([command, "--manifest", "missing/manifest.json", "--method", method,
                  "--out", str(out)]) == 2
     assert one_error_line(capsys) == f"error: --method {method} needs --train-manifest\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_run_manifest_records_the_effective_value_of_each_read_option(synthetic_dir, tmp_path):
@@ -374,7 +387,7 @@ def test_gen_corpus_probability_outside_0_1_is_a_usage_error(tmp_path, capsys, f
     out = tmp_path / "corpus"
     assert main(["gen-corpus", "--out", str(out), flag, value]) == 2
     assert one_error_line(capsys) == f"error: {flag[2:].replace('-', '_')} must be in [0, 1]\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_main_writes_the_run_manifest_of_each_command_that_succeeds(
@@ -591,7 +604,7 @@ def sequential_reports(manifest, cassette, method) -> dict[str, bytes]:
     for entry, result in zip(corpus.entries, results):
         reports[f"{entry.transcript.id}.pred.jsonl"] = "".join(
             json.dumps({"line_index": i, "segment_id": seg, "ref": ref.serialize()}) + "\n"
-            for i, (seg, ref) in enumerate(result.labeling.per_line)).encode()
+            for i, (seg, ref) in enumerate(line_pairs(result.labeling))).encode()
         report = evaluate(result.labeling, entry.gold, entry.transcript)
         rows.append({"transcript_id": entry.transcript.id, **report.as_row(),
                      "cost_usd_per_100": cost})

@@ -38,6 +38,8 @@ from posr.model import (
 )
 from posr.retrieval import RetrieverConfig, retrieval_accuracy
 
+from conftest import line_pairs, line_refs
+
 
 def write_lines(path, records):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
@@ -219,8 +221,8 @@ def test_load_annotation_keeps_raw_line_breaking_characters(tmp_path, char):
             {"line_index": 1, "segment_id": 1, "ref": "null"}]
     path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in recs),
                     encoding="utf-8")
-    assert load_annotation(path, 2).per_line == ((0, RefLabel.problem(f"P{char}1")),
-                                                 (1, REF_NONE))
+    assert line_pairs(load_annotation(path, 2)) == ((0, RefLabel.problem(f"P{char}1")),
+                                                     (1, REF_NONE))
 
 
 def test_annotation_with_arbitrary_segment_ids_round_trips(tmp_path):
@@ -336,7 +338,7 @@ def test_load_annotation_integer_ref_is_a_problem_id(tmp_path):
     path = tmp_path / "a.jsonl"
     write_lines(path, [{"line_index": 0, "segment_id": 0, "ref": 3},
                        {"line_index": 1, "segment_id": 1, "ref": -1}])
-    assert load_annotation(path, 2).refs == [RefLabel.problem("3"), REF_NOT_IN_CORPUS]
+    assert line_refs(load_annotation(path, 2)) == [RefLabel.problem("3"), REF_NOT_IN_CORPUS]
 
 
 @pytest.mark.parametrize("doc", [
@@ -646,11 +648,25 @@ def test_load_transcript_equals_the_per_record_reference(tmp_path_factory, text)
 @example(jsonl({**A0, "line_index": False}, A1, A2))
 @example(jsonl(A0, {**A1, "segment_id": 0.0}, A2))
 @example(jsonl(A0, A1, A2, A1))
+@example(jsonl(A0, {**A1, "segment_id": 1, "ref": "null"}, {**A2, "segment_id": 0, "ref": "P1"}))
+@example(jsonl({**A2, "segment_id": 0, "ref": "P2"}, A0, {**A1, "ref": "P1"}))
 def test_load_annotation_equals_the_per_record_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("a") / "a.jsonl"
     path.write_text(text)
     assert (load_outcome(load_annotation, path, 3)
             == load_outcome(reference_load_annotation, path, 3))
+
+
+@pytest.mark.parametrize("records, error", [
+    ((A0, {**A1, "segment_id": 1, "ref": "null"}, {**A2, "segment_id": 0, "ref": "P1"}),
+     "segment id 0 recurs non-contiguously at line 2"),
+    (({**A2, "segment_id": 0, "ref": "P2"}, A0, {**A1, "ref": "P1"}),
+     "segment 0 has conflicting refs at line 2"),
+])
+def test_load_annotation_names_a_recurring_id_and_conflicting_refs(tmp_path, records, error):
+    path = tmp_path / "a.jsonl"
+    path.write_text(jsonl(*records))
+    assert load_outcome(load_annotation, path, 3) == ("error", f"{path}: {error}")
 
 
 @settings(max_examples=300, deadline=None)
@@ -842,7 +858,7 @@ def dumps_annotation(labeling):
     """The annotation JSONL written one ``json.dumps`` per line."""
     return "".join(
         json.dumps({"line_index": i, "segment_id": seg, "ref": ref.serialize()}) + "\n"
-        for i, (seg, ref) in enumerate(labeling.per_line))
+        for i, (seg, ref) in enumerate(line_pairs(labeling)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -856,4 +872,4 @@ def test_annotation_codec_equals_json_dumps_and_loads(tmp_path_factory, labeling
     assert path.read_bytes() == dumps_annotation(labeling).encode("utf-8")
     oracle = tuple((int(rec["segment_id"]), RefLabel.deserialize(str(rec["ref"])))
                    for rec in map(json.loads, text.splitlines()))
-    assert load_annotation(path, len(labeling)).per_line == oracle
+    assert line_pairs(load_annotation(path, len(labeling))) == oracle

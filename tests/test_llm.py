@@ -52,7 +52,7 @@ from posr.model import (
     labeling_to_spans,
 )
 
-from conftest import seg_ids
+from conftest import line_refs, seg_ids
 
 WS = Worksheet(id="w", problems=(Problem("3", "first problem"), Problem("7", "second problem")))
 
@@ -344,7 +344,7 @@ def test_joint_round_trip_single_call():
     gold = gold_labeling()
     client = ScriptedClient(lambda req: encode_joint(gold))
     result = run_posr_llm(client, "m", gold_transcript(), WS, PromptKind.JOINT_POSR)
-    assert result.labeling.refs == list(gold.refs)
+    assert line_refs(result.labeling) == list(line_refs(gold))
     assert len(client.calls) == 1
     assert result.usage.n_requests == 1
     assert not result.parse_failed
@@ -366,7 +366,7 @@ def test_independent_round_trip_call_count():
     client = ScriptedClient(responder)
     result = run_posr_llm(client, "m", gold_transcript(), WS,
                           PromptKind.INDEPENDENT_RETRIEVAL)
-    assert result.labeling.refs == list(gold.refs)
+    assert line_refs(result.labeling) == list(line_refs(gold))
     assert len(client.calls) == 1 + 3  # one segmentation + one per segment
     t = gold_transcript()
     assert evaluate(result.labeling, gold, t).srs_line == 1.0
@@ -378,7 +378,7 @@ def test_segmentation_only_mode():
     result = run_posr_llm(client, "m", gold_transcript(), WS,
                           PromptKind.INDEPENDENT_SEGMENTATION)
     assert seg_ids(result.labeling) == seg_ids(gold)
-    assert all(r == REF_NONE for r in result.labeling.refs)
+    assert all(r == REF_NONE for r in line_refs(result.labeling))
     assert len(client.calls) == 1
 
 
@@ -387,7 +387,7 @@ def test_parse_failure_fallback_flagged():
     result = run_posr_llm(client, "m", gold_transcript(), WS, PromptKind.JOINT_POSR)
     assert result.parse_failed
     assert result.labeling.num_segments() == 1
-    assert result.labeling.refs == [REF_NONE] * 12
+    assert line_refs(result.labeling) == [REF_NONE] * 12
 
 
 def test_usage_accumulates_monotonically():
@@ -767,7 +767,7 @@ def test_batch_retrievals_finishing_out_of_order_match_a_sequential_loop():
     sequential = [run_posr_llm(ScriptedClient(independent_reply), "m", t, WS,
                                PromptKind.INDEPENDENT_RETRIEVAL) for t in transcripts]
     assert outcomes == sequential
-    assert {r.labeling.refs[0] for r in sequential} == {
+    assert {line_refs(r.labeling)[0] for r in sequential} == {
         RefLabel.problem("3"), RefLabel.problem("7"), REF_NONE, REF_NOT_IN_CORPUS}
 
 

@@ -13,6 +13,8 @@ from posr.model import Labeling, Line, REF_NONE, RefLabel, Transcript
 from conftest import (
     REF_POOL,
     boundary_set,
+    line_pairs,
+    line_refs,
     make_transcript,
     oracle_line_metric,
     oracle_srs,
@@ -243,10 +245,10 @@ def test_srs_and_evaluate_match_oracle_on_equal_distinct_refs(rng):
         n = rng.randint(2, 50)
         t = make_transcript([rng.randint(500, 60000) for _ in range(n)])
         ref = random_labeling(n, rng, max_seg_len=5)
-        copy = Labeling(tuple((seg, RefLabel(r.kind, r.problem_id)) for seg, r in ref.per_line))
+        copy = Labeling(tuple((seg, RefLabel(r.kind, r.problem_id)) for seg, r in line_pairs(ref)))
         weights = [l.duration_ms for l in t.lines]
         for pred in (random_labeling(n, rng, ref_pool=fresh_pool), copy):
-            assert not any(p is r for p, r in zip(pred.refs, ref.refs))
+            assert not any(p is r for p, r in zip(line_refs(pred), line_refs(ref)))
             line, time = oracle_srs(pred, ref, [1.0] * n), oracle_srs(pred, ref, weights)
             report = evaluate(pred, ref, t)
             assert (report.srs_line, report.srs_time) == (line, time)
@@ -260,7 +262,7 @@ def test_srs_invariant_to_segment_id_relabeling(rng):
         t = make_transcript([1000] * n)
         pred = random_labeling(n, rng)
         ref = random_labeling(n, rng)
-        shifted = Labeling(tuple((seg + 100, ref_) for seg, ref_ in pred.per_line))
+        shifted = Labeling(tuple((seg + 100, ref_) for seg, ref_ in line_pairs(pred)))
         assert evaluate(shifted, ref, t).srs_line == evaluate(pred, ref, t).srs_line
 
 

@@ -1,5 +1,4 @@
 import time
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +14,12 @@ from posr.model import (
     SegmentSpan,
     Transcript,
     Worksheet,
-    boundary_flags,
     labeling_to_spans,
     runs_to_labeling,
     spans_to_labeling,
 )
 
-from conftest import boundary_set, random_labeling, seg_ids
+from conftest import boundary_set, line_pairs, line_refs, random_labeling, seg_ids
 
 A = RefLabel.problem("A")
 B = RefLabel.problem("B")
@@ -72,37 +70,37 @@ def test_labeling_accepts_equal_but_distinct_refs():
     assert a2 == A and a2 is not A
     lab = Labeling(((0, A), (0, a2), (0, A), (1, REF_NONE), (1, RefLabel("none"))))
     assert lab.num_segments() == 2
-    assert lab.refs == [A, A, A, REF_NONE, REF_NONE]
+    assert line_refs(lab) == [A, A, A, REF_NONE, REF_NONE]
 
 
 def test_spans_to_labeling_exact_cover():
     lab = spans_to_labeling([SegmentSpan(0, 4, A), SegmentSpan(5, 9, B)], 10)
     assert lab.num_segments() == 2
-    assert lab.refs[:5] == [A] * 5
-    assert lab.refs[5:] == [B] * 5
+    assert line_refs(lab)[:5] == [A] * 5
+    assert line_refs(lab)[5:] == [B] * 5
 
 
 def test_spans_to_labeling_gap_policy():
     # hand enumeration: gap before, span, gap after -> 3 segments
     lab = spans_to_labeling([SegmentSpan(2, 4, A)], 6)
     assert seg_ids(lab) == [0, 0, 1, 1, 1, 2]
-    assert lab.refs == [REF_NONE, REF_NONE, A, A, A, REF_NONE]
+    assert line_refs(lab) == [REF_NONE, REF_NONE, A, A, A, REF_NONE]
 
 
 def test_spans_to_labeling_first_span_wins():
     # line-by-line overlap rule: lines 0-5 keep A, B gets only 6-9
     lab = spans_to_labeling([SegmentSpan(0, 5, A), SegmentSpan(4, 9, B)], 10)
-    assert lab.refs == [A] * 6 + [B] * 4
+    assert line_refs(lab) == [A] * 6 + [B] * 4
     assert lab.num_segments() == 2
 
 
 def test_spans_to_labeling_empty_and_out_of_range():
     lab = spans_to_labeling([], 5)
     assert lab.num_segments() == 1
-    assert lab.refs == [REF_NONE] * 5
+    assert line_refs(lab) == [REF_NONE] * 5
 
     clamped = spans_to_labeling([SegmentSpan(-3, 20, A)], 4)
-    assert clamped.refs == [A] * 4
+    assert line_refs(clamped) == [A] * 4
 
 
 def oracle_spans_to_labeling(spans, n_lines):
@@ -148,8 +146,8 @@ def span_lists(draw):
 @given(span_lists())
 def test_spans_to_labeling_equals_owner_array_oracle(case):
     spans, n_lines = case
-    assert spans_to_labeling(spans, n_lines).per_line == \
-        oracle_spans_to_labeling(spans, n_lines).per_line
+    assert line_pairs(spans_to_labeling(spans, n_lines)) == \
+        line_pairs(oracle_spans_to_labeling(spans, n_lines))
 
 
 def test_spans_to_labeling_linear_in_overlapping_spans():
@@ -169,12 +167,11 @@ def test_labeling_to_spans_basic():
     assert [(s.start_line, s.end_line) for s in spans] == [(0, 1), (2, 4)]
 
 
-def oracle_labeling_to_spans(labeling):
-    """Maximal runs of equal segment id, found by comparing every line with
-    the first line of its run."""
+def oracle_labeling_to_spans(pl):
+    """Maximal runs of equal segment id in the (segment id, ref) pairs ``pl``,
+    found by comparing every line with the first line of its run."""
     spans = []
     start = 0
-    pl = labeling.per_line
     for i in range(1, len(pl) + 1):
         if i == len(pl) or pl[i][0] != pl[start][0]:
             spans.append(SegmentSpan(start, i - 1, pl[start][1]))
@@ -198,15 +195,15 @@ def labelings(draw):
 @given(labelings())
 def test_run_reader_and_writer_equal_per_line_oracle(labeling):
     spans = labeling_to_spans(labeling)
-    assert spans == oracle_labeling_to_spans(labeling)
+    assert spans == oracle_labeling_to_spans(line_pairs(labeling))
     written = runs_to_labeling([s.start_line for s in spans], [s.ref for s in spans],
                                len(labeling))
     # the same boundaries and refs, with the segments numbered 0, 1, ...
-    assert oracle_labeling_to_spans(written) == spans
-    assert boundary_flags(written) == boundary_flags(labeling)
-    assert written.refs == labeling.refs
-    assert written.per_line == tuple((k, s.ref) for k, s in enumerate(spans)
-                                     for _ in range(s.start_line, s.end_line + 1))
+    assert oracle_labeling_to_spans(line_pairs(written)) == spans
+    assert boundary_set(written) == boundary_set(labeling)
+    assert line_refs(written) == line_refs(labeling)
+    assert line_pairs(written) == tuple((k, s.ref) for k, s in enumerate(spans)
+                                        for _ in range(s.start_line, s.end_line + 1))
 
 
 @st.composite
@@ -235,12 +232,13 @@ def test_runs_to_labeling_equals_the_labeling_of_its_lines(case):
     written = runs_to_labeling(starts, refs, n_lines)
     read = Labeling(per_line)
     assert written == read and hash(written) == hash(read)
-    spans = oracle_labeling_to_spans(SimpleNamespace(per_line=per_line))
+    spans = oracle_labeling_to_spans(per_line)
     assert labeling_to_spans(written) == spans
     # the ids are not kept: the segments are numbered 0, 1, ...
-    assert written.per_line == tuple((k, s.ref) for k, s in enumerate(spans)
-                                     for _ in range(s.start_line, s.end_line + 1))
-    assert boundary_flags(written) == [a[0] != b[0] for a, b in zip(per_line, per_line[1:])]
+    assert line_pairs(written) == tuple((k, s.ref) for k, s in enumerate(spans)
+                                        for _ in range(s.start_line, s.end_line + 1))
+    assert boundary_set(written) == {i for i in range(1, n_lines)
+                                     if per_line[i][0] != per_line[i - 1][0]}
 
 
 def test_runs_to_labeling_of_no_lines():
@@ -269,9 +267,10 @@ def test_boundaries():
     assert boundary_set(Labeling(((0, REF_NONE), (1, A), (2, B)))) == {1, 2}
 
 
-def test_boundary_flags():
+def test_labeling_starts_and_stops():
     lab = Labeling(((0, REF_NONE), (0, REF_NONE), (1, REF_NONE), (1, REF_NONE)))
-    assert boundary_flags(lab) == [False, True, False]
+    assert lab.starts == (0, 2) and lab.stops() == [2, 4]
+    assert Labeling(()).stops() == []
 
 
 def test_boundary_count_matches_segment_count(rng):

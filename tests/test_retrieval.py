@@ -27,7 +27,6 @@ from posr.model import (
     RefLabel,
     Transcript,
     Worksheet,
-    boundary_flags,
     labeling_to_spans,
 )
 from posr.retrieval import (
@@ -48,7 +47,7 @@ from posr.retrieval import (
 from posr import tokens
 from posr.tokens import tokenize
 
-from conftest import seg_ids
+from conftest import boundary_set, line_refs, seg_ids
 
 WS = Worksheet(id="w", problems=(
     Problem("P1", "a b c"),
@@ -200,7 +199,7 @@ def test_retrieve_labeling_fills_segments_uniformly():
     t = Transcript(id="t", lines=lines)
     seg = Labeling(((0, REF_NONE), (0, REF_NONE), (1, REF_NONE), (1, REF_NONE)))
     out = retrieve_labeling(config, t, seg, WS)
-    assert out.refs == [RefLabel.problem("P1")] * 2 + [RefLabel.problem("P3")] * 2
+    assert line_refs(out) == [RefLabel.problem("P1")] * 2 + [RefLabel.problem("P3")] * 2
 
 
 def test_retrieve_labeling_none_when_below_threshold():
@@ -208,7 +207,7 @@ def test_retrieve_labeling_none_when_below_threshold():
     lines = (Line(0, "[TUTOR]", "q r s", 0, 1000),)
     t = Transcript(id="t", lines=lines)
     seg = Labeling(((0, REF_NONE),))
-    assert retrieve_labeling(config, t, seg, WS).refs == [REF_NONE]
+    assert line_refs(retrieve_labeling(config, t, seg, WS)) == [REF_NONE]
 
 
 def test_retrieve_labeling_keeps_the_segmentation_boundaries():
@@ -221,9 +220,9 @@ def test_retrieve_labeling_keeps_the_segmentation_boundaries():
     seg = Labeling(((7, REF_NONE), (7, REF_NONE), (-3, REF_NONE), (-3, REF_NONE),
                     (40, REF_NONE), (2, REF_NONE)))
     out = retrieve_labeling(RetrieverConfig("jaccard", threshold=0.1), t, seg, WS)
-    assert boundary_flags(out) == boundary_flags(seg)
+    assert boundary_set(out) == boundary_set(seg)
     assert seg_ids(out) == [0, 0, 1, 1, 2, 3]
-    assert out.refs == [RefLabel.problem("P1")] * 2 + [RefLabel.problem("P3")] * 2 + [
+    assert line_refs(out) == [RefLabel.problem("P1")] * 2 + [RefLabel.problem("P3")] * 2 + [
         RefLabel.problem("P2"), REF_NONE]
 
 
@@ -318,9 +317,7 @@ def test_oversegmentation_does_not_beat_ground_truth():
         accs_gt.append(retrieval_accuracy(config, corpus))
         over_entries = []
         for e in corpus.entries:
-            per_line = tuple(
-                (i, e.gold.per_line[i][1]) for i in range(len(e.transcript))
-            )
+            per_line = tuple((i, ref) for i, ref in enumerate(line_refs(e.gold)))
             over_entries.append(CorpusEntry(e.transcript, e.worksheet, Labeling(per_line)))
         accs_over.append(retrieval_accuracy(config, Corpus(tuple(over_entries))))
     assert sum(accs_gt) / 20 >= sum(accs_over) / 20
@@ -338,7 +335,7 @@ def test_empty_segment_is_never_a_problem():
     entry = make_entry([("", REF_NONE), ("a b c", RefLabel.problem("P1"))], ws)
     config = RetrieverConfig("jaccard", threshold=0.0)
     pred = retrieve_labeling(config, entry.transcript, entry.gold, ws)
-    assert pred.refs == entry.gold.refs
+    assert line_refs(pred) == line_refs(entry.gold)
     assert retrieval_accuracy(config, Corpus((entry,))) == 1.0
 
 
@@ -401,7 +398,7 @@ def test_gold_and_predicted_segments_reach_one_decision(seed, vocab_overlap, inf
                                       for e in corpus.entries for s in labeling_to_spans(e.gold)]
             for entry, start, _, _, pid in decisions:
                 expected = REF_NONE if pid is None else RefLabel.problem(pid)
-                assert preds[entry.transcript.id].per_line[start][1] == expected
+                assert line_refs(preds[entry.transcript.id])[start] == expected
 
 
 def test_calibrate_all_methods_equals_each_method_alone(tmp_path):

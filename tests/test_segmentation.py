@@ -21,7 +21,7 @@ from posr.segmentation import (
 )
 from posr.tokens import tokenize
 
-from conftest import boundary_set, make_transcript, seg_ids
+from conftest import boundary_set, line_refs, make_transcript, seg_ids
 
 WS = Worksheet(id="w", problems=(Problem("P1", "placeholder"),))
 
@@ -164,7 +164,7 @@ def test_segmenters_output_valid_labelings():
             segment_texttiling(TextTilingParams(), entry.transcript),
         ):
             assert len(lab) == len(entry.transcript)
-            assert all(ref == REF_NONE for ref in lab.refs)
+            assert all(ref == REF_NONE for ref in line_refs(lab))
 
 
 def test_segmenters_number_segments_from_zero():
