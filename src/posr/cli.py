@@ -28,7 +28,6 @@ from .corpus import (
     generate_synthetic,
     load_corpus,
     load_manifest,
-    read_json,
     save_json,
     write_corpus,
 )
@@ -64,7 +63,6 @@ ALWAYS_READ = ("command", "func", "manifest", "method", "out")
 POSR_COLUMNS = ["transcript_id", *(f.name for f in fields(EvalReport)), "cost_usd_per_100"]
 # segmentation alone has no retrieval (SRS) and no cost columns
 SEGMENT_COLUMNS = [c for c in POSR_COLUMNS if not c.startswith("srs_") and c != "cost_usd_per_100"]
-PRICE_KEYS = ("input_usd_per_1k", "output_usd_per_1k")
 
 
 def _write_run_manifest(out: Path, args: argparse.Namespace) -> None:
@@ -190,24 +188,6 @@ def cmd_calibrate(args: argparse.Namespace, out: Path) -> None:
               {"seed": args.seed, "folds": args.folds, "thresholds": thresholds})
 
 
-def _load_prices(path: str | None) -> dict:
-    """The ``--prices`` table: {model: {input_usd_per_1k, output_usd_per_1k}},
-    each price a finite number >= 0, not a boolean."""
-    if path is None:
-        return {}
-    from .llm.client import LLMConfigError, _number
-
-    prices = read_json(path, LLMConfigError)
-    if not isinstance(prices, dict):
-        raise LLMConfigError(f"{path}: expected a JSON object mapping models to prices")
-    for model, entry in prices.items():
-        if not (isinstance(entry, dict)
-                and all(_number(entry.get(key)) and entry[key] >= 0 for key in PRICE_KEYS)):
-            raise LLMConfigError(f"{path}: {model!r} needs numeric {' and '.join(PRICE_KEYS)}"
-                                 ", each finite and >= 0")
-    return prices
-
-
 def _make_client(args: argparse.Namespace):
     from .llm import CassetteClient, HttpChatClient, LLMConfigError, LLMEndpointConfig
 
@@ -261,9 +241,13 @@ def cmd_posr(args: argparse.Namespace, out: Path) -> None:
     reads, predict = POSR_METHODS[args.method]
     _read_options(args, reads)
     corpus = load_corpus(load_manifest(args.manifest))
-    prices = _load_prices(args.prices)
-    if args.prices and args.model not in prices:
-        raise UsageError(f"{args.prices}: no entry for --model {args.model!r}")
+    prices = {}
+    if args.prices is not None:
+        from .llm import load_prices
+
+        prices = load_prices(args.prices)
+        if args.model not in prices:
+            raise UsageError(f"{args.prices}: no entry for --model {args.model!r}")
     preds, usages, failed = predict(args, corpus)
     # an empty prediction is written as one empty line, not an empty file
     rows = _write_and_score(out, corpus, preds, ".pred.jsonl", lambda path, pred:

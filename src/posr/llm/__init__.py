@@ -8,6 +8,7 @@ from .client import (
     LLMEndpointConfig,
     ScriptedClient,
     TransportError,
+    load_prices,
 )
 from .parsing import ParseFailure, parse_joint, parse_retrieval, parse_segmentation
 from .prompts import PromptKind, build_prompt
@@ -35,6 +36,7 @@ __all__ = [
     "TransportError",
     "build_prompt",
     "fallback_labeling",
+    "load_prices",
     "parse_joint",
     "parse_retrieval",
     "parse_segmentation",

@@ -152,6 +152,25 @@ class LLMEndpointConfig:
             raise LLMConfigError(f"{path}: {exc}") from None
 
 
+PRICE_KEYS = ("input_usd_per_1k", "output_usd_per_1k")
+
+
+def load_prices(path: str | Path) -> dict:
+    """The price table at ``path``: {model: {input_usd_per_1k,
+    output_usd_per_1k}}, each price a finite number >= 0, not a boolean;
+    anything else is an ``LLMConfigError`` whose message starts with
+    ``path``."""
+    prices = read_json(path, LLMConfigError)
+    if not isinstance(prices, dict):
+        raise LLMConfigError(f"{path}: expected a JSON object mapping models to prices")
+    for model, entry in prices.items():
+        if not (isinstance(entry, dict)
+                and all(_number(entry.get(key)) and entry[key] >= 0 for key in PRICE_KEYS)):
+            raise LLMConfigError(f"{path}: {model!r} needs numeric {' and '.join(PRICE_KEYS)}"
+                                 ", each finite and >= 0")
+    return prices
+
+
 class HttpChatClient:
     """Live client on the standard library's ``http.client``, with
     exponential backoff.

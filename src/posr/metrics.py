@@ -25,8 +25,6 @@ from operator import add, attrgetter, eq, ne, sub
 from .errors import InputError
 from .model import Labeling, Transcript
 
-# the fields the generated RefLabel.__eq__ compares, as one tuple
-_REF_KEY = attrgetter("kind", "problem_id")
 _START_MS = attrgetter("start_ms")
 _END_MS = attrgetter("end_ms")
 
@@ -116,12 +114,12 @@ def _overlaps(pred: Labeling, ref: Labeling) -> tuple[list[int], list[int], list
 def _srs(pred: Labeling, ref: Labeling, starts: list[int],
          ends: list[int]) -> tuple[float | None, float | None]:
     """(line SRS, time SRS): the share of the lines, and of their duration,
-    in overlaps whose refs are equal by ``_REF_KEY``. Each is an exact
-    integer sum, the time one over a prefix sum of line durations, divided
-    once: the float of summing line by line, as float sums are exact below
-    2**53. None for a total of 0."""
+    in overlaps whose refs are equal. Each is an exact integer sum, the
+    time one over a prefix sum of line durations, divided once: the float
+    of summing line by line, as float sums are exact below 2**53. None for
+    a total of 0."""
     firsts, stops, pred_refs, ref_refs = _overlaps(pred, ref)
-    matches = list(map(eq, map(_REF_KEY, pred_refs), map(_REF_KEY, ref_refs)))
+    matches = list(map(eq, pred_refs, ref_refs))
     elapsed = [0, *accumulate(map(sub, ends, starts))]
     held_ms = map(sub, map(elapsed.__getitem__, stops), map(elapsed.__getitem__, firsts))
     n, total_ms = len(ref), elapsed[-1]

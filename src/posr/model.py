@@ -108,6 +108,9 @@ class Worksheet:
         for p in self.problems:
             if p.id in seen:
                 raise ModelError(f"worksheet {self.id}: duplicate problem id {p.id}")
+            if p.id in ("-1", "null"):
+                raise ModelError(f"worksheet {self.id}: problem id {p.id} is reserved: annotations "
+                                 'write "-1" for an off-worksheet problem and "null" for none')
             seen.add(p.id)
 
     def __hash__(self) -> int:
@@ -119,20 +122,29 @@ class Worksheet:
         return [p.id for p in self.problems]
 
 
-@dataclass(frozen=True, slots=True)
-class RefLabel:
-    """What a segment is about: a worksheet problem, an off-worksheet
-    problem ("-1" in serialized form), or nothing ("null": informal talk
-    or a warm-up outside the worksheet)."""
-
+class _RefFields(NamedTuple):
     kind: str  # "problem" | "not_in_corpus" | "none"
     problem_id: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("problem", "not_in_corpus", "none"):
-            raise ModelError(f"bad RefLabel kind {self.kind!r}")
-        if (self.kind == "problem") != (self.problem_id is not None):
+
+class RefLabel(_RefFields):
+    """What a segment is about: a worksheet problem, an off-worksheet
+    problem ("-1" in serialized form), or nothing ("null": informal talk
+    or a warm-up outside the worksheet).
+
+    An immutable ``(kind, problem_id)`` tuple, compared and hashed as that
+    pair. The constructor raises ``ModelError`` on an unknown kind, or on a
+    ``problem_id`` unset for kind ``problem`` or set for another kind.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, problem_id: str | None = None):
+        if kind not in ("problem", "not_in_corpus", "none"):
+            raise ModelError(f"bad RefLabel kind {kind!r}")
+        if (kind == "problem") != (problem_id is not None):
             raise ModelError("problem_id must be set exactly for kind='problem'")
+        return tuple.__new__(cls, (kind, problem_id))
 
     @staticmethod
     def problem(problem_id: str) -> "RefLabel":
@@ -156,30 +168,19 @@ REF_NONE = RefLabel("none")
 REF_NOT_IN_CORPUS = RefLabel("not_in_corpus")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Labeling:
     """A transcript of ``n_lines`` lines cut into segments: segment k runs
     from line ``starts[k]`` (ascending, the first 0) up to ``stops()[k]``
     and carries ``run_refs[k]``.
 
-    ``Labeling(per_line)`` reads one (segment id, ref) pair per line, as
-    ``columns_to_labeling`` reads the two columns, with the same checks.
+    ``runs_to_labeling`` builds one from runs, ``columns_to_labeling``
+    reads and checks the per-line form of annotation files.
     """
 
     starts: tuple[int, ...]
     run_refs: tuple[RefLabel, ...]
     n_lines: int
-
-    def __init__(self, per_line: Sequence[tuple[int, RefLabel]]) -> None:
-        read = columns_to_labeling(list(map(itemgetter(0), per_line)),
-                                   list(map(itemgetter(1), per_line)))
-        self._set_runs(read.starts, read.run_refs, read.n_lines)
-
-    def _set_runs(self, starts: Sequence[int], refs: Iterable[RefLabel], n_lines: int) -> None:
-        starts = tuple(starts) if n_lines else ()
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "run_refs", tuple(islice(refs, len(starts))))
-        object.__setattr__(self, "n_lines", n_lines)
 
     def __len__(self) -> int:
         return self.n_lines
@@ -192,21 +193,16 @@ class Labeling:
         return len(self.starts)
 
 
-@dataclass(frozen=True, slots=True)
-class SegmentSpan:
+class SegmentSpan(NamedTuple):
     """Inclusive line range and its ref (``REF_NONE`` when it has none).
 
     The span form of segmenter and LLM outputs before normalization to a
-    Labeling.
+    Labeling, which ``clamp_span`` bounds to the transcript.
     """
 
     start_line: int
     end_line: int
     ref: RefLabel = REF_NONE
-
-    def __post_init__(self) -> None:
-        if self.start_line > self.end_line:
-            raise ModelError(f"span start {self.start_line} > end {self.end_line}")
 
 
 def clamp_span(start: int, end: int, n_lines: int) -> tuple[int, int] | None:
@@ -232,7 +228,7 @@ def spans_to_labeling(spans: list[SegmentSpan], n_lines: int) -> Labeling:
     span list yields a single all-covering segment with no ref.
     """
     if n_lines <= 0:
-        return Labeling(())
+        return Labeling((), (), 0)
     clean: list[tuple[int, int, RefLabel]] = []
     for span in spans:
         clamped = clamp_span(span.start_line, span.end_line, n_lines)
@@ -259,9 +255,8 @@ def runs_to_labeling(starts: Sequence[int], refs: Iterable[RefLabel], n_lines: i
     """The Labeling of ``n_lines`` lines cut into segments at ``starts``
     (ascending, the first 0), the k-th carrying the k-th of ``refs``: the
     runs as given, with no step per line. Refs past the last start are unread."""
-    labeling = object.__new__(Labeling)
-    labeling._set_runs(starts, refs, n_lines)
-    return labeling
+    starts = tuple(starts) if n_lines else ()
+    return Labeling(starts, tuple(islice(refs, len(starts))), n_lines)
 
 
 def columns_to_labeling(segs: Sequence[int], refs: Sequence[RefLabel]) -> Labeling:
@@ -276,7 +271,7 @@ def columns_to_labeling(segs: Sequence[int], refs: Sequence[RefLabel]) -> Labeli
         if seg in seen:
             raise ModelError(f"segment id {seg} recurs non-contiguously at line {start}")
         seen.add(seg)
-        if run.count(ref) != len(run):  # identity first, then the slow generated __eq__
+        if run.count(ref) != len(run):
             i = start + next(i for i, other in enumerate(run) if other != ref)
             raise ModelError(f"segment {seg} has conflicting refs at line {i}")
     return labeling

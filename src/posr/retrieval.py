@@ -17,8 +17,9 @@ command.
 
 Predicted and ground-truth segments take one walk, ``_queries``. Each
 ground-truth segment becomes one row (gold id, argmax id, effective score)
-in ``gold_rows``: calibration reads the rows of every method at once,
-``posr retrieve`` and ``retrieval_accuracy`` their decisions.
+in ``gold_rows``: calibration reads the rows of every method at once, and
+``posr retrieve`` one method's decisions through
+``RetrieverConfig.gold_decisions``.
 """
 
 from __future__ import annotations
@@ -297,10 +298,3 @@ def calibrate_threshold(method: str, train: Corpus, folds: int = 5, seed: int = 
     """``calibrate_thresholds`` for one method."""
     return calibrate_thresholds((method,), train, folds, seed)[method]
 
-
-def retrieval_accuracy(config: RetrieverConfig, corpus: Corpus) -> float:
-    """Segment-level accuracy of decisions on ground-truth segments: the
-    share whose decision is the gold problem id, None for warm-up and
-    off-worksheet golds."""
-    hits = [pid == gold.problem_id for *_, gold, pid in config.gold_decisions(corpus)]
-    return sum(hits) / len(hits) if hits else 0.0

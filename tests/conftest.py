@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from posr.model import Labeling, Line, REF_NONE, RefLabel, Transcript
+from posr.model import Line, REF_NONE, RefLabel, Transcript, columns_to_labeling
 
 
 def make_transcript(durations_ms, tid="t0", words_per_line=4, seed=0):
@@ -43,7 +43,21 @@ def random_labeling(n, rng, max_seg_len=8, ref_pool=REF_POOL):
             per_line.append((seg, ref))
         i += length
         seg += 1
-    return Labeling(tuple(per_line))
+    return per_line_labeling(per_line)
+
+
+def per_line_labeling(per_line):
+    """The Labeling of one (segment id, ref) pair per line, read and checked
+    as the two columns of an annotation file are."""
+    return columns_to_labeling([seg for seg, _ in per_line], [ref for _, ref in per_line])
+
+
+def gold_accuracy(config, corpus):
+    """The share of gold segments whose decision is the gold problem id (None
+    for warm-up and off-worksheet golds), counted from ``gold_decisions`` as
+    ``posr retrieve`` counts it."""
+    hits = [pid == gold.problem_id for *_, gold, pid in config.gold_decisions(corpus)]
+    return sum(hits) / len(hits) if hits else 0.0
 
 
 def line_pairs(labeling):

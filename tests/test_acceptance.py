@@ -25,7 +25,6 @@ from posr.llm import (
 )
 from posr.metrics import TokenUsage, WindowConfig, cost_per_100, evaluate
 from posr.model import (
-    Labeling,
     Line,
     Problem,
     REF_NONE,
@@ -38,15 +37,16 @@ from posr.retrieval import (
     RetrieverConfig,
     calibrate_threshold,
     gold_rows,
-    retrieval_accuracy,
 )
 
 from conftest import (
+    gold_accuracy,
     make_transcript,
     oracle_line_metric,
     oracle_srs,
     line_refs,
     oracle_time_metric,
+    per_line_labeling,
     random_labeling,
     seg_ids,
 )
@@ -203,7 +203,7 @@ def test_synthetic_end_to_end(announce):
     )
     for method in ("jaccard", "tfidf", "bm25"):
         config = RetrieverConfig(method, threshold=0.05)
-        assert retrieval_accuracy(config, exact) == 1.0
+        assert gold_accuracy(config, exact) == 1.0
 
     # with lexical noise, chopping gold segments into single lines loses
     # pooled context and the mean accuracy drops
@@ -214,12 +214,12 @@ def test_synthetic_end_to_end(announce):
                           seed=2000 + seed)
         )
         config = RetrieverConfig("jaccard", threshold=0.05)
-        gt_accs.append(retrieval_accuracy(config, corpus))
+        gt_accs.append(gold_accuracy(config, corpus))
         over = []
         for e in corpus.entries:
             per_line = tuple((i, ref) for i, ref in enumerate(line_refs(e.gold)))
-            over.append(CorpusEntry(e.transcript, e.worksheet, Labeling(per_line)))
-        over_accs.append(retrieval_accuracy(config, Corpus(tuple(over))))
+            over.append(CorpusEntry(e.transcript, e.worksheet, per_line_labeling(per_line)))
+        over_accs.append(gold_accuracy(config, Corpus(tuple(over))))
     assert sum(over_accs) / 20 < sum(gt_accs) / 20
 
 
@@ -239,7 +239,7 @@ def _transcript(n=12):
 
 
 def _gold():
-    return Labeling(
+    return per_line_labeling(
         tuple((0, RefLabel.problem("3")) for _ in range(5))
         + tuple((1, REF_NONE) for _ in range(3))
         + tuple((2, RefLabel.problem("7")) for _ in range(4))
@@ -303,7 +303,7 @@ def test_prompt_round_trip(announce, tmp_path):
     seg_only = run_posr_llm(client, "m", t, WS, PromptKind.INDEPENDENT_SEGMENTATION)
     assert seg_ids(seg_only.labeling) == seg_ids(gold)
     assert len(client.calls) == 1
-    no_ref_gold = Labeling(tuple((s, REF_NONE) for s in seg_ids(gold)))
+    no_ref_gold = per_line_labeling(tuple((s, REF_NONE) for s in seg_ids(gold)))
     assert evaluate(seg_only.labeling, no_ref_gold, t).srs_line == 1.0
 
 
@@ -354,7 +354,7 @@ def _planted_quartile_corpus(seed):
             per_line.append((0, RefLabel.problem("A")))
             clock += duration
         entries.append(CorpusEntry(Transcript(id=f"t{t}", lines=tuple(lines)), ws,
-                                   Labeling(tuple(per_line))))
+                                   per_line_labeling(tuple(per_line))))
     return Corpus(tuple(entries))
 
 
@@ -414,4 +414,4 @@ def test_released_data_reproduction(announce):
     expected_acc = {"jaccard": 0.64, "tfidf": 0.68, "bm25": 0.51}
     for method, want in expected_acc.items():
         config = RetrieverConfig(method, threshold=expected_thresholds[method])
-        assert abs(retrieval_accuracy(config, corpus) - want) <= 0.03
+        assert abs(gold_accuracy(config, corpus) - want) <= 0.03

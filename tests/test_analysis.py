@@ -15,10 +15,10 @@ from posr.analysis import (
 from posr import tokens
 from posr.cli import main
 from posr.corpus import Corpus, CorpusEntry, load_corpus, load_manifest
-from posr.model import Labeling, Line, Problem, REF_NONE, RefLabel, Transcript, Worksheet
+from posr.model import Line, Problem, REF_NONE, RefLabel, Transcript, Worksheet
 from posr.tokens import tokenize
 
-from conftest import line_pairs
+from conftest import line_pairs, per_line_labeling
 
 
 # --- log odds
@@ -334,7 +334,7 @@ def _corpus_one_transcript(line_specs, refs):
         clock += d
     ws = Worksheet(id="w", problems=(Problem("A", "text a"), Problem("B", "text b")))
     entry = CorpusEntry(Transcript(id="t", lines=tuple(lines)), ws,
-                        Labeling(tuple(per_line)))
+                        per_line_labeling(tuple(per_line)))
     return Corpus((entry,))
 
 
@@ -386,7 +386,7 @@ def _planted_corpus(marker="lets say", n_segments=12, seed=0):
             per_line.append((0, RefLabel.problem("A")))
             clock += duration
         entries.append(CorpusEntry(Transcript(id=f"t{t}", lines=tuple(lines)), ws,
-                                   Labeling(tuple(per_line))))
+                                   per_line_labeling(tuple(per_line))))
     return Corpus(tuple(entries))
 
 

@@ -28,9 +28,9 @@ from posr.llm import (
     run_posr_llm,
 )
 from posr.metrics import TokenUsage, cost_per_100, evaluate
-from posr.model import REF_NONE, Labeling, Line, Problem, RefLabel, Transcript, Worksheet
+from posr.model import REF_NONE, Line, Problem, RefLabel, Transcript, Worksheet
 
-from conftest import line_pairs
+from conftest import line_pairs, per_line_labeling
 
 
 @pytest.fixture
@@ -97,7 +97,7 @@ def test_retrieve_perfect_on_zero_overlap(synthetic_dir, tmp_path):
 def test_retrieve_accuracy_agrees_with_decisions_on_empty_segment(tmp_path):
     ws = Worksheet(id="w", problems=(Problem("P1", "a b c"),))
     lines = (Line(0, "[TUTOR]", "", 0, 1000), Line(1, "[STUDENT]", "a b c", 1000, 2000))
-    gold = Labeling(((0, REF_NONE), (1, RefLabel.problem("P1"))))
+    gold = per_line_labeling(((0, REF_NONE), (1, RefLabel.problem("P1"))))
     manifest = write_corpus(Corpus((CorpusEntry(Transcript("t", lines), ws, gold),)),
                             tmp_path / "corpus")
     out = tmp_path / "ret"
@@ -653,7 +653,7 @@ def test_posr_llm_transport_failure_is_scored_and_flagged(llm_corpus, tmp_path):
         rows = {row["transcript_id"]: row for row in csv.DictReader(fh)}
     assert list(rows) == [e.transcript.id for e in corpus.entries]
     n = len(missing.transcript)
-    fallback = Labeling(tuple((0, REF_NONE) for _ in range(n)))
+    fallback = per_line_labeling(tuple((0, REF_NONE) for _ in range(n)))
     report = evaluate(fallback, missing.gold, missing.transcript).as_row()
     assert {k: rows[tid][k] for k in report} == {k: str(v) for k, v in report.items()}
     pred = [json.loads(line) for line in (out / f"{tid}.pred.jsonl").read_text().splitlines()]

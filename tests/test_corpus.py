@@ -27,7 +27,6 @@ from posr.corpus import (
 from posr.model import (
     REF_NONE,
     REF_NOT_IN_CORPUS,
-    Labeling,
     Line,
     ModelError,
     Problem,
@@ -36,9 +35,9 @@ from posr.model import (
     Worksheet,
     labeling_to_spans,
 )
-from posr.retrieval import RetrieverConfig, retrieval_accuracy
+from posr.retrieval import RetrieverConfig
 
-from conftest import line_pairs, line_refs
+from conftest import gold_accuracy, line_pairs, line_refs, per_line_labeling
 
 
 def write_lines(path, records):
@@ -98,6 +97,16 @@ def test_load_worksheet(tmp_path):
     # integer ids are read in decimal
     path.write_text(json.dumps({"id": 7, "problems": [{"id": 3, "text": "a"}]}))
     assert load_worksheet(path) == Worksheet("7", (Problem("3", "a"),))
+
+
+@pytest.mark.parametrize("problem_id", ["-1", "null", -1])
+def test_load_worksheet_refuses_a_reserved_problem_id(tmp_path, problem_id):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"id": "w", "problems": [{"id": "P1", "text": "a"},
+                                                        {"id": problem_id, "text": "b"}]}))
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: worksheet w: "
+                                          rf"problem id {problem_id} is reserved"):
+        load_worksheet(path)
 
 
 def test_annotation_requires_full_cover(tmp_path):
@@ -581,7 +590,7 @@ def reference_load_annotation(path, n_lines):
     if sorted(records) != list(range(n_lines)):
         raise CorpusError(f"{path}: annotation does not cover lines 0..{n_lines - 1}")
     try:
-        return Labeling(tuple(records[i] for i in range(n_lines)))
+        return per_line_labeling(tuple(records[i] for i in range(n_lines)))
     except ModelError as exc:
         raise CorpusError(f"{path}: {exc}") from exc
 
@@ -726,7 +735,7 @@ def test_zero_overlap_jaccard_perfect():
     # by construction each segment shares tokens only with its own problem
     corpus = generate_synthetic(SyntheticSpec(vocab_overlap=0.0, seed=11))
     config = RetrieverConfig(method="jaccard", threshold=0.01)
-    assert retrieval_accuracy(config, corpus) == 1.0
+    assert gold_accuracy(config, corpus) == 1.0
 
 
 def test_write_load_round_trip(tmp_path):
@@ -851,7 +860,7 @@ def labelings(draw):
         ref = draw(st.sampled_from([REF_NONE, REF_NOT_IN_CORPUS])
                    | REF_IDS.map(RefLabel.problem))
         per_line += [(seg, ref)] * draw(st.integers(1, 4))
-    return Labeling(tuple(per_line))
+    return per_line_labeling(tuple(per_line))
 
 
 def dumps_annotation(labeling):
@@ -863,7 +872,7 @@ def dumps_annotation(labeling):
 
 @settings(max_examples=300, deadline=None)
 @given(labelings())
-@example(Labeling(()))
+@example(per_line_labeling(()))
 def test_annotation_codec_equals_json_dumps_and_loads(tmp_path_factory, labeling):
     text = encode_annotation(labeling)
     assert text == dumps_annotation(labeling)

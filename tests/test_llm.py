@@ -52,7 +52,7 @@ from posr.model import (
     labeling_to_spans,
 )
 
-from conftest import line_refs, seg_ids
+from conftest import line_refs, per_line_labeling, seg_ids
 
 WS = Worksheet(id="w", problems=(Problem("3", "first problem"), Problem("7", "second problem")))
 
@@ -173,12 +173,12 @@ def parse_retrieval_by_tokens(text, worksheet):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ids=st.lists(st.text("ab1.-_", min_size=1, max_size=3), min_size=1, max_size=5,
-                    unique=True),
+@given(ids=st.lists(st.text("ab1.-_", min_size=1, max_size=3).filter(lambda pid: pid != "-1"),
+                    min_size=1, max_size=5, unique=True),
        reply=st.text("ab1.-_ (),\"`", max_size=14))
 def test_parse_retrieval_equals_token_rule_on_word_ids(ids, reply):
     # for ids of word characters, '.' and '-' only, the rule reads what the
-    # token rule reads
+    # token rule reads ("-1" is a reserved id, which no worksheet holds)
     ws = Worksheet("w", tuple(Problem(pid, "text") for pid in ids))
     outcomes = []
     for parse in (parse_retrieval, parse_retrieval_by_tokens):
@@ -329,7 +329,7 @@ def encode_segmentation(labeling: Labeling) -> str:
 
 
 def gold_labeling():
-    return Labeling(
+    return per_line_labeling(
         tuple((0, RefLabel.problem("3")) for _ in range(5))
         + tuple((1, REF_NONE) for _ in range(3))
         + tuple((2, RefLabel.problem("7")) for _ in range(4))

@@ -8,7 +8,7 @@ from posr.metrics import (
     derive_window_config,
     evaluate,
 )
-from posr.model import Labeling, Line, REF_NONE, RefLabel, Transcript
+from posr.model import Line, REF_NONE, RefLabel, Transcript
 
 from conftest import (
     REF_POOL,
@@ -19,6 +19,7 @@ from conftest import (
     oracle_line_metric,
     oracle_srs,
     oracle_time_metric,
+    per_line_labeling,
     random_labeling,
     seg_ids,
 )
@@ -30,7 +31,7 @@ B = RefLabel.problem("B")
 def lab(ids, refs=None):
     if refs is None:
         refs = {}
-    return Labeling(tuple((s, refs.get(s, REF_NONE)) for s in ids))
+    return per_line_labeling(tuple((s, refs.get(s, REF_NONE)) for s in ids))
 
 
 def test_identity_scores_zero():
@@ -245,7 +246,7 @@ def test_srs_and_evaluate_match_oracle_on_equal_distinct_refs(rng):
         n = rng.randint(2, 50)
         t = make_transcript([rng.randint(500, 60000) for _ in range(n)])
         ref = random_labeling(n, rng, max_seg_len=5)
-        copy = Labeling(tuple((seg, RefLabel(r.kind, r.problem_id)) for seg, r in line_pairs(ref)))
+        copy = per_line_labeling(tuple((seg, RefLabel(r.kind, r.problem_id)) for seg, r in line_pairs(ref)))
         weights = [l.duration_ms for l in t.lines]
         for pred in (random_labeling(n, rng, ref_pool=fresh_pool), copy):
             assert not any(p is r for p, r in zip(line_refs(pred), line_refs(ref)))
@@ -262,7 +263,7 @@ def test_srs_invariant_to_segment_id_relabeling(rng):
         t = make_transcript([1000] * n)
         pred = random_labeling(n, rng)
         ref = random_labeling(n, rng)
-        shifted = Labeling(tuple((seg + 100, ref_) for seg, ref_ in line_pairs(pred)))
+        shifted = per_line_labeling(tuple((seg + 100, ref_) for seg, ref_ in line_pairs(pred)))
         assert evaluate(shifted, ref, t).srs_line == evaluate(pred, ref, t).srs_line
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posr.model import (
-    Labeling,
     Line,
     ModelError,
     Problem,
@@ -19,7 +18,14 @@ from posr.model import (
     spans_to_labeling,
 )
 
-from conftest import boundary_set, line_pairs, line_refs, random_labeling, seg_ids
+from conftest import (
+    boundary_set,
+    line_pairs,
+    line_refs,
+    per_line_labeling,
+    random_labeling,
+    seg_ids,
+)
 
 A = RefLabel.problem("A")
 B = RefLabel.problem("B")
@@ -52,23 +58,41 @@ def test_reflabel_serialization_round_trip():
     assert RefLabel.deserialize("-1").kind == "not_in_corpus"
 
 
+def test_reflabel_checks_its_fields():
+    with pytest.raises(ModelError, match=r"^bad RefLabel kind 'topic'$"):
+        RefLabel("topic", "P1")
+    for kind, problem_id in (("problem", None), ("none", "P1"), ("not_in_corpus", "P1")):
+        with pytest.raises(ModelError,
+                           match=r"^problem_id must be set exactly for kind='problem'$"):
+            RefLabel(kind, problem_id)
+
+
+def test_reflabel_equals_and_hashes_as_its_kind_and_problem_id():
+    refs = [REF_NONE, RefLabel("none"), RefLabel("not_in_corpus"), A, RefLabel("problem", "A"), B]
+    for x in refs:
+        assert hash(x) == hash((x.kind, x.problem_id))
+        for y in refs:
+            assert (x == y) == ((x.kind, x.problem_id) == (y.kind, y.problem_id))
+            assert (x != y) == ((x.kind, x.problem_id) != (y.kind, y.problem_id))
+
+
 def test_labeling_rejects_non_contiguous_segment():
     with pytest.raises(ModelError):
-        Labeling(((0, REF_NONE), (1, REF_NONE), (0, REF_NONE)))
+        per_line_labeling(((0, REF_NONE), (1, REF_NONE), (0, REF_NONE)))
 
 
 def test_labeling_rejects_conflicting_refs():
     with pytest.raises(ModelError):
-        Labeling(((0, A), (0, B)))
+        per_line_labeling(((0, A), (0, B)))
     with pytest.raises(ModelError, match="segment 1 has conflicting refs at line 3"):
-        Labeling(((0, A), (1, RefLabel.problem("B")), (1, B), (1, RefLabel.problem("C"))))
+        per_line_labeling(((0, A), (1, RefLabel.problem("B")), (1, B), (1, RefLabel.problem("C"))))
 
 
 def test_labeling_accepts_equal_but_distinct_refs():
     # the identity shortcut must still fall back to equality
     a2 = RefLabel.problem("A")
     assert a2 == A and a2 is not A
-    lab = Labeling(((0, A), (0, a2), (0, A), (1, REF_NONE), (1, RefLabel("none"))))
+    lab = per_line_labeling(((0, A), (0, a2), (0, A), (1, REF_NONE), (1, RefLabel("none"))))
     assert lab.num_segments() == 2
     assert line_refs(lab) == [A, A, A, REF_NONE, REF_NONE]
 
@@ -108,7 +132,7 @@ def oracle_spans_to_labeling(spans, n_lines):
     claim each line of its range that no earlier span claimed, then start a
     segment wherever the owning span changes; unowned lines carry no ref."""
     if n_lines <= 0:
-        return Labeling(())
+        return per_line_labeling(())
     clean = sorted(
         (SegmentSpan(max(s.start_line, 0), min(s.end_line, n_lines - 1), s.ref)
          for s in spans if s.end_line >= 0 and s.start_line < n_lines),
@@ -124,7 +148,7 @@ def oracle_spans_to_labeling(spans, n_lines):
         if i == 0 or owner[i] != owner[i - 1]:
             seg = per_line[-1][0] + 1 if per_line else 0
         per_line.append((seg, ref))
-    return Labeling(tuple(per_line))
+    return per_line_labeling(tuple(per_line))
 
 
 SPAN_REFS = st.sampled_from([REF_NONE, RefLabel("not_in_corpus"), A, B])
@@ -159,10 +183,10 @@ def test_spans_to_labeling_linear_in_overlapping_spans():
 
 
 def test_labeling_to_spans_basic():
-    lab = Labeling(tuple((0, REF_NONE) for _ in range(10)))
+    lab = per_line_labeling(tuple((0, REF_NONE) for _ in range(10)))
     assert labeling_to_spans(lab) == [SegmentSpan(0, 9, REF_NONE)]
 
-    lab = Labeling(((0, REF_NONE), (0, REF_NONE), (1, A), (1, A), (1, A)))
+    lab = per_line_labeling(((0, REF_NONE), (0, REF_NONE), (1, A), (1, A), (1, A)))
     spans = labeling_to_spans(lab)
     assert [(s.start_line, s.end_line) for s in spans] == [(0, 1), (2, 4)]
 
@@ -187,7 +211,7 @@ def labelings(draw):
     ids = draw(st.lists(st.integers(-50, 50), min_size=len(lengths), max_size=len(lengths),
                         unique=True))
     refs = draw(st.lists(SPAN_REFS, min_size=len(lengths), max_size=len(lengths)))
-    return Labeling(tuple((seg, ref) for seg, ref, length in zip(ids, refs, lengths)
+    return per_line_labeling(tuple((seg, ref) for seg, ref, length in zip(ids, refs, lengths)
                           for _ in range(length)))
 
 
@@ -230,7 +254,7 @@ def runs(draw):
 def test_runs_to_labeling_equals_the_labeling_of_its_lines(case):
     starts, refs, n_lines, per_line = case
     written = runs_to_labeling(starts, refs, n_lines)
-    read = Labeling(per_line)
+    read = per_line_labeling(per_line)
     assert written == read and hash(written) == hash(read)
     spans = oracle_labeling_to_spans(per_line)
     assert labeling_to_spans(written) == spans
@@ -242,9 +266,9 @@ def test_runs_to_labeling_equals_the_labeling_of_its_lines(case):
 
 
 def test_runs_to_labeling_of_no_lines():
-    assert runs_to_labeling([0], [A], 0) == Labeling(())
-    assert runs_to_labeling([], [], 0) == Labeling(())
-    assert labeling_to_spans(Labeling(())) == []
+    assert runs_to_labeling([0], [A], 0) == per_line_labeling(())
+    assert runs_to_labeling([], [], 0) == per_line_labeling(())
+    assert labeling_to_spans(per_line_labeling(())) == []
 
 
 def test_round_trip_identity():
@@ -261,16 +285,16 @@ def test_round_trip_random_disjoint(rng):
 
 
 def test_boundaries():
-    assert boundary_set(Labeling(tuple((0, REF_NONE) for _ in range(5)))) == set()
-    assert boundary_set(Labeling(((0, REF_NONE), (0, REF_NONE), (1, A), (1, A)))) == {2}
+    assert boundary_set(per_line_labeling(tuple((0, REF_NONE) for _ in range(5)))) == set()
+    assert boundary_set(per_line_labeling(((0, REF_NONE), (0, REF_NONE), (1, A), (1, A)))) == {2}
     # enumerate adjacent pairs: changes at 1 and 2
-    assert boundary_set(Labeling(((0, REF_NONE), (1, A), (2, B)))) == {1, 2}
+    assert boundary_set(per_line_labeling(((0, REF_NONE), (1, A), (2, B)))) == {1, 2}
 
 
 def test_labeling_starts_and_stops():
-    lab = Labeling(((0, REF_NONE), (0, REF_NONE), (1, REF_NONE), (1, REF_NONE)))
+    lab = per_line_labeling(((0, REF_NONE), (0, REF_NONE), (1, REF_NONE), (1, REF_NONE)))
     assert lab.starts == (0, 2) and lab.stops() == [2, 4]
-    assert Labeling(()).stops() == []
+    assert per_line_labeling(()).stops() == []
 
 
 def test_boundary_count_matches_segment_count(rng):

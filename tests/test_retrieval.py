@@ -19,7 +19,6 @@ from posr.corpus import (
     write_corpus,
 )
 from posr.model import (
-    Labeling,
     Line,
     Problem,
     REF_NONE,
@@ -40,14 +39,13 @@ from posr.retrieval import (
     _decision,
     _segment_query,
     calibrate_threshold,
-    retrieval_accuracy,
     retrieve_labeling,
     worksheet_index,
 )
 from posr import tokens
 from posr.tokens import tokenize
 
-from conftest import boundary_set, line_refs, seg_ids
+from conftest import boundary_set, gold_accuracy, line_refs, per_line_labeling, seg_ids
 
 WS = Worksheet(id="w", problems=(
     Problem("P1", "a b c"),
@@ -186,7 +184,7 @@ def make_entry(segments, worksheet, tid="t"):
         lines.append(Line(i, "[TUTOR]", text, i * 1000, (i + 1) * 1000))
         per_line.append((i, ref))
     return CorpusEntry(
-        Transcript(id=tid, lines=tuple(lines)), worksheet, Labeling(tuple(per_line))
+        Transcript(id=tid, lines=tuple(lines)), worksheet, per_line_labeling(tuple(per_line))
     )
 
 
@@ -197,7 +195,7 @@ def test_retrieve_labeling_fills_segments_uniformly():
         for i, text in enumerate(["a b c", "a b", "x y z", "x z"])
     )
     t = Transcript(id="t", lines=lines)
-    seg = Labeling(((0, REF_NONE), (0, REF_NONE), (1, REF_NONE), (1, REF_NONE)))
+    seg = per_line_labeling(((0, REF_NONE), (0, REF_NONE), (1, REF_NONE), (1, REF_NONE)))
     out = retrieve_labeling(config, t, seg, WS)
     assert line_refs(out) == [RefLabel.problem("P1")] * 2 + [RefLabel.problem("P3")] * 2
 
@@ -206,7 +204,7 @@ def test_retrieve_labeling_none_when_below_threshold():
     config = RetrieverConfig("jaccard", threshold=0.9)
     lines = (Line(0, "[TUTOR]", "q r s", 0, 1000),)
     t = Transcript(id="t", lines=lines)
-    seg = Labeling(((0, REF_NONE),))
+    seg = per_line_labeling(((0, REF_NONE),))
     assert line_refs(retrieve_labeling(config, t, seg, WS)) == [REF_NONE]
 
 
@@ -217,7 +215,7 @@ def test_retrieve_labeling_keeps_the_segmentation_boundaries():
     )
     t = Transcript(id="t", lines=lines)
     # segment ids that are neither 0, 1, ... nor ascending
-    seg = Labeling(((7, REF_NONE), (7, REF_NONE), (-3, REF_NONE), (-3, REF_NONE),
+    seg = per_line_labeling(((7, REF_NONE), (7, REF_NONE), (-3, REF_NONE), (-3, REF_NONE),
                     (40, REF_NONE), (2, REF_NONE)))
     out = retrieve_labeling(RetrieverConfig("jaccard", threshold=0.1), t, seg, WS)
     assert boundary_set(out) == boundary_set(seg)
@@ -314,12 +312,12 @@ def test_oversegmentation_does_not_beat_ground_truth():
         corpus = generate_synthetic(SyntheticSpec(seed=seed, vocab_overlap=0.3,
                                                   n_transcripts=2))
         config = RetrieverConfig("jaccard", threshold=0.05)
-        accs_gt.append(retrieval_accuracy(config, corpus))
+        accs_gt.append(gold_accuracy(config, corpus))
         over_entries = []
         for e in corpus.entries:
             per_line = tuple((i, ref) for i, ref in enumerate(line_refs(e.gold)))
-            over_entries.append(CorpusEntry(e.transcript, e.worksheet, Labeling(per_line)))
-        accs_over.append(retrieval_accuracy(config, Corpus(tuple(over_entries))))
+            over_entries.append(CorpusEntry(e.transcript, e.worksheet, per_line_labeling(per_line)))
+        accs_over.append(gold_accuracy(config, Corpus(tuple(over_entries))))
     assert sum(accs_gt) / 20 >= sum(accs_over) / 20
 
 
@@ -336,7 +334,7 @@ def test_empty_segment_is_never_a_problem():
     config = RetrieverConfig("jaccard", threshold=0.0)
     pred = retrieve_labeling(config, entry.transcript, entry.gold, ws)
     assert line_refs(pred) == line_refs(entry.gold)
-    assert retrieval_accuracy(config, Corpus((entry,))) == 1.0
+    assert gold_accuracy(config, Corpus((entry,))) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +356,7 @@ def test_retrieve_off_worksheet_gold_is_written_and_counted(tmp_path):
         ["null", "-1"], ["P1", "P1"], ["P1", "-1"]]
     config = RetrieverConfig("jaccard", threshold=0.05)
     doc = json.loads((out / "retrieval_accuracy.json").read_text())
-    assert doc["accuracy"] == retrieval_accuracy(config, Corpus((entry,))) == 2 / 3
+    assert doc["accuracy"] == gold_accuracy(config, Corpus((entry,))) == 2 / 3
 
 
 def muffle(entry, rng):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posr.corpus import Corpus, CorpusEntry, SyntheticSpec, generate_synthetic
-from posr.model import Labeling, Line, Problem, REF_NONE, Transcript, Worksheet
+from posr.model import Line, Problem, REF_NONE, Transcript, Worksheet
 from posr.segmentation import (
     SegmentationError,
     TextTilingParams,
@@ -21,7 +21,7 @@ from posr.segmentation import (
 )
 from posr.tokens import tokenize
 
-from conftest import boundary_set, line_refs, make_transcript, seg_ids
+from conftest import boundary_set, line_refs, make_transcript, per_line_labeling, seg_ids
 
 WS = Worksheet(id="w", problems=(Problem("P1", "placeholder"),))
 
@@ -31,7 +31,7 @@ def corpus_of(lines_text, seg_ids, tid="t"):
         Line(i, "[TUTOR]", text, i * 1000, (i + 1) * 1000)
         for i, text in enumerate(lines_text)
     )
-    gold = Labeling(tuple((s, REF_NONE) for s in seg_ids))
+    gold = per_line_labeling(tuple((s, REF_NONE) for s in seg_ids))
     entry = CorpusEntry(Transcript(id=tid, lines=lines), WS, gold)
     return Corpus((entry,), "train")
 
@@ -187,7 +187,7 @@ def test_segmenters_number_segments_from_zero():
 def _oracle_texttiling(params, transcript):
     n = len(transcript)
     if n == 0:
-        return Labeling(())
+        return per_line_labeling(())
     stream = []
     token_line = []
     for line in transcript.lines:
@@ -196,7 +196,7 @@ def _oracle_texttiling(params, transcript):
             token_line.append(line.index)
 
     w = params.pseudo_sentence_size
-    single = Labeling(tuple((0, REF_NONE) for _ in range(n)))
+    single = per_line_labeling(tuple((0, REF_NONE) for _ in range(n)))
     if len(stream) < 2 * params.block_size * w:
         return single
 
@@ -226,7 +226,7 @@ def _oracle_texttiling(params, transcript):
         if i in boundary_lines and i > 0:
             seg += 1
         per_line.append((seg, REF_NONE))
-    return Labeling(tuple(per_line))
+    return per_line_labeling(tuple(per_line))
 
 
 def _oracle_gap_scores(stream, w, block_size):
